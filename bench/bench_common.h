@@ -40,7 +40,8 @@ core::PartitionProfile profile_partition(std::span<const T> data, const sz::Dims
   prof.raw_bytes = static_cast<double>(data.size_bytes());
   prof.elem_count = static_cast<double>(data.size());
   const auto est = model::estimate_ratio<T>(data, dims, params);
-  prof.predicted_bytes = est.bit_rate / 8.0 * static_cast<double>(data.size());
+  prof.predicted_bytes =
+      static_cast<double>(core::predicted_bytes_for(est.bit_rate, data.size()));
   prof.predicted_ratio = est.ratio;
   double best = 1e300;
   std::size_t size = 0;

@@ -1,8 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <cstring>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/metrics.h"
@@ -21,13 +18,6 @@ struct PredMsg {
   std::uint64_t elem_count = 0;
 };
 static_assert(std::is_trivially_copyable_v<PredMsg>);
-
-/// Per-(field, rank) outcome message exchanged after the write wave.
-struct ActualMsg {
-  std::uint64_t actual_bytes = 0;
-  std::uint64_t overflow_bytes = 0;
-};
-static_assert(std::is_trivially_copyable_v<ActualMsg>);
 
 template <typename T>
 RankReport run_no_compression(mpi::Comm& comm, h5::File& file,
@@ -92,18 +82,14 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
     util::trace::StageTimer stage("predict", "engine", "fields", nfields);
     for (std::size_t f = 0; f < nfields; ++f) {
       const auto est = model::estimate_ratio<T>(fields[f].local, fields[f].local_dims,
-                                                fields[f].params, config.ratio_config);
+                                                fields[f].params);
       const double raw_bytes = static_cast<double>(fields[f].local.size_bytes());
-      // Predicted compressed size, plus the sz container margin the model
-      // already amortizes; +1 guards the zero edge.
-      my_preds[f].predicted_bytes =
-          static_cast<std::uint64_t>(est.bit_rate / 8.0 *
-                                     static_cast<double>(fields[f].local.size())) +
-          1;
+      my_preds[f].predicted_bytes = predicted_bytes_for(est.bit_rate, fields[f].local.size());
       my_preds[f].predicted_ratio = est.ratio;
       my_preds[f].elem_count = fields[f].local.size();
-      tasks[f].comp_seconds = config.comp_model.predict_time(raw_bytes, est.bit_rate);
-      tasks[f].write_seconds = config.write_model.predict_time(
+      tasks[f].comp_seconds =
+          model::kSummitCompressionModel.predict_time(raw_bytes, est.bit_rate);
+      tasks[f].write_seconds = model::kSummitWriteModel.predict_time(
           static_cast<double>(my_preds[f].predicted_bytes));
       report.raw_bytes += fields[f].local.size_bytes();
     }
@@ -130,7 +116,7 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
       predictions[f][r].predicted_ratio = all_preds[r][f].predicted_ratio;
     }
   }
-  const LayoutPlan plan = plan_layout(predictions, config.rspace);
+  const WritePlan plan = plan_write(predictions, config.rspace);
   const std::uint64_t base = file.alloc_collective(comm, plan.total_bytes);
   for (std::size_t f = 0; f < nfields; ++f) {
     report.reserved_bytes += plan.slots[f][my_rank].reserved_bytes;
@@ -140,7 +126,7 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
   report.order = reorder ? optimize_order(tasks) : identity_order(nfields);
 
   // --- Phase 5: compress/async-write pipeline. ---------------------------
-  std::vector<ActualMsg> my_actuals(nfields);
+  std::vector<std::uint64_t> my_actuals(nfields);
   std::vector<std::vector<std::uint8_t>> overflow_tails(nfields);
   std::vector<h5::WriteTicket> tickets;
   tickets.reserve(nfields);
@@ -157,14 +143,11 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
     }
 
     const PartitionSlot& slot = plan.slots[f][my_rank];
-    my_actuals[f].actual_bytes = blob.size();
+    my_actuals[f] = blob.size();
     report.compressed_bytes += blob.size();
     if (blob.size() > slot.reserved_bytes) {
       // Overflow: the slot takes what fits; the excess is appended after
-      // the main wave (§III-D).
-      my_actuals[f].overflow_bytes = blob.size() - slot.reserved_bytes;
-      report.overflow_bytes += my_actuals[f].overflow_bytes;
-      ++report.overflow_partitions;
+      // the main wave (§III-D) where plan_overflow places it.
       overflow_tails[f].assign(blob.begin() + static_cast<std::ptrdiff_t>(slot.reserved_bytes),
                                blob.end());
       blob.resize(slot.reserved_bytes);
@@ -182,32 +165,33 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
     report.write_seconds = stage.seconds();
   }
 
-  // --- Phase 6: overflow handling + outcome gather. ---------------------
-  std::vector<std::vector<ActualMsg>> all_actuals;
-  std::vector<std::vector<std::uint64_t>> overflow_offsets;
+  // --- Phase 6: outcome gather + overflow tail appends. -----------------
+  std::vector<std::vector<std::uint64_t>> actual_bytes(nfields,
+                                                       std::vector<std::uint64_t>(nranks));
+  OverflowPlan overflow;
   std::uint64_t overflow_base = 0;
   {
     util::trace::StageTimer stage("overflow", "engine");
-    all_actuals = comm.allgatherv<ActualMsg>(my_actuals);
-    std::vector<std::vector<std::uint64_t>> overflow_sizes(
-        nfields, std::vector<std::uint64_t>(nranks, 0));
+    const auto all_actuals = comm.allgatherv<std::uint64_t>(my_actuals);
     for (std::size_t r = 0; r < nranks; ++r) {
-      for (std::size_t f = 0; f < nfields; ++f) {
-        overflow_sizes[f][r] = all_actuals[r][f].overflow_bytes;
-      }
+      for (std::size_t f = 0; f < nfields; ++f) actual_bytes[f][r] = all_actuals[r][f];
     }
-    std::uint64_t overflow_total = 0;
-    overflow_offsets = assign_overflow_offsets(overflow_sizes, &overflow_total);
-    if (overflow_total > 0) {
-      overflow_base = file.alloc_collective(comm, overflow_total);
+    overflow = plan_overflow(plan, actual_bytes);
+    if (overflow.total_bytes > 0) {
+      overflow_base = file.alloc_collective(comm, overflow.total_bytes);
       for (std::size_t f = 0; f < nfields; ++f) {
         if (!overflow_tails[f].empty()) {
-          file.pwrite(overflow_base + overflow_offsets[f][my_rank], overflow_tails[f]);
+          file.pwrite(overflow_base + overflow.parts[f][my_rank].tail_offset,
+                      overflow_tails[f]);
         }
       }
     }
     report.overflow_seconds = stage.seconds();
   }
+  for (std::size_t f = 0; f < nfields; ++f) {
+    report.overflow_partitions += overflow.parts[f][my_rank].tail_bytes > 0 ? 1 : 0;
+  }
+  report.overflow_bytes = overflow.rank_tail_bytes[my_rank];
 
   // --- Phase 7: metadata registration (rank 0). --------------------------
   if (comm.rank() == 0) {
@@ -221,6 +205,7 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
       desc.abs_error_bound = fields[f].params.error_bound;
       std::uint64_t elem_cursor = 0;
       for (std::size_t r = 0; r < nranks; ++r) {
+        const PartitionOverflow& ovf = overflow.parts[f][r];
         h5::PartitionRecord part;
         part.rank = static_cast<std::uint32_t>(r);
         part.elem_offset = elem_cursor;
@@ -228,11 +213,9 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
         elem_cursor += part.elem_count;
         part.file_offset = base + plan.slots[f][r].offset;
         part.reserved_bytes = plan.slots[f][r].reserved_bytes;
-        part.actual_bytes = all_actuals[r][f].actual_bytes;
-        part.overflow_bytes = all_actuals[r][f].overflow_bytes;
-        if (part.overflow_bytes > 0) {
-          part.overflow_offset = overflow_base + overflow_offsets[f][r];
-        }
+        part.actual_bytes = actual_bytes[f][r];
+        part.overflow_bytes = ovf.tail_bytes;
+        if (ovf.tail_bytes > 0) part.overflow_offset = overflow_base + ovf.tail_offset;
         desc.partitions.push_back(part);
       }
       if (elem_cursor != fields[f].global_dims.count()) {

@@ -10,10 +10,10 @@
 //                          overlaps the asynchronous write of field k-1
 //   kOverlapReorder    (4) (3) plus Algorithm-1 compression reordering
 //
-// The overlap path follows Fig. 3 exactly: predict (ratio, throughputs)
-// -> all-gather predictions -> identical offset planning on every rank ->
-// per-rank reorder -> compress/async-write pipeline -> overflow handling
-// -> metadata registration.
+// The overlap path follows Fig. 3 exactly (docs/write_path.md): predict
+// -> all-gather predictions -> plan_write on every rank -> per-rank
+// reorder -> compress/async-write pipeline -> plan_overflow + tail
+// appends -> metadata registration.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +57,6 @@ struct EngineConfig {
   /// Extra-space ratio R_space (§III-D); Eq. (3) boost applied per
   /// partition automatically.
   double rspace = model::kDefaultRspace;
-  model::RatioModelConfig ratio_config;
-  /// Throughput models used for scheduling only (never for correctness);
-  /// defaults are the paper's §IV-B fit.
-  model::CompressionThroughputModel comp_model{101.7e6, 240.6e6, -1.716};
-  model::WriteThroughputModel write_model{400e6, 2e6};
   /// Worker threads for each partition's sz compress/decompress (overrides
   /// every FieldSpec's Params::threads): 1 = serial, 0 = all hardware
   /// threads, N = exactly N. Blob bytes are identical for every value.

@@ -1,5 +1,6 @@
 #include "core/planner.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "model/extra_space.h"
@@ -7,15 +8,19 @@
 namespace pcw::core {
 namespace {
 
-std::uint64_t align_up(std::uint64_t v, std::uint64_t alignment) {
-  return alignment == 0 ? v : (v + alignment - 1) / alignment * alignment;
+std::uint64_t align_up(std::uint64_t v) {
+  return (v + kSlotAlignment - 1) / kSlotAlignment * kSlotAlignment;
 }
 
 }  // namespace
 
-LayoutPlan plan_layout(const std::vector<std::vector<PartitionPrediction>>& predictions,
-                       double rspace, std::uint64_t alignment) {
-  LayoutPlan plan;
+std::uint64_t predicted_bytes_for(double bit_rate, std::uint64_t elem_count) {
+  return static_cast<std::uint64_t>(bit_rate / 8.0 * static_cast<double>(elem_count)) + 1;
+}
+
+WritePlan plan_write(const std::vector<std::vector<PartitionPrediction>>& predictions,
+                     double rspace) {
+  WritePlan plan;
   plan.slots.resize(predictions.size());
   std::uint64_t cursor = 0;
   for (std::size_t f = 0; f < predictions.size(); ++f) {
@@ -29,7 +34,7 @@ LayoutPlan plan_layout(const std::vector<std::vector<PartitionPrediction>>& pred
           static_cast<double>(pred.predicted_bytes), pred.predicted_ratio, rspace);
       PartitionSlot& slot = plan.slots[f][r];
       slot.offset = cursor;
-      slot.reserved_bytes = align_up(static_cast<std::uint64_t>(reserved) + 1, alignment);
+      slot.reserved_bytes = align_up(static_cast<std::uint64_t>(reserved) + 1);
       cursor += slot.reserved_bytes;
     }
   }
@@ -37,27 +42,34 @@ LayoutPlan plan_layout(const std::vector<std::vector<PartitionPrediction>>& pred
   return plan;
 }
 
-std::vector<std::vector<std::uint64_t>> assign_overflow_offsets(
-    const std::vector<std::vector<std::uint64_t>>& overflow_bytes,
-    std::uint64_t* total_out, std::uint64_t alignment) {
+OverflowPlan plan_overflow(const WritePlan& plan,
+                           const std::vector<std::vector<std::uint64_t>>& actual_bytes) {
+  const std::size_t nfields = plan.slots.size();
+  const std::size_t nranks = nfields == 0 ? 0 : plan.slots[0].size();
+  if (actual_bytes.size() != nfields ||
+      std::any_of(actual_bytes.begin(), actual_bytes.end(),
+                  [&](const auto& field) { return field.size() != nranks; })) {
+    throw std::invalid_argument("planner: actual sizes do not match the plan");
+  }
+  OverflowPlan out;
+  out.parts.assign(nfields, std::vector<PartitionOverflow>(nranks));
+  out.rank_tail_bytes.assign(nranks, 0);
   // Rank-major: all of one rank's tails are adjacent, so a rank appends
   // its entire overflow with a single contiguous write.
-  std::vector<std::vector<std::uint64_t>> offsets(overflow_bytes.size());
-  std::size_t nranks = 0;
-  for (std::size_t f = 0; f < overflow_bytes.size(); ++f) {
-    offsets[f].resize(overflow_bytes[f].size(), 0);
-    nranks = std::max(nranks, overflow_bytes[f].size());
-  }
-  std::uint64_t cursor = 0;
   for (std::size_t r = 0; r < nranks; ++r) {
-    for (std::size_t f = 0; f < overflow_bytes.size(); ++f) {
-      if (r >= overflow_bytes[f].size() || overflow_bytes[f][r] == 0) continue;
-      offsets[f][r] = cursor;
-      cursor += align_up(overflow_bytes[f][r], alignment);
+    for (std::size_t f = 0; f < nfields; ++f) {
+      PartitionOverflow& part = out.parts[f][r];
+      part.in_slot_bytes = std::min(actual_bytes[f][r], plan.slots[f][r].reserved_bytes);
+      part.tail_bytes = actual_bytes[f][r] - part.in_slot_bytes;
+      if (part.tail_bytes == 0) continue;
+      part.tail_offset = out.total_bytes;
+      out.total_bytes += align_up(part.tail_bytes);
+      out.tail_bytes += part.tail_bytes;
+      out.rank_tail_bytes[r] += part.tail_bytes;
+      ++out.partitions;
     }
   }
-  if (total_out != nullptr) *total_out = cursor;
-  return offsets;
+  return out;
 }
 
 }  // namespace pcw::core

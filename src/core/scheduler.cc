@@ -45,13 +45,4 @@ std::vector<int> identity_order(std::size_t n) {
   return order;
 }
 
-std::vector<int> longest_write_first_order(std::span<const ScheduledTask> tasks) {
-  std::vector<int> order = identity_order(tasks.size());
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return tasks[static_cast<std::size_t>(a)].write_seconds >
-           tasks[static_cast<std::size_t>(b)].write_seconds;
-  });
-  return order;
-}
-
 }  // namespace pcw::core

@@ -32,9 +32,7 @@ double pipeline_makespan(std::span<const ScheduledTask> tasks,
 /// Algorithm 1: returns a permutation of [0, tasks.size()) to compress in.
 std::vector<int> optimize_order(std::span<const ScheduledTask> tasks);
 
-/// Baseline orders for ablation benches.
+/// Baseline order: fields in input order (kOverlap, ablation benches).
 std::vector<int> identity_order(std::size_t n);
-/// Natural greedy alternative: longest predicted write first.
-std::vector<int> longest_write_first_order(std::span<const ScheduledTask> tasks);
 
 }  // namespace pcw::core

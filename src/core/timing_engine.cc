@@ -4,10 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "model/extra_space.h"
-
 namespace pcw::core {
 namespace {
+
+/// Prediction-phase cost as a fraction of a rank's compression time: the
+/// ratio model's measured overhead (<10% per the paper, ~3% here).
+constexpr double kPredictFraction = 0.03;
 
 void validate(const std::vector<std::vector<PartitionProfile>>& profiles) {
   if (profiles.empty() || profiles[0].empty()) {
@@ -84,6 +86,7 @@ Breakdown simulate_overlap(const iosim::Platform& platform,
                            const TimingConfig& config, bool reorder) {
   Breakdown b;
   const int nprocs = static_cast<int>(profiles.size());
+  const std::size_t nranks = profiles.size();
   const std::size_t nfields = profiles[0].size();
 
   // Phase 1+2: prediction on each rank, then one all-gather. Ranks enter
@@ -93,37 +96,39 @@ Breakdown simulate_overlap(const iosim::Platform& platform,
   for (const auto& rank : profiles) {
     double rank_comp = 0.0;
     for (const auto& part : rank) rank_comp += part.comp_seconds;
-    predict_max = std::max(predict_max, rank_comp * config.predict_fraction);
+    predict_max = std::max(predict_max, rank_comp * kPredictFraction);
   }
   b.predict = predict_max;
   b.exchange = platform.allgather_cost(nprocs);
   const double start = predict_max + b.exchange;
 
-  // Phase 3-5: per-rank order + pipeline; writes are independent flows
-  // chained per rank (one async queue each).
-  std::vector<iosim::WriteJob> jobs;
-  std::vector<double> overflow_tail_bytes;  // parallel arrays for phase 6
-  std::vector<double> job_field_overflow;
-  double comp_end_global = 0.0;
-  double overflow_total = 0.0;
-
-  // Write-time prediction for Algorithm 1. The paper's Eq. (2) divides by
-  // a stable C_thr measured offline on the target system; on systems with
-  // a pronounced per-request setup cost (the Fig.-7 curve's half-size)
-  // the offline measurement at the compressed-size operating point is the
-  // size-dependent curve itself, so when
-  // calibrate_write_model_to_platform is set we evaluate the curve per
-  // partition — this is exactly the "empirical evaluation" §III-C calls
-  // for, and it keeps the optimizer's cost aligned with the system.
-  auto predict_write_seconds = [&](double predicted_bytes) {
-    if (config.calibrate_write_model_to_platform) {
-      const double thr = platform.per_proc_throughput(predicted_bytes);
-      return thr > 0.0 ? predicted_bytes / thr : 0.0;
+  // Phase 3 and the overflow split, planned as the engine plans them.
+  std::vector<std::vector<PartitionPrediction>> predictions(
+      nfields, std::vector<PartitionPrediction>(nranks));
+  std::vector<std::vector<std::uint64_t>> actual_bytes(nfields,
+                                                       std::vector<std::uint64_t>(nranks));
+  for (std::size_t r = 0; r < nranks; ++r) {
+    for (std::size_t f = 0; f < nfields; ++f) {
+      const PartitionProfile& part = profiles[r][f];
+      predictions[f][r].predicted_bytes = static_cast<std::uint64_t>(part.predicted_bytes);
+      predictions[f][r].predicted_ratio = part.predicted_ratio;
+      actual_bytes[f][r] = static_cast<std::uint64_t>(part.actual_bytes);
+      b.raw_bytes += part.raw_bytes;
+      b.ideal_compressed_bytes += part.actual_bytes;
     }
-    return config.write_model.predict_time(predicted_bytes);
-  };
+  }
+  const WritePlan plan = plan_write(predictions, config.rspace);
+  const OverflowPlan overflow = plan_overflow(plan, actual_bytes);
+  b.storage_bytes = static_cast<double>(plan.total_bytes + overflow.tail_bytes);
+  b.overflow_partitions = overflow.partitions;
 
-  for (std::size_t r = 0; r < profiles.size(); ++r) {
+  // Phase 4+5: per-rank order + pipeline; writes are independent flows
+  // chained per rank (one async queue each). Algorithm 1's write times
+  // come from the platform's per-process curve, which is what the paper's
+  // offline per-system calibration of Eq. (2) measures.
+  std::vector<iosim::WriteJob> jobs;
+  double comp_end_global = 0.0;
+  for (std::size_t r = 0; r < nranks; ++r) {
     const auto& rank = profiles[r];
     std::vector<ScheduledTask> tasks(nfields);
     for (std::size_t f = 0; f < nfields; ++f) {
@@ -131,7 +136,8 @@ Breakdown simulate_overlap(const iosim::Platform& platform,
           8.0 * rank[f].predicted_bytes / std::max(1.0, rank[f].elem_count);
       tasks[f].comp_seconds =
           config.comp_model.predict_time(rank[f].raw_bytes, bit_rate);
-      tasks[f].write_seconds = predict_write_seconds(rank[f].predicted_bytes);
+      const double thr = platform.per_proc_throughput(rank[f].predicted_bytes);
+      tasks[f].write_seconds = thr > 0.0 ? rank[f].predicted_bytes / thr : 0.0;
     }
     const std::vector<int> order =
         reorder ? optimize_order(tasks) : identity_order(nfields);
@@ -140,25 +146,13 @@ Breakdown simulate_overlap(const iosim::Platform& platform,
     for (const int fi : order) {
       const auto f = static_cast<std::size_t>(fi);
       t += rank[f].comp_seconds;  // actual measured compression time
-      const double reserved = model::reserved_bytes(
-          rank[f].predicted_bytes, rank[f].predicted_ratio, config.rspace);
-      const double in_slot = std::min(rank[f].actual_bytes, reserved);
-      const double tail = rank[f].actual_bytes - in_slot;
       iosim::WriteJob job;
       job.arrival = t;
-      job.bytes = in_slot;
+      job.bytes = static_cast<double>(overflow.parts[f][r].in_slot_bytes);
       job.proc = static_cast<int>(r);
       job.chain = static_cast<int>(r);
       job.tag = fi;
       jobs.push_back(job);
-      if (tail > 0.0) {
-        overflow_total += tail;
-        ++b.overflow_partitions;
-      }
-      overflow_tail_bytes.push_back(tail);
-      b.raw_bytes += rank[f].raw_bytes;
-      b.ideal_compressed_bytes += rank[f].actual_bytes;
-      b.storage_bytes += std::max(reserved, in_slot);
     }
     comp_end_global = std::max(comp_end_global, t);
   }
@@ -168,23 +162,17 @@ Breakdown simulate_overlap(const iosim::Platform& platform,
   const double wave_end = std::max(wave.makespan, comp_end_global);
   b.write_exposed = wave_end - comp_end_global;
 
-  // Phase 6: overflow handling — all-gather of overflow sizes, then the
-  // overflowing ranks append their tails independently. A rank's tails
-  // land in adjacent slots of the append region, so it issues them as a
-  // single contiguous write.
+  // Phase 6: overflow handling — all-gather of actual sizes, then each
+  // overflowing rank appends its adjacent tails as one contiguous write.
   double t_end = wave_end;
-  if (overflow_total > 0.0) {
+  if (overflow.tail_bytes > 0) {
     const double overflow_start = wave_end + platform.allgather_cost(nprocs);
-    std::vector<double> rank_tail(profiles.size(), 0.0);
-    for (std::size_t j = 0; j < overflow_tail_bytes.size(); ++j) {
-      rank_tail[static_cast<std::size_t>(jobs[j].proc)] += overflow_tail_bytes[j];
-    }
     std::vector<iosim::WriteJob> tail_jobs;
-    for (std::size_t r = 0; r < rank_tail.size(); ++r) {
-      if (rank_tail[r] <= 0.0) continue;
+    for (std::size_t r = 0; r < nranks; ++r) {
+      if (overflow.rank_tail_bytes[r] == 0) continue;
       iosim::WriteJob job;
       job.arrival = overflow_start;
-      job.bytes = rank_tail[r];
+      job.bytes = static_cast<double>(overflow.rank_tail_bytes[r]);
       job.proc = static_cast<int>(r);
       job.chain = static_cast<int>(r);
       tail_jobs.push_back(job);
@@ -192,7 +180,6 @@ Breakdown simulate_overlap(const iosim::Platform& platform,
     const auto tails = simulate_independent(platform, tail_jobs);
     t_end = std::max(overflow_start, tails.makespan);
     b.overflow = t_end - wave_end;
-    b.storage_bytes += overflow_total;
   } else {
     // The size all-gather still happens (it also carries actual sizes for
     // the metadata), but costs only the collective latency.
@@ -241,6 +228,8 @@ std::vector<std::vector<PartitionProfile>> bootstrap_profiles(
       p.comp_seconds *= g;
       p.actual_bytes *= g;
       p.predicted_bytes *= g * std::exp(rng.normal(0.0, jitter * 0.4));
+      // Eq. (3) decides its boost on the ratio the jittered size implies.
+      p.predicted_ratio = p.raw_bytes / p.predicted_bytes;
       out[static_cast<std::size_t>(r)][f] = p;
     }
   }

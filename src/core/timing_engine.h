@@ -7,11 +7,11 @@
 // have. Inputs are per-(rank, field) partition profiles whose compression
 // times/sizes come from *measured* compressions of the same synthetic
 // data (bootstrap-resampled to the target scale), so the compute side is
-// empirical and only the I/O side is modeled.
+// empirical and only the I/O side is modeled. Slot sizes and overflow
+// tails come from the same planner (planner.h) the functional engine
+// writes with, so both count the same bytes.
 #pragma once
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/engine.h"
@@ -28,24 +28,16 @@ struct PartitionProfile {
   double elem_count = 0.0;
   double comp_seconds = 0.0;      // measured compression time
   double actual_bytes = 0.0;      // measured compressed size
-  double predicted_bytes = 0.0;   // ratio-model prediction
+  double predicted_bytes = 0.0;   // ratio-model prediction (predicted_bytes_for)
   double predicted_ratio = 1.0;
 };
 
 struct TimingConfig {
   WriteMode mode = WriteMode::kOverlapReorder;
   double rspace = model::kDefaultRspace;
-  /// Prediction-phase cost as a fraction of this rank's compression time
-  /// (the ratio model's measured overhead; <10% per the paper, ~3% here).
-  double predict_fraction = 0.03;
-  model::CompressionThroughputModel comp_model{101.7e6, 240.6e6, -1.716};
-  /// Eq.-(2) write-time model for Algorithm 1. When
-  /// `calibrate_write_model_to_platform` is true (the paper's offline
-  /// per-system calibration), the plateau is taken from the platform's
-  /// per-process curve at the mean predicted size and `write_model` is
-  /// ignored.
-  bool calibrate_write_model_to_platform = true;
-  model::WriteThroughputModel write_model{400e6, 2e6};
+  /// Eq. (1) model for Algorithm 1's compression times (benches calibrate
+  /// it to the host); write times come from the platform's curve.
+  model::CompressionThroughputModel comp_model = model::kSummitCompressionModel;
 };
 
 /// Phase breakdown in the paper's Fig.-16 reading: `compress` is the

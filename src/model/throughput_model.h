@@ -34,7 +34,7 @@ struct ThroughputSample {
 class CompressionThroughputModel {
  public:
   CompressionThroughputModel() = default;
-  CompressionThroughputModel(double c_min, double c_max, double a)
+  constexpr CompressionThroughputModel(double c_min, double c_max, double a)
       : c_min_(c_min), c_max_(c_max), a_(a) {}
 
   /// Fits C_min, C_max (from sample extrema) and the exponent `a` (grid
@@ -66,7 +66,7 @@ struct WriteSample {
 class WriteThroughputModel {
  public:
   WriteThroughputModel() = default;
-  WriteThroughputModel(double plateau, double half_size)
+  constexpr WriteThroughputModel(double plateau, double half_size)
       : plateau_(plateau), half_size_(half_size) {}
 
   /// Fits the saturating curve thr(s) = plateau * s / (s + s_half) against
@@ -90,5 +90,10 @@ class WriteThroughputModel {
   double plateau_ = 400e6;     // bytes/s; overridden by calibrate()
   double half_size_ = 2e6;     // bytes at which throughput is half plateau
 };
+
+/// The paper's §IV-B Summit fits of Eq. (1) and Eq. (2), which the engine
+/// schedules with.
+inline constexpr CompressionThroughputModel kSummitCompressionModel{101.7e6, 240.6e6, -1.716};
+inline constexpr WriteThroughputModel kSummitWriteModel{400e6, 2e6};
 
 }  // namespace pcw::model

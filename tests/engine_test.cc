@@ -5,8 +5,10 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 #include "core/engine.h"
+#include "core/timing_engine.h"
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
 
@@ -296,6 +298,133 @@ TEST_F(EngineTest, SingleRankDegenerateCase) {
     ASSERT_NEAR(full[i], ranks_[0].fields[0][i], 0.2);
   }
 }
+
+/// One schedule, two executors: the footer the engine writes and the
+/// bytes the timing simulator counts must both follow plan_write and
+/// plan_overflow applied to predictions rebuilt through the shared
+/// predicted_bytes_for. rspace 1.0 leaves no head-room, so tails appear.
+struct AgreementCase {
+  WriteMode mode;
+  double rspace;
+};
+
+class ScheduleAgreementTest : public ::testing::TestWithParam<AgreementCase> {
+ protected:
+  static constexpr std::size_t kRanks = 4;
+  static constexpr std::size_t kFields = data::kNyxPrimaryFields;
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string path_ = (std::filesystem::temp_directory_path() /
+                       "pcw_engine_test_schedule_agreement.pcw5")
+                          .string();
+};
+
+TEST_P(ScheduleAgreementTest, FooterAndSimulatorFollowThePlan) {
+  const auto [mode, rspace] = GetParam();
+  SCOPED_TRACE(std::string(to_string(mode)) + " rspace " + std::to_string(rspace));
+  const sz::Dims global = sz::Dims::make_3d(64, 64, 64);
+  const auto dec = data::decompose(global, static_cast<int>(kRanks));
+  std::vector<std::vector<std::vector<float>>> values(kRanks);   // [rank][field]
+  std::vector<std::vector<FieldSpec<float>>> specs(kRanks);      // [rank][field]
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    values[r].resize(kFields);
+    for (std::size_t f = 0; f < kFields; ++f) {
+      const auto field = static_cast<data::NyxField>(f);
+      const auto info = data::nyx_field_info(field);
+      values[r][f].resize(dec.local.count());
+      data::fill_nyx_field(values[r][f], dec.local, dec.origin_of(static_cast<int>(r)), global,
+                           field, 99);
+      specs[r].push_back({info.name, values[r][f], dec.local, global, {}});
+      specs[r].back().params.error_bound = info.abs_error_bound;
+    }
+  }
+
+  EngineConfig cfg;
+  cfg.mode = mode;
+  cfg.rspace = rspace;
+  std::vector<RankReport> reports(kRanks);
+  {
+    auto file = h5::File::create(path_);
+    mpi::Runtime::run(static_cast<int>(kRanks), [&](mpi::Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      reports[r] = write_fields<float>(comm, *file, specs[r], cfg);
+      file->close_collective(comm);
+    });
+  }
+
+  // The plan every rank derived, rebuilt from the same predictions, and
+  // the overflow split of the sizes the footer records.
+  std::vector<std::vector<PartitionPrediction>> preds(kFields);
+  std::vector<std::vector<std::uint64_t>> actual(kFields);
+  auto rf = h5::File::open(path_);
+  for (std::size_t f = 0; f < kFields; ++f) {
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      const auto& spec = specs[r][f];
+      const auto est = model::estimate_ratio<float>(spec.local, spec.local_dims, spec.params);
+      preds[f].push_back({predicted_bytes_for(est.bit_rate, spec.local.size()), est.ratio});
+    }
+    const h5::DatasetDesc* desc = rf->find_dataset(specs[0][f].name);
+    ASSERT_TRUE(desc != nullptr);
+    ASSERT_EQ(desc->partitions.size(), kRanks);
+    for (const auto& part : desc->partitions) actual[f].push_back(part.actual_bytes);
+  }
+  const WritePlan plan = plan_write(preds, rspace);
+  const OverflowPlan overflow = plan_overflow(plan, actual);
+
+  const std::uint64_t base = rf->find_dataset(specs[0][0].name)->partitions[0].file_offset;
+  std::optional<std::uint64_t> overflow_base;
+  std::uint64_t footer_bytes = 0;
+  for (std::size_t f = 0; f < kFields; ++f) {
+    const auto& parts = rf->find_dataset(specs[0][f].name)->partitions;
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("field " + std::to_string(f) + " rank " + std::to_string(r));
+      const auto& ovf = overflow.parts[f][r];
+      EXPECT_EQ(parts[r].file_offset - base, plan.slots[f][r].offset);
+      EXPECT_EQ(parts[r].reserved_bytes, plan.slots[f][r].reserved_bytes);
+      EXPECT_EQ(parts[r].overflow_bytes, ovf.tail_bytes);
+      if (ovf.tail_bytes > 0) {
+        if (!overflow_base) overflow_base = parts[r].overflow_offset - ovf.tail_offset;
+        EXPECT_EQ(parts[r].overflow_offset, *overflow_base + ovf.tail_offset);
+      }
+      footer_bytes += parts[r].reserved_bytes + parts[r].overflow_bytes;
+    }
+  }
+  int reported_overflows = 0;
+  for (const auto& rep : reports) reported_overflows += rep.overflow_partitions;
+  EXPECT_EQ(reported_overflows, overflow.partitions);
+  if (rspace == 1.0) {
+    EXPECT_GT(overflow.partitions, 0);
+  }
+
+  // The simulator, fed the same predictions and the footer's sizes,
+  // counts exactly the bytes the footer describes.
+  std::vector<std::vector<PartitionProfile>> profiles(kRanks);
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    for (std::size_t f = 0; f < kFields; ++f) {
+      PartitionProfile prof;
+      prof.raw_bytes = static_cast<double>(specs[r][f].local.size_bytes());
+      prof.elem_count = static_cast<double>(specs[r][f].local.size());
+      prof.comp_seconds = 0.01;
+      prof.actual_bytes = static_cast<double>(actual[f][r]);
+      prof.predicted_bytes = static_cast<double>(preds[f][r].predicted_bytes);
+      prof.predicted_ratio = preds[f][r].predicted_ratio;
+      profiles[r].push_back(prof);
+    }
+  }
+  TimingConfig tcfg;
+  tcfg.mode = mode;
+  tcfg.rspace = rspace;
+  const Breakdown sim = simulate_write(iosim::Platform::summit(), profiles, tcfg);
+  EXPECT_EQ(sim.storage_bytes, static_cast<double>(footer_bytes));
+  EXPECT_EQ(sim.overflow_partitions, reported_overflows);
+}
+
+INSTANTIATE_TEST_SUITE_P(OverlapModes, ScheduleAgreementTest,
+                         ::testing::Values(AgreementCase{WriteMode::kOverlap, 1.0},
+                                           AgreementCase{WriteMode::kOverlap, 1.25},
+                                           AgreementCase{WriteMode::kOverlapReorder, 1.0},
+                                           AgreementCase{WriteMode::kOverlapReorder, 1.25}));
 
 }  // namespace
 }  // namespace pcw::core

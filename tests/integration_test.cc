@@ -265,7 +265,8 @@ TEST(Integration, ProfiledPartitionsFeedTimingEngine) {
           prof.raw_bytes,
           sz::bit_rate(blob.size(), block.size()));
       prof.actual_bytes = static_cast<double>(blob.size());
-      prof.predicted_bytes = est.bit_rate / 8.0 * static_cast<double>(block.size());
+      prof.predicted_bytes =
+          static_cast<double>(core::predicted_bytes_for(est.bit_rate, block.size()));
       prof.predicted_ratio = est.ratio;
       pools[static_cast<std::size_t>(f)].push_back(prof);
     }

@@ -13,7 +13,7 @@ TEST(Planner, SlotsAreDisjointAndOrdered) {
           {static_cast<std::uint64_t>(1000 + f * 100 + r * 10), 10.0});
     }
   }
-  const auto plan = plan_layout(preds, 1.25);
+  const auto plan = plan_write(preds, 1.25);
   std::uint64_t cursor = 0;
   for (const auto& field : plan.slots) {
     for (const auto& slot : field) {
@@ -26,33 +26,34 @@ TEST(Planner, SlotsAreDisjointAndOrdered) {
 }
 
 TEST(Planner, ReservedAppliesRspace) {
-  std::vector<std::vector<PartitionPrediction>> preds{{{1000, 10.0}}};
-  const auto plan = plan_layout(preds, 1.5, 1);
-  // 1000 * 1.5 = 1500, +1 guard.
-  EXPECT_EQ(plan.slots[0][0].reserved_bytes, 1501u);
+  std::vector<std::vector<PartitionPrediction>> preds{{{1024, 10.0}}};
+  const auto plan = plan_write(preds, 1.5);
+  // 1024 * 1.5 = 1536 is already aligned; the +1 guard pushes it to the
+  // next 64-byte boundary.
+  EXPECT_EQ(plan.slots[0][0].reserved_bytes, 1600u);
 }
 
 TEST(Planner, Eq3BoostAboveRatio32) {
-  std::vector<std::vector<PartitionPrediction>> preds{{{1000, 64.0}}};
-  const auto plan = plan_layout(preds, 1.25, 1);
-  // Effective r = min(2, 1 + 0.25*4) = 2.0.
-  EXPECT_EQ(plan.slots[0][0].reserved_bytes, 2001u);
+  std::vector<std::vector<PartitionPrediction>> preds{{{1024, 64.0}}};
+  const auto plan = plan_write(preds, 1.25);
+  // Effective r = min(2, 1 + 0.25*4) = 2.0: 2048, +1 guard, aligned up.
+  EXPECT_EQ(plan.slots[0][0].reserved_bytes, 2112u);
 }
 
 TEST(Planner, AlignmentRespected) {
   std::vector<std::vector<PartitionPrediction>> preds{{{100, 5.0}, {77, 5.0}}};
-  const auto plan = plan_layout(preds, 1.1, 64);
+  const auto plan = plan_write(preds, 1.1);
   for (const auto& slot : plan.slots[0]) {
-    EXPECT_EQ(slot.offset % 64, 0u);
-    EXPECT_EQ(slot.reserved_bytes % 64, 0u);
+    EXPECT_EQ(slot.offset % kSlotAlignment, 0u);
+    EXPECT_EQ(slot.reserved_bytes % kSlotAlignment, 0u);
   }
 }
 
 TEST(Planner, DeterministicAcrossCalls) {
   std::vector<std::vector<PartitionPrediction>> preds(2,
                                                       {{500, 8.0}, {700, 40.0}});
-  const auto a = plan_layout(preds, 1.25);
-  const auto b = plan_layout(preds, 1.25);
+  const auto a = plan_write(preds, 1.25);
+  const auto b = plan_write(preds, 1.25);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   for (std::size_t f = 0; f < a.slots.size(); ++f) {
     for (std::size_t r = 0; r < a.slots[f].size(); ++r) {
@@ -67,7 +68,7 @@ TEST(Planner, FieldMajorLayout) {
   std::vector<std::vector<PartitionPrediction>> preds(2,
                                                       std::vector<PartitionPrediction>(
                                                           3, {100, 4.0}));
-  const auto plan = plan_layout(preds, 1.1);
+  const auto plan = plan_write(preds, 1.1);
   EXPECT_LT(plan.slots[0][2].offset, plan.slots[1][0].offset);
 }
 
@@ -76,11 +77,11 @@ TEST(Planner, RaggedMatrixRejected) {
       {{100, 4.0}, {100, 4.0}},
       {{100, 4.0}},
   };
-  EXPECT_THROW(plan_layout(preds, 1.25), std::invalid_argument);
+  EXPECT_THROW(plan_write(preds, 1.25), std::invalid_argument);
 }
 
 TEST(Planner, EmptyPlanIsEmpty) {
-  const auto plan = plan_layout({}, 1.25);
+  const auto plan = plan_write({}, 1.25);
   EXPECT_EQ(plan.total_bytes, 0u);
   EXPECT_TRUE(plan.slots.empty());
 }
@@ -88,58 +89,83 @@ TEST(Planner, EmptyPlanIsEmpty) {
 TEST(Planner, HigherRspaceMoreStorage) {
   std::vector<std::vector<PartitionPrediction>> preds(
       4, std::vector<PartitionPrediction>(16, {10000, 12.0}));
-  const auto lo = plan_layout(preds, 1.1);
-  const auto hi = plan_layout(preds, 1.43);
+  const auto lo = plan_write(preds, 1.1);
+  const auto hi = plan_write(preds, 1.43);
   EXPECT_GT(hi.total_bytes, lo.total_bytes);
   EXPECT_NEAR(static_cast<double>(hi.total_bytes) / static_cast<double>(lo.total_bytes),
               1.43 / 1.1, 0.02);
 }
 
-TEST(Planner, OverflowOffsetsSkipZeroEntries) {
-  std::vector<std::vector<std::uint64_t>> ovf{
-      {0, 100, 0},
-      {50, 0, 0},
-  };
-  std::uint64_t total = 0;
-  const auto offsets = assign_overflow_offsets(ovf, &total, 1);
-  // Rank-major: rank 0's tail (field 1, 50 B) precedes rank 1's (field 0).
-  EXPECT_EQ(offsets[1][0], 0u);
-  EXPECT_EQ(offsets[0][1], 50u);
-  EXPECT_EQ(total, 150u);
-  EXPECT_EQ(offsets[0][0], 0u);
-  EXPECT_EQ(offsets[0][2], 0u);
+/// A one-row-per-field plan whose slots hold exactly `reserved[f][r]`
+/// bytes, for exercising plan_overflow with small numbers.
+WritePlan fixed_plan(const std::vector<std::vector<std::uint64_t>>& reserved) {
+  WritePlan plan;
+  for (const auto& field : reserved) {
+    plan.slots.emplace_back();
+    for (const std::uint64_t bytes : field) {
+      plan.slots.back().push_back({plan.total_bytes, bytes});
+      plan.total_bytes += bytes;
+    }
+  }
+  return plan;
 }
 
-TEST(Planner, OverflowOffsetsRankTailsAreAdjacent) {
+TEST(Planner, PredictedBytesTruncatesAndGuardsZero) {
+  EXPECT_EQ(predicted_bytes_for(0.0, 1000), 1u);
+  EXPECT_EQ(predicted_bytes_for(2.0, 1000), 251u);   // 2 bits x 1000 = 250 B, +1
+  EXPECT_EQ(predicted_bytes_for(1.3, 7), 2u);        // 1.1375 B truncates to 1, +1
+}
+
+TEST(Planner, OverflowSplitsAtTheSlot) {
+  const auto plan = fixed_plan({{100, 100}, {100, 100}});
+  const auto ovf = plan_overflow(plan, {{60, 100}, {130, 250}});
+  EXPECT_EQ(ovf.parts[0][0].in_slot_bytes, 60u);
+  EXPECT_EQ(ovf.parts[0][0].tail_bytes, 0u);
+  EXPECT_EQ(ovf.parts[0][1].in_slot_bytes, 100u);   // exactly full: no tail
+  EXPECT_EQ(ovf.parts[0][1].tail_bytes, 0u);
+  EXPECT_EQ(ovf.parts[1][0].in_slot_bytes, 100u);
+  EXPECT_EQ(ovf.parts[1][0].tail_bytes, 30u);
+  EXPECT_EQ(ovf.parts[1][1].tail_bytes, 150u);
+  EXPECT_EQ(ovf.partitions, 2);
+  EXPECT_EQ(ovf.tail_bytes, 180u);
+  EXPECT_EQ(ovf.rank_tail_bytes, (std::vector<std::uint64_t>{30, 150}));
+}
+
+TEST(Planner, OverflowTailsAreRankMajorAndSkipEmpty) {
+  // Actual sizes 100 over 100-byte slots leave tails {0, 100, 0} for
+  // field 0 and {50, 0, 0} for field 1.
+  const auto plan = fixed_plan({{100, 100, 100}, {100, 100, 100}});
+  const auto ovf = plan_overflow(plan, {{100, 200, 100}, {150, 100, 100}});
+  // Rank-major: rank 0's tail (field 1) precedes rank 1's (field 0).
+  EXPECT_EQ(ovf.parts[1][0].tail_offset, 0u);
+  EXPECT_EQ(ovf.parts[0][1].tail_offset, kSlotAlignment);
+  EXPECT_EQ(ovf.total_bytes, kSlotAlignment + 128u);   // 50 -> 64, 100 -> 128
+  EXPECT_EQ(ovf.parts[0][0].tail_offset, 0u);
+  EXPECT_EQ(ovf.parts[0][2].tail_offset, 0u);
+}
+
+TEST(Planner, OverflowRankTailsAreAdjacent) {
   // Two fields overflowing on the same rank must land back to back so the
   // rank can append them with one write.
-  std::vector<std::vector<std::uint64_t>> ovf{
-      {10, 0},
-      {20, 0},
-      {0, 30},
-  };
-  std::uint64_t total = 0;
-  const auto offsets = assign_overflow_offsets(ovf, &total, 1);
-  EXPECT_EQ(offsets[0][0], 0u);
-  EXPECT_EQ(offsets[1][0], 10u);   // adjacent to rank 0's first tail
-  EXPECT_EQ(offsets[2][1], 30u);
-  EXPECT_EQ(total, 60u);
+  const auto plan = fixed_plan({{64, 64}, {64, 64}, {64, 64}});
+  const auto ovf = plan_overflow(plan, {{74, 64}, {84, 64}, {64, 94}});
+  EXPECT_EQ(ovf.parts[0][0].tail_offset, 0u);
+  EXPECT_EQ(ovf.parts[1][0].tail_offset, 64u);   // adjacent to rank 0's first tail
+  EXPECT_EQ(ovf.parts[2][1].tail_offset, 128u);
+  EXPECT_EQ(ovf.total_bytes, 192u);
 }
 
-TEST(Planner, OverflowOffsetsAligned) {
-  std::vector<std::vector<std::uint64_t>> ovf{{10, 20}};
-  std::uint64_t total = 0;
-  const auto offsets = assign_overflow_offsets(ovf, &total, 64);
-  EXPECT_EQ(offsets[0][0], 0u);
-  EXPECT_EQ(offsets[0][1], 64u);
-  EXPECT_EQ(total, 128u);
+TEST(Planner, OverflowShapeMustMatchPlan) {
+  const auto plan = fixed_plan({{64, 64}});
+  EXPECT_THROW(plan_overflow(plan, {}), std::invalid_argument);
+  EXPECT_THROW(plan_overflow(plan, {{64}}), std::invalid_argument);
 }
 
 TEST(Planner, OverflowNoEntries) {
-  std::uint64_t total = 99;
-  const auto offsets = assign_overflow_offsets({}, &total);
-  EXPECT_TRUE(offsets.empty());
-  EXPECT_EQ(total, 0u);
+  const auto ovf = plan_overflow(plan_write({}, 1.25), {});
+  EXPECT_TRUE(ovf.parts.empty());
+  EXPECT_EQ(ovf.total_bytes, 0u);
+  EXPECT_EQ(ovf.partitions, 0);
 }
 
 }  // namespace

@@ -167,12 +167,6 @@ TEST(Scheduler, SingleAndEmptyInputs) {
   EXPECT_DOUBLE_EQ(pipeline_makespan(one, std::vector<int>{0}), 2.0);
 }
 
-TEST(Scheduler, LongestWriteFirstBaseline) {
-  const std::vector<ScheduledTask> tasks{{1, 1}, {1, 3}, {1, 2}};
-  const auto order = longest_write_first_order(tasks);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
-}
-
 class SchedulerFieldCountSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SchedulerFieldCountSweep, OptimizerScalesAndImproves) {

@@ -187,13 +187,18 @@ TEST(TimingEngine, RejectsMalformedProfiles) {
                std::invalid_argument);
 }
 
-TEST(TimingEngine, BootstrapPreservesFieldStatistics) {
-  const auto samples = make_profiles(8, 4, 16.0, 0.3, 17);
-  // Re-shape: samples[field] pools.
-  std::vector<std::vector<PartitionProfile>> pools(4);
+/// Re-shapes a [rank][field] matrix into bootstrap's samples[field] pools.
+std::vector<std::vector<PartitionProfile>> pools_of(
+    const std::vector<std::vector<PartitionProfile>>& samples) {
+  std::vector<std::vector<PartitionProfile>> pools(samples[0].size());
   for (const auto& rank : samples) {
-    for (std::size_t f = 0; f < 4; ++f) pools[f].push_back(rank[f]);
+    for (std::size_t f = 0; f < pools.size(); ++f) pools[f].push_back(rank[f]);
   }
+  return pools;
+}
+
+TEST(TimingEngine, BootstrapPreservesFieldStatistics) {
+  const auto pools = pools_of(make_profiles(8, 4, 16.0, 0.3, 17));
   util::Rng rng(1);
   const auto profiles = bootstrap_profiles(pools, 256, rng, 0.05);
   ASSERT_EQ(profiles.size(), 256u);
@@ -206,6 +211,20 @@ TEST(TimingEngine, BootstrapPreservesFieldStatistics) {
   for (const auto& rank : profiles) boot_mean += rank[0].actual_bytes;
   boot_mean /= static_cast<double>(profiles.size());
   EXPECT_NEAR(boot_mean, pool_mean, 0.25 * pool_mean);
+}
+
+TEST(TimingEngine, BootstrapRatioFollowsJitteredPrediction) {
+  // Eq. (3) decides the extra-space boost on predicted_ratio, so it must
+  // describe the jittered predicted size, not the sample it came from.
+  // Ratios near the 32x threshold make a stale ratio change slot sizes.
+  const auto pools = pools_of(make_profiles(8, 4, 32.0, 0.3, 19));
+  util::Rng rng(3);
+  const auto profiles = bootstrap_profiles(pools, 64, rng);
+  for (const auto& rank : profiles) {
+    for (const auto& p : rank) {
+      EXPECT_DOUBLE_EQ(p.predicted_ratio, p.raw_bytes / p.predicted_bytes);
+    }
+  }
 }
 
 TEST(TimingEngine, BootstrapRejectsEmptyPools) {
