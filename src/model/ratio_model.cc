@@ -6,97 +6,15 @@
 
 #include "sz/huffman.h"
 #include "sz/lorenzo.h"
+#include "util/trace.h"
 
 namespace pcw::model {
-namespace {
-
-// Quantizes one sampled block in isolation (zero-padded Lorenzo, exactly
-// the compressor's stencil semantics but restricted to the block), and
-// accumulates the code histogram plus LZ run statistics.
-template <typename T>
-void sample_block(std::span<const T> data, const sz::Dims& dims,
-                  std::size_t bx, std::size_t by, std::size_t bz,
-                  std::size_t ex, std::size_t ey, std::size_t ez, double eb,
-                  std::uint32_t radius, const RatioModelConfig& config,
-                  std::vector<std::uint64_t>& counts, std::uint64_t& outliers,
-                  std::uint64_t& points, std::uint64_t& run_saved_codes,
-                  std::vector<std::uint32_t>& scratch_codes,
-                  std::vector<T>& scratch_recon) {
-  const std::size_t n = ex * ey * ez;
-  scratch_codes.resize(n);
-  scratch_recon.resize(n);
-  const double twice_eb = 2.0 * eb;
-  const auto max_q = static_cast<long long>(radius) - 1;
-  const std::size_t sy_src = dims.d2;
-  const std::size_t sx_src = dims.d1 * dims.d2;
-
-  std::size_t i = 0;
-  for (std::size_t x = 0; x < ex; ++x) {
-    for (std::size_t y = 0; y < ey; ++y) {
-      for (std::size_t z = 0; z < ez; ++z, ++i) {
-        const std::size_t src =
-            (bx + x) * sx_src + (by + y) * sy_src + (bz + z);
-        const double orig = static_cast<double>(data[src]);
-        // Block-local Lorenzo on the scratch reconstruction buffer.
-        const bool hx = x > 0, hy = y > 0, hz = z > 0;
-        const std::size_t sx = ey * ez, sy = ez;
-        double pred = 0.0;
-        if (hz) pred += static_cast<double>(scratch_recon[i - 1]);
-        if (hy) pred += static_cast<double>(scratch_recon[i - sy]);
-        if (hx) pred += static_cast<double>(scratch_recon[i - sx]);
-        if (hy && hz) pred -= static_cast<double>(scratch_recon[i - sy - 1]);
-        if (hx && hz) pred -= static_cast<double>(scratch_recon[i - sx - 1]);
-        if (hx && hy) pred -= static_cast<double>(scratch_recon[i - sx - sy]);
-        if (hx && hy && hz)
-          pred += static_cast<double>(scratch_recon[i - sx - sy - 1]);
-
-        const double scaled = (orig - pred) / twice_eb;
-        bool predictable = std::abs(scaled) <= static_cast<double>(max_q);
-        long long q = 0;
-        double rec = 0.0;
-        if (predictable) {
-          q = std::llround(scaled);
-          rec = pred + static_cast<double>(q) * twice_eb;
-          predictable =
-              std::abs(static_cast<double>(static_cast<T>(rec)) - orig) <= eb;
-        }
-        if (predictable) {
-          const auto code =
-              static_cast<std::uint32_t>(q + static_cast<long long>(radius));
-          scratch_codes[i] = code;
-          ++counts[code];
-          scratch_recon[i] = static_cast<T>(rec);
-        } else {
-          scratch_codes[i] = 0;
-          ++counts[0];
-          ++outliers;
-          scratch_recon[i] = data[src];
-        }
-      }
-    }
-  }
-  points += n;
-
-  // Run-length structure: codes repeated >= min_lz_run times produce
-  // byte-periodic Huffman output the LZ stage collapses. Count the codes
-  // covered by such runs (minus a fixed anchor per run that LZ still
-  // spends tokens on).
-  std::size_t run_start = 0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    if (k == n || scratch_codes[k] != scratch_codes[run_start]) {
-      const std::size_t len = k - run_start;
-      if (len >= config.min_lz_run && len > 8) run_saved_codes += len - 8;
-      run_start = k;
-    }
-  }
-}
-
-}  // namespace
 
 template <typename T>
 RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
                              const sz::Params& params,
                              const RatioModelConfig& config) {
+  util::trace::Span span("estimate", "model");
   const double eb = sz::resolve_error_bound<T>(data, params);
   const std::size_t total = dims.count();
 
@@ -118,22 +36,51 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   // Prime-ish stride decorrelates the sample from periodic structure.
   const std::size_t stride = std::max<std::size_t>(1, total_blocks / want_blocks);
 
-  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
-  std::uint64_t outliers = 0, points = 0, run_saved = 0;
-  std::vector<std::uint32_t> scratch_codes;
-  std::vector<T> scratch_recon;
-
+  // Gather the sampled blocks, in grid order, into one contiguous buffer
+  // and quantize each in isolation (zero-padded at its own faces) with
+  // the compressor's kernel: consecutive equal-shape blocks run as one
+  // lockstep lane group.
+  std::vector<sz::BlockRange> blocks;
+  std::vector<T> samples;
+  samples.reserve((total_blocks + stride - 1) / stride * block_points);
+  const std::size_t sx = dims.d1 * dims.d2;
   for (std::size_t b = 0; b < total_blocks; b += stride) {
     const std::size_t ix = b / (gy * gz);
     const std::size_t iy = (b / gz) % gy;
     const std::size_t iz = b % gz;
     const std::size_t x0 = ix * bx, y0 = iy * by, z0 = iz * bz;
-    const std::size_t ex = std::min(bx, dims.d0 - x0);
-    const std::size_t ey = std::min(by, dims.d1 - y0);
-    const std::size_t ez = std::min(bz, dims.d2 - z0);
-    sample_block<T>(data, dims, x0, y0, z0, ex, ey, ez, eb, params.radius,
-                    config, counts, outliers, points, run_saved, scratch_codes,
-                    scratch_recon);
+    const sz::Dims bd{std::min(bx, dims.d0 - x0), std::min(by, dims.d1 - y0),
+                      std::min(bz, dims.d2 - z0)};
+    blocks.push_back({samples.size(), bd});
+    for (std::size_t x = 0; x < bd.d0; ++x) {
+      for (std::size_t y = 0; y < bd.d1; ++y) {
+        const T* row = data.data() + (x0 + x) * sx + (y0 + y) * dims.d2 + z0;
+        samples.insert(samples.end(), row, row + bd.d2);
+      }
+    }
+  }
+  const std::size_t points = samples.size();
+  span.set_arg("points", points);
+  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
+  const auto quants = sz::lorenzo_quantize_blocks<T>(samples, blocks, eb, params.radius,
+                                                     /*threads=*/1, nullptr, counts);
+
+  std::uint64_t outliers = 0, run_saved = 0;
+  for (const auto& q : quants) {
+    outliers += q.outliers.size();
+    // Run-length structure: codes repeated >= min_lz_run times produce
+    // byte-periodic Huffman output the LZ stage collapses. Count the codes
+    // covered by such runs (minus a fixed anchor per run that LZ still
+    // spends tokens on).
+    const std::vector<std::uint32_t>& codes = q.codes;
+    std::size_t run_start = 0;
+    for (std::size_t k = 1; k <= codes.size(); ++k) {
+      if (k == codes.size() || codes[k] != codes[run_start]) {
+        const std::size_t len = k - run_start;
+        if (len >= config.min_lz_run && len > 8) run_saved += len - 8;
+        run_start = k;
+      }
+    }
   }
 
   RatioEstimate est;

@@ -3,7 +3,10 @@
 // Re-implements the ratio-quality model of Jin et al. [25] that the paper
 // builds on: instead of compressing a partition to learn its size, we
 //   1. sample a small fraction of the partition in contiguous blocks,
-//   2. run the same Lorenzo quantization on each block in isolation,
+//   2. quantize each block in isolation (zero-padded at its own faces)
+//      through the compressor's own Lorenzo kernel,
+//      sz::lorenzo_quantize_blocks, which runs equal-shape samples as
+//      lockstep SIMD lane groups,
 //   3. cost a hypothetical Huffman codebook over the sampled
 //      quantization-code histogram,
 //   4. estimate the LZ back-end gain from run-length structure of the

@@ -417,19 +417,25 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   // temporal compression then quantizes each block the delta way too and
   // keeps whichever entropy-codes smaller, so a block with a stale or
   // turbulent reference degrades to exactly the spatial cost.
-  std::vector<std::vector<std::uint32_t>> hists(n_blocks);
+  //
+  // A spatial compression takes the summed code histogram `counts`
+  // straight from the quantizer. A temporal one costs each block's two
+  // predictors from their own histograms, so it keeps the winner's per
+  // block in `hists` and sums them in stage 2.
+  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
+  std::vector<std::vector<std::uint32_t>> hists(temporal ? n_blocks : 0);
   std::vector<Predictor> preds(n_blocks, Predictor::kSpatial);
   if (recon_out != nullptr) recon_out->resize(data.size());
-  // The quantizer fills the spatial histograms itself, while each code
-  // tile is still cache-resident — same counts as a separate pass.
   std::vector<QuantizeResult<T>> quants = lorenzo_quantize_blocks<T>(
       data, blocks, eb, params.radius, params.threads,
-      recon_out != nullptr ? recon_out->data() : nullptr, hists);
+      recon_out != nullptr ? recon_out->data() : nullptr,
+      temporal ? std::span<std::uint64_t>{} : std::span<std::uint64_t>(counts));
   if (temporal) util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
     const BlockRange& blk = blocks[b];
     const auto block_data = data.subspan(blk.elem_offset, blk.dims.count());
     auto delta = temporal_quantize<T>(
         block_data, prev.subspan(blk.elem_offset, blk.dims.count()), eb, params.radius);
+    hists[b] = code_histogram(quants[b].codes, params.radius);
     auto delta_hist = code_histogram(delta.codes, params.radius);
     const double spatial_cost =
         block_cost_bits<T>(hists[b], quants[b].outliers.size(), block_data.size());
@@ -450,7 +456,6 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   // Stage 2: merge histograms into one shared canonical codebook. The
   // merge is a plain sum, so the codebook — and hence the whole blob — is
   // independent of how the blocks were scheduled.
-  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
   for (const auto& hist : hists) {
     for (std::size_t s = 0; s < hist.size(); ++s) counts[s] += hist[s];
   }

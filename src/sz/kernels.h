@@ -27,8 +27,10 @@
 
 namespace pcw::sz::kern {
 
-/// Widest lane batch any build supports (AVX-512 runs up to 64 blocks in
-/// lockstep, AVX2 up to 32). Callers size their pointer tables with this.
+/// Bound on any lane batch; callers size their pointer tables with this.
+/// The AVX-512 kernels compile for up to 32 lanes and the AVX2 ones for
+/// 16, but lane_width() is 16 at both levels: 32 AVX-512 lanes measured
+/// no faster than 16 on 1x256x256 slabs.
 inline constexpr int kMaxLanes = 64;
 
 /// Lane and point kernels do their code arithmetic in 32 bits; radius
@@ -58,10 +60,10 @@ struct QuantizeBatch {
   std::uint32_t* const* codes = nullptr;  // per-lane outputs, bc each
   std::vector<T>* const* outliers = nullptr;  // per-lane outlier vectors
   T* recon = nullptr;  // optional lanes*bc reconstruction, or nullptr
-  /// Optional per-lane code histograms (2 * radius entries each, caller
-  /// pre-zeroed): filled while codes are still tile-resident, sparing the
+  /// Optional code histogram (2 * radius entries), shared by all lanes
+  /// and added to while the codes are still tile-resident, sparing the
   /// caller a separate full pass over them.
-  std::uint32_t* const* hist = nullptr;
+  std::uint64_t* hist = nullptr;
   int lanes = 0;       // multiple of lane_granularity(), <= lane_width()
 };
 

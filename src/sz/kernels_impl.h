@@ -303,11 +303,10 @@ void quantize_lanes_impl(const QuantizeBatch<T>& b) {
     for (int l = 0; l < W; ++l) {
       std::uint32_t* dst = b.codes[l] + i0;
       if (b.hist != nullptr) {
-        std::uint32_t* hl = b.hist[l];
         for (std::size_t j = 0; j < n; ++j) {
           const std::uint32_t c = tco[j * W + l];
           dst[j] = c;
-          ++hl[c];
+          ++b.hist[c];
         }
       } else {
         for (std::size_t j = 0; j < n; ++j) dst[j] = tco[j * W + l];

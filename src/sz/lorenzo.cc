@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 
 #include "sz/kernels.h"
@@ -190,11 +191,11 @@ template <typename T>
 std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
     std::span<const T> data, std::span<const BlockRange> blocks, double eb,
     std::uint32_t radius, unsigned threads, T* recon_out,
-    std::span<std::vector<std::uint32_t>> hists) {
+    std::span<std::uint64_t> counts) {
   if (eb <= 0.0) throw std::invalid_argument("lorenzo_quantize: eb must be > 0");
   if (radius < 2) throw std::invalid_argument("lorenzo_quantize: radius must be >= 2");
-  if (!hists.empty() && hists.size() != blocks.size()) {
-    throw std::invalid_argument("lorenzo_quantize: hists size != block count");
+  if (!counts.empty() && counts.size() != 2ull * radius) {
+    throw std::invalid_argument("lorenzo_quantize: counts size != 2 * radius");
   }
 
   // Partition into lockstep groups — runs of consecutive blocks with
@@ -240,10 +241,24 @@ std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
     b += group ? static_cast<std::size_t>(run) : 1;
   }
 
+  // Each task counts codes into its own histogram, added into `counts`
+  // when the task ends, so at most one histogram per worker is live. A
+  // single-worker run has no concurrent tasks and counts into `counts`
+  // directly.
+  std::fill(counts.begin(), counts.end(), 0);
+  const bool shared_counts = util::resolve_threads(threads) <= 1 || tasks.size() <= 1;
+  std::mutex counts_mu;
+
   std::vector<QuantizeResult<T>> quants(blocks.size());
   util::parallel_for(tasks.size(), threads, [&](std::size_t t) {
     const Task& task = tasks[t];
     util::trace::Span span("quantize", "sz", "block", task.first);
+    std::vector<std::uint64_t> own;
+    std::uint64_t* hist = nullptr;
+    if (!counts.empty()) {
+      if (!shared_counts) own.assign(counts.size(), 0);
+      hist = shared_counts ? counts.data() : own.data();
+    }
     if (task.count == 1) {
       const BlockRange& blk = blocks[task.first];
       QuantizeResult<T>& q = quants[task.first];
@@ -253,41 +268,37 @@ std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
         std::copy(q.recon.begin(), q.recon.end(), recon_out + blk.elem_offset);
       }
       std::vector<T>().swap(q.recon);
-      if (!hists.empty()) {
-        std::vector<std::uint32_t>& hist = hists[task.first];
-        hist.assign(2ull * radius, 0);
+      if (hist != nullptr) {
         for (const std::uint32_t c : q.codes) ++hist[c];
       }
-      return;
-    }
-    const std::size_t bc = blocks[task.first].dims.count();
-    std::uint32_t* codes[kern::kMaxLanes] = {};
-    std::vector<T>* outs[kern::kMaxLanes] = {};
-    std::uint32_t* hptr[kern::kMaxLanes] = {};
-    for (int l = 0; l < task.count; ++l) {
-      QuantizeResult<T>& q = quants[task.first + static_cast<std::size_t>(l)];
-      q.codes.resize(bc);
-      codes[l] = q.codes.data();
-      outs[l] = &q.outliers;
-      if (!hists.empty()) {
-        std::vector<std::uint32_t>& hist = hists[task.first + static_cast<std::size_t>(l)];
-        hist.assign(2ull * radius, 0);
-        hptr[l] = hist.data();
+    } else {
+      const std::size_t bc = blocks[task.first].dims.count();
+      std::uint32_t* codes[kern::kMaxLanes] = {};
+      std::vector<T>* outs[kern::kMaxLanes] = {};
+      for (int l = 0; l < task.count; ++l) {
+        QuantizeResult<T>& q = quants[task.first + static_cast<std::size_t>(l)];
+        q.codes.resize(bc);
+        codes[l] = q.codes.data();
+        outs[l] = &q.outliers;
       }
+      kern::QuantizeBatch<T> batch;
+      batch.data = data.data() + blocks[task.first].elem_offset;
+      batch.bc = bc;
+      batch.dims = blocks[task.first].dims;
+      batch.eb = eb;
+      batch.radius = radius;
+      batch.codes = codes;
+      batch.outliers = outs;
+      batch.recon =
+          recon_out != nullptr ? recon_out + blocks[task.first].elem_offset : nullptr;
+      batch.hist = hist;
+      batch.lanes = task.count;
+      kern::quantize_lanes<T>(batch);
     }
-    kern::QuantizeBatch<T> batch;
-    batch.data = data.data() + blocks[task.first].elem_offset;
-    batch.bc = bc;
-    batch.dims = blocks[task.first].dims;
-    batch.eb = eb;
-    batch.radius = radius;
-    batch.codes = codes;
-    batch.outliers = outs;
-    batch.recon =
-        recon_out != nullptr ? recon_out + blocks[task.first].elem_offset : nullptr;
-    batch.hist = hists.empty() ? nullptr : hptr;
-    batch.lanes = task.count;
-    kern::quantize_lanes<T>(batch);
+    if (!own.empty()) {
+      const std::lock_guard lock(counts_mu);
+      for (std::size_t s = 0; s < own.size(); ++s) counts[s] += own[s];
+    }
   });
   return quants;
 }
@@ -306,9 +317,9 @@ template void lorenzo_dequantize<double>(std::span<const std::uint32_t>,
                                          std::uint32_t, std::span<double>);
 template std::vector<QuantizeResult<float>> lorenzo_quantize_blocks<float>(
     std::span<const float>, std::span<const BlockRange>, double, std::uint32_t,
-    unsigned, float*, std::span<std::vector<std::uint32_t>>);
+    unsigned, float*, std::span<std::uint64_t>);
 template std::vector<QuantizeResult<double>> lorenzo_quantize_blocks<double>(
     std::span<const double>, std::span<const BlockRange>, double, std::uint32_t,
-    unsigned, double*, std::span<std::vector<std::uint32_t>>);
+    unsigned, double*, std::span<std::uint64_t>);
 
 }  // namespace pcw::sz

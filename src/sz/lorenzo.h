@@ -61,14 +61,15 @@ void lorenzo_dequantize(std::span<const std::uint32_t> codes,
 /// instead lands in `recon_out` (full-field length, block slices disjoint)
 /// when it is non-null, so compress never holds a second field copy.
 ///
-/// When `hists` is non-empty (one slot per block) each slot is filled
-/// with the block's code histogram (2 * radius entries) — identical
-/// counts to a separate pass over the codes, but accumulated while the
-/// codes are still cache-resident in the kernel's staging tiles.
+/// When `counts` is non-empty (2 * radius entries) it receives the code
+/// histogram summed over every block — identical counts to a separate
+/// pass over the codes, but accumulated while the codes are still
+/// cache-resident in the kernel's staging tiles. A plain integer sum, so
+/// it does not depend on `threads`.
 template <typename T>
 std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
     std::span<const T> data, std::span<const BlockRange> blocks, double eb,
     std::uint32_t radius, unsigned threads, T* recon_out = nullptr,
-    std::span<std::vector<std::uint32_t>> hists = {});
+    std::span<std::uint64_t> counts = {});
 
 }  // namespace pcw::sz

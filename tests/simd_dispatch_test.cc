@@ -65,20 +65,31 @@ std::vector<T> make_field(const Dims& dims, double t, double roughness = 0.05) {
   return data;
 }
 
+/// Thread counts every blob must be invariant under: serial (tasks count
+/// codes straight into the shared histogram) and two pool sizes (each
+/// task counts into its own and merges it).
+constexpr unsigned kThreadCounts[] = {1, 3, 4};
+
 /// Compress + decompress the same input at every available level and
-/// require the scalar bytes everywhere (and cross-level decode, since a
-/// blob from one level must decode identically at any other).
+/// thread count and require the scalar single-thread bytes everywhere
+/// (and cross-level decode, since a blob from one level must decode
+/// identically at any other).
 template <typename T>
 void expect_level_invariant(const std::vector<T>& data, const Dims& dims,
-                            const Params& params) {
+                            Params params) {
   ActiveGuard guard;
   util::simd_set_active(util::Simd::kScalar);
+  params.threads = 1;
   const std::vector<std::uint8_t> ref_blob = compress<T>(data, dims, params);
   const std::vector<T> ref_out = decompress<T>(ref_blob);
   for (const util::Simd level : available_levels()) {
     util::simd_set_active(level);
-    const std::vector<std::uint8_t> blob = compress<T>(data, dims, params);
-    EXPECT_EQ(blob, ref_blob) << "blob differs at level " << util::simd_name(level);
+    for (const unsigned threads : kThreadCounts) {
+      params.threads = threads;
+      const std::vector<std::uint8_t> blob = compress<T>(data, dims, params);
+      EXPECT_EQ(blob, ref_blob) << "blob differs at level " << util::simd_name(level)
+                                << " threads " << threads;
+    }
     const std::vector<T> out = decompress<T>(ref_blob);
     EXPECT_TRUE(bytes_equal(out, ref_out))
         << "decode differs at level " << util::simd_name(level);
@@ -107,8 +118,18 @@ TEST(SimdDispatch, TailBlocksFloat) {
   const Dims dims = Dims::make_3d(128, 96, 64);
   Params p;
   p.error_bound = 1e-3;
-  p.threads = 4;  // task partition must not depend on scheduling
   expect_level_invariant<float>(make_field<float>(dims, 0.7), dims, p);
+}
+
+// 97x64x128 -> 20 slabs: 19 uniform 5x64x128 blocks plus a 2x64x128
+// tail. One 16-lane group leaves 3 equal-shape blocks below the lane
+// granularity, so they run scalar next to the tail: the code histogram
+// sums a lane group's and several scalar tasks' counts.
+TEST(SimdDispatch, LaneGroupPlusScalarLeftovers) {
+  const Dims dims = Dims::make_3d(97, 64, 128);
+  Params p;
+  p.error_bound = 1e-3;
+  expect_level_invariant<float>(make_field<float>(dims, 0.9), dims, p);
 }
 
 // Small fields: single-block (scalar path at every level) and 2-D/1-D
@@ -145,45 +166,47 @@ TEST(SimdDispatch, TiesAndNonFiniteValues) {
 
 // Temporal chain: three steps compressed against the previous step's
 // reconstruction (recon_out chaining), then decoded with prev. Covers the
-// temporal point kernels and the mixed temporal/spatial block index.
+// temporal point kernels and the mixed temporal/spatial block index, at
+// every level and thread count against the scalar single-thread chain.
 TEST(SimdDispatch, TemporalChain) {
   const Dims dims = Dims::make_3d(64, 128, 64);
-  Params p;
-  p.error_bound = 1e-3;
-  p.predictor = Predictor::kTemporal;
 
   ActiveGuard guard;
   std::vector<std::vector<std::uint8_t>> ref_blobs;
   std::vector<std::vector<float>> ref_recons;
   for (const util::Simd level : available_levels()) {
     util::simd_set_active(level);
-    std::vector<std::vector<std::uint8_t>> blobs;
-    std::vector<std::vector<float>> recons;
-    std::vector<float> prev;
-    for (int step = 0; step < 3; ++step) {
-      const std::vector<float> data = make_field<float>(dims, 0.25 * step);
-      std::vector<float> recon;
-      blobs.push_back(step == 0
-                          ? compress<float>(data, dims, Params{.error_bound = 1e-3},
-                                            {}, &recon)
-                          : compress<float>(data, dims, p, prev, &recon));
-      const std::vector<float> decoded =
-          step == 0 ? decompress<float>(blobs.back())
-                    : decompress<float>(blobs.back(), std::span<const float>(prev));
-      EXPECT_TRUE(bytes_equal(decoded, recon))
-          << "recon_out != decode at level " << util::simd_name(level);
-      recons.push_back(recon);
-      prev = std::move(recon);
-    }
-    if (ref_blobs.empty()) {
-      ref_blobs = std::move(blobs);
-      ref_recons = std::move(recons);
-      continue;
-    }
-    for (std::size_t s = 0; s < ref_blobs.size(); ++s) {
-      EXPECT_EQ(blobs[s], ref_blobs[s])
-          << "temporal blob step " << s << " differs at " << util::simd_name(level);
-      EXPECT_TRUE(bytes_equal(recons[s], ref_recons[s]));
+    for (const unsigned threads : kThreadCounts) {
+      const Params spatial{.error_bound = 1e-3, .threads = threads};
+      Params p = spatial;
+      p.predictor = Predictor::kTemporal;
+      std::vector<std::vector<std::uint8_t>> blobs;
+      std::vector<std::vector<float>> recons;
+      std::vector<float> prev;
+      for (int step = 0; step < 3; ++step) {
+        const std::vector<float> data = make_field<float>(dims, 0.25 * step);
+        std::vector<float> recon;
+        blobs.push_back(step == 0 ? compress<float>(data, dims, spatial, {}, &recon)
+                                  : compress<float>(data, dims, p, prev, &recon));
+        const std::vector<float> decoded =
+            step == 0 ? decompress<float>(blobs.back())
+                      : decompress<float>(blobs.back(), std::span<const float>(prev));
+        EXPECT_TRUE(bytes_equal(decoded, recon))
+            << "recon_out != decode at level " << util::simd_name(level);
+        recons.push_back(recon);
+        prev = std::move(recon);
+      }
+      if (ref_blobs.empty()) {  // scalar, single thread: the first pass
+        ref_blobs = std::move(blobs);
+        ref_recons = std::move(recons);
+        continue;
+      }
+      for (std::size_t s = 0; s < ref_blobs.size(); ++s) {
+        EXPECT_EQ(blobs[s], ref_blobs[s]) << "temporal blob step " << s << " differs at "
+                                          << util::simd_name(level) << " threads "
+                                          << threads;
+        EXPECT_TRUE(bytes_equal(recons[s], ref_recons[s]));
+      }
     }
   }
 }
