@@ -21,57 +21,32 @@
 #include <string>
 #include <vector>
 
+#include "pcw/metric_list.h"
 #include "pcw/status.h"
 
 namespace pcw {
 
-/// Plain snapshot of every process-wide metric. Counters are cumulative
-/// since process start (or the last metrics_reset()); *_p50/_p99 are
-/// log2-bucket upper bounds over all samples so far; io_queue_depth is
-/// the instantaneous async-queue level and io_queue_hiwater its peak.
+/// Plain snapshot of every process-wide metric: one field per reading of
+/// PCW_METRICS (pcw/metric_list.h, which documents each), in list order,
+/// then the two trace readings. Counters are cumulative since process
+/// start (or the last metrics_reset()); gauges are the current level and
+/// its peak; *_p50/_p99 are log2-bucket upper bounds over all samples so
+/// far.
+///
+/// A handle's telemetry() subtracts, counter by counter, the snapshot
+/// taken when the handle was created; gauges, percentiles and the trace
+/// readings pass through current. A metrics_reset() while the handle is
+/// alive makes its counters undercount: each delta saturates at 0, it
+/// never wraps.
 struct Telemetry {
-  // sz codec pipeline
-  std::uint64_t sz_bytes_in = 0;         // raw bytes entering compress()
-  std::uint64_t sz_bytes_out = 0;        // container bytes leaving compress()
-  std::uint64_t sz_blocks_encoded = 0;   // blocks quantized + entropy-coded
-  std::uint64_t sz_blocks_decoded = 0;   // blocks entropy-decoded
-  std::uint64_t sz_temporal_blocks = 0;  // encoded blocks on the temporal path
-  std::uint64_t sz_outliers = 0;         // unpredictable values stored verbatim
-  std::uint64_t sz_huffman_symbols = 0;  // symbols through the Huffman tables
-  // h5 I/O + async queue
-  std::uint64_t io_writes = 0;
-  std::uint64_t io_write_bytes = 0;
-  std::uint64_t io_reads = 0;
-  std::uint64_t io_read_bytes = 0;
-  std::uint64_t io_syncs = 0;
-  std::uint64_t io_write_retries = 0;
-  std::uint64_t io_async_enqueues = 0;
-  std::uint64_t io_queue_depth = 0;
-  std::uint64_t io_queue_hiwater = 0;
-  std::uint64_t io_write_p50_ns = 0;
-  std::uint64_t io_write_p99_ns = 0;
-  // fault injection (PCW_FAULT): ops observed while a plan was armed
-  std::uint64_t fault_writes = 0;
-  std::uint64_t fault_reads = 0;
-  std::uint64_t fault_syncs = 0;
-  std::uint64_t fault_fired = 0;
-  // engine / series
-  std::uint64_t engine_writes = 0;
-  std::uint64_t series_steps = 0;
-  std::uint64_t chain_links_decoded = 0;
-  std::uint64_t degraded_reads = 0;
-  // checkpoint-store service (pcwd)
-  std::uint64_t store_requests = 0;         // protocol requests served
-  std::uint64_t store_cache_hits = 0;       // decoded-block cache hits
-  std::uint64_t store_cache_misses = 0;     // misses that became decodes
-  std::uint64_t store_cache_evictions = 0;  // evictions under the byte budget
-  std::uint64_t store_coalesced = 0;        // readers joining an in-flight decode
-  std::uint64_t store_write_batches = 0;    // group commits of admitted writes
-  std::uint64_t store_cache_bytes = 0;      // bytes resident in the cache
-  std::uint64_t store_cache_hiwater = 0;    // peak resident bytes
-  std::uint64_t store_active_clients = 0;   // currently connected clients
-  std::uint64_t store_clients_hiwater = 0;  // peak concurrent clients
-  // tracing
+#define PCW_TELEMETRY_COUNTER(member, doc) std::uint64_t member = 0;
+#define PCW_TELEMETRY_PAIR(member, first, second, doc) \
+  std::uint64_t first = 0;                             \
+  std::uint64_t second = 0;
+  PCW_METRICS(PCW_TELEMETRY_COUNTER, PCW_TELEMETRY_PAIR, PCW_TELEMETRY_PAIR)
+#undef PCW_TELEMETRY_COUNTER
+#undef PCW_TELEMETRY_PAIR
+  // tracing (level readings, reset by trace_reset(), not metrics_reset())
   std::uint64_t trace_spans = 0;    // events recorded since arming
   std::uint64_t trace_dropped = 0;  // of those, lost to ring wrap
 };
@@ -90,7 +65,7 @@ Telemetry metrics_snapshot();
 /// buffers — use trace_reset() for those.
 void metrics_reset();
 
-/// Flattens a snapshot into named rows, in the declaration order above.
+/// Flattens a snapshot into named rows, in field order.
 std::vector<TelemetryItem> telemetry_items(const Telemetry& t);
 
 /// Process-wide runtime knobs, builder-style like the other *Options.

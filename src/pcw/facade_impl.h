@@ -15,7 +15,6 @@
 #include "pcw/series.h"
 #include "pcw/telemetry.h"
 #include "pcw/writer.h"
-#include "util/metrics.h"
 
 namespace pcw {
 
@@ -26,20 +25,20 @@ struct Rank::Impl {
 struct Writer::Impl {
   std::shared_ptr<h5::File> file;
   WriterOptions options;
-  /// Registry state at handle creation; telemetry() reports the delta.
-  util::metrics::Snapshot telemetry_base;
+  /// Metrics at handle creation; telemetry() reports the delta.
+  Telemetry telemetry_base;
 };
 
 struct Reader::Impl {
   std::shared_ptr<h5::File> file;
   ReaderOptions options;
-  util::metrics::Snapshot telemetry_base;
+  Telemetry telemetry_base;
 };
 
 struct SeriesWriter::Impl {
   std::shared_ptr<Writer::Impl> writer;
   SeriesOptions options;
-  util::metrics::Snapshot telemetry_base;
+  Telemetry telemetry_base;
   /// The element type is pinned by the first write_step; exactly one of
   /// these engines exists from then on (the engine is templated on T).
   std::optional<core::SeriesWriter<float>> f32;
@@ -47,9 +46,9 @@ struct SeriesWriter::Impl {
 };
 
 namespace detail {
-/// Defined in telemetry.cc: current registry state minus `base` (level
-/// readings pass through current).
-Telemetry telemetry_since(const util::metrics::Snapshot& base);
+/// Defined in telemetry.cc: metrics_snapshot() minus `base`, counter by
+/// counter and saturating at 0; level readings pass through current.
+Telemetry telemetry_since(const Telemetry& base);
 }  // namespace detail
 
 }  // namespace pcw

@@ -92,7 +92,7 @@ Result<Reader> Reader::open(const std::string& path, ReaderOptions options) {
     reader.impl_ = std::make_shared<Impl>();
     reader.impl_->file = h5::File::open(path, fopts);
     reader.impl_->options = options;
-    reader.impl_->telemetry_base = util::metrics::snapshot();
+    reader.impl_->telemetry_base = metrics_snapshot();
     return reader;
   });
 }

@@ -117,7 +117,7 @@ Result<SeriesWriter> SeriesWriter::create(Writer& writer, SeriesOptions options)
   out.impl_ = std::make_shared<Impl>();
   out.impl_->writer = writer.impl();
   out.impl_->options = options;
-  out.impl_->telemetry_base = util::metrics::snapshot();
+  out.impl_->telemetry_base = metrics_snapshot();
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "pcw/telemetry.h"
 
+#include <algorithm>
+
 #include "pcw/convert.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -7,138 +9,59 @@
 namespace pcw {
 namespace {
 
-Telemetry from_snapshot(const util::metrics::Snapshot& s) {
-  Telemetry t;
-  t.sz_bytes_in = s.sz_bytes_in;
-  t.sz_bytes_out = s.sz_bytes_out;
-  t.sz_blocks_encoded = s.sz_blocks_encoded;
-  t.sz_blocks_decoded = s.sz_blocks_decoded;
-  t.sz_temporal_blocks = s.sz_temporal_blocks;
-  t.sz_outliers = s.sz_outliers;
-  t.sz_huffman_symbols = s.sz_huffman_symbols;
-  t.io_writes = s.io_writes;
-  t.io_write_bytes = s.io_write_bytes;
-  t.io_reads = s.io_reads;
-  t.io_read_bytes = s.io_read_bytes;
-  t.io_syncs = s.io_syncs;
-  t.io_write_retries = s.io_write_retries;
-  t.io_async_enqueues = s.io_async_enqueues;
-  t.io_queue_depth = s.io_queue_depth;
-  t.io_queue_hiwater = s.io_queue_hiwater;
-  t.io_write_p50_ns = s.io_write_p50_ns;
-  t.io_write_p99_ns = s.io_write_p99_ns;
-  t.fault_writes = s.fault_writes;
-  t.fault_reads = s.fault_reads;
-  t.fault_syncs = s.fault_syncs;
-  t.fault_fired = s.fault_fired;
-  t.engine_writes = s.engine_writes;
-  t.series_steps = s.series_steps;
-  t.chain_links_decoded = s.chain_links_decoded;
-  t.degraded_reads = s.degraded_reads;
-  t.store_requests = s.store_requests;
-  t.store_cache_hits = s.store_cache_hits;
-  t.store_cache_misses = s.store_cache_misses;
-  t.store_cache_evictions = s.store_cache_evictions;
-  t.store_coalesced = s.store_coalesced;
-  t.store_write_batches = s.store_write_batches;
-  t.store_cache_bytes = s.store_cache_bytes;
-  t.store_cache_hiwater = s.store_cache_hiwater;
-  t.store_active_clients = s.store_active_clients;
-  t.store_clients_hiwater = s.store_clients_hiwater;
-  t.trace_spans = s.trace_spans;
-  t.trace_dropped = s.trace_dropped;
-  return t;
+/// A gauge's level, clamped at 0: a decrement racing the read can briefly
+/// undershoot.
+std::uint64_t level(const util::metrics::Gauge& g) {
+  return static_cast<std::uint64_t>(std::max<std::int64_t>(g.value(), 0));
 }
 
 }  // namespace
 
 namespace detail {
 
-/// The handles' telemetry(): process-wide counters minus the snapshot
-/// taken when the handle was created. Level readings — queue depth,
-/// high-water, latency percentiles — are not differences and pass
-/// through current.
-Telemetry telemetry_since(const util::metrics::Snapshot& base) {
-  const util::metrics::Snapshot now = util::metrics::snapshot();
-  Telemetry t = from_snapshot(now);
-  t.sz_bytes_in -= base.sz_bytes_in;
-  t.sz_bytes_out -= base.sz_bytes_out;
-  t.sz_blocks_encoded -= base.sz_blocks_encoded;
-  t.sz_blocks_decoded -= base.sz_blocks_decoded;
-  t.sz_temporal_blocks -= base.sz_temporal_blocks;
-  t.sz_outliers -= base.sz_outliers;
-  t.sz_huffman_symbols -= base.sz_huffman_symbols;
-  t.io_writes -= base.io_writes;
-  t.io_write_bytes -= base.io_write_bytes;
-  t.io_reads -= base.io_reads;
-  t.io_read_bytes -= base.io_read_bytes;
-  t.io_syncs -= base.io_syncs;
-  t.io_write_retries -= base.io_write_retries;
-  t.io_async_enqueues -= base.io_async_enqueues;
-  t.fault_writes -= base.fault_writes;
-  t.fault_reads -= base.fault_reads;
-  t.fault_syncs -= base.fault_syncs;
-  t.fault_fired -= base.fault_fired;
-  t.engine_writes -= base.engine_writes;
-  t.series_steps -= base.series_steps;
-  t.chain_links_decoded -= base.chain_links_decoded;
-  t.degraded_reads -= base.degraded_reads;
-  t.store_requests -= base.store_requests;
-  t.store_cache_hits -= base.store_cache_hits;
-  t.store_cache_misses -= base.store_cache_misses;
-  t.store_cache_evictions -= base.store_cache_evictions;
-  t.store_coalesced -= base.store_coalesced;
-  t.store_write_batches -= base.store_write_batches;
+Telemetry telemetry_since(const Telemetry& base) {
+  Telemetry t = metrics_snapshot();
+#define PCW_SUBTRACT(member, doc) t.member = t.member > base.member ? t.member - base.member : 0;
+#define PCW_PASS_THROUGH(...)
+  PCW_METRICS(PCW_SUBTRACT, PCW_PASS_THROUGH, PCW_PASS_THROUGH)
+#undef PCW_SUBTRACT
+#undef PCW_PASS_THROUGH
   return t;
 }
 
 }  // namespace detail
 
-Telemetry metrics_snapshot() { return from_snapshot(util::metrics::snapshot()); }
+Telemetry metrics_snapshot() {
+  const util::metrics::Registry& r = util::metrics::Registry::get();
+  Telemetry t;
+#define PCW_READ_COUNTER(member, doc) t.member = r.member.get();
+#define PCW_READ_GAUGE(member, value_name, hiwater_name, doc) \
+  t.value_name = level(r.member);                              \
+  t.hiwater_name = r.member.hiwater();
+#define PCW_READ_HISTOGRAM(member, p50_name, p99_name, doc) \
+  t.p50_name = r.member.quantile_bound(0.50);               \
+  t.p99_name = r.member.quantile_bound(0.99);
+  PCW_METRICS(PCW_READ_COUNTER, PCW_READ_GAUGE, PCW_READ_HISTOGRAM)
+#undef PCW_READ_COUNTER
+#undef PCW_READ_GAUGE
+#undef PCW_READ_HISTOGRAM
+  t.trace_spans = util::trace::recorded();
+  t.trace_dropped = util::trace::dropped();
+  return t;
+}
 
 void metrics_reset() { util::metrics::reset(); }
 
 std::vector<TelemetryItem> telemetry_items(const Telemetry& t) {
+#define PCW_ROW(member, doc) {#member, t.member},
+#define PCW_ROWS(member, first, second, doc) {#first, t.first}, {#second, t.second},
   return {
-      {"sz_bytes_in", t.sz_bytes_in},
-      {"sz_bytes_out", t.sz_bytes_out},
-      {"sz_blocks_encoded", t.sz_blocks_encoded},
-      {"sz_blocks_decoded", t.sz_blocks_decoded},
-      {"sz_temporal_blocks", t.sz_temporal_blocks},
-      {"sz_outliers", t.sz_outliers},
-      {"sz_huffman_symbols", t.sz_huffman_symbols},
-      {"io_writes", t.io_writes},
-      {"io_write_bytes", t.io_write_bytes},
-      {"io_reads", t.io_reads},
-      {"io_read_bytes", t.io_read_bytes},
-      {"io_syncs", t.io_syncs},
-      {"io_write_retries", t.io_write_retries},
-      {"io_async_enqueues", t.io_async_enqueues},
-      {"io_queue_depth", t.io_queue_depth},
-      {"io_queue_hiwater", t.io_queue_hiwater},
-      {"io_write_p50_ns", t.io_write_p50_ns},
-      {"io_write_p99_ns", t.io_write_p99_ns},
-      {"fault_writes", t.fault_writes},
-      {"fault_reads", t.fault_reads},
-      {"fault_syncs", t.fault_syncs},
-      {"fault_fired", t.fault_fired},
-      {"engine_writes", t.engine_writes},
-      {"series_steps", t.series_steps},
-      {"chain_links_decoded", t.chain_links_decoded},
-      {"degraded_reads", t.degraded_reads},
-      {"store_requests", t.store_requests},
-      {"store_cache_hits", t.store_cache_hits},
-      {"store_cache_misses", t.store_cache_misses},
-      {"store_cache_evictions", t.store_cache_evictions},
-      {"store_coalesced", t.store_coalesced},
-      {"store_write_batches", t.store_write_batches},
-      {"store_cache_bytes", t.store_cache_bytes},
-      {"store_cache_hiwater", t.store_cache_hiwater},
-      {"store_active_clients", t.store_active_clients},
-      {"store_clients_hiwater", t.store_clients_hiwater},
+      PCW_METRICS(PCW_ROW, PCW_ROWS, PCW_ROWS)
       {"trace_spans", t.trace_spans},
       {"trace_dropped", t.trace_dropped},
   };
+#undef PCW_ROW
+#undef PCW_ROWS
 }
 
 Status configure(const RuntimeOptions& options) {

@@ -101,7 +101,7 @@ Result<Writer> Writer::create(const std::string& path, WriterOptions options) {
     writer.impl_ = std::make_shared<Impl>();
     writer.impl_->file = h5::File::create(path, fopts);
     writer.impl_->options = options;
-    writer.impl_->telemetry_base = util::metrics::snapshot();
+    writer.impl_->telemetry_base = metrics_snapshot();
     return writer;
   });
 }

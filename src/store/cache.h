@@ -3,13 +3,9 @@
 // concurrent requesters for the same key block on the in-flight decode
 // and share its result instead of decoding again.
 //
-// Counter semantics (util::metrics, load-bearing for tests/store_test.cc):
-//   store_cache_hits      — request served from a resident entry
-//   store_cache_misses    — request that became the decode (flight leader)
-//   store_coalesced       — request that joined another's in-flight decode
-//   store_cache_evictions — entries dropped to make room under the budget
-//   store_cache_bytes     — resident bytes gauge (+ high-water)
-// Every get_or_fill() increments exactly one of {hits, misses, coalesced}.
+// Every get_or_fill() counts exactly one cache hit, miss (the flight
+// leader) or coalesced join in util::metrics; tests/store_test.cc relies
+// on that.
 #pragma once
 
 #include <array>

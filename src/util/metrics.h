@@ -4,13 +4,17 @@
 // event is noise next to the work it counts, so there is no arming knob;
 // hot inner loops accumulate locally and add once per block.
 //
-// snapshot() returns a plain struct (mirrored publicly as
-// pcw::Telemetry); reset() zeroes everything (CLI --stats, tests).
+// The members are declared once, in PCW_METRICS (pcw/metric_list.h);
+// pcw::metrics_snapshot() reads them as a pcw::Telemetry and reset()
+// zeroes them all (CLI --stats, tests).
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "pcw/metric_list.h"
 
 namespace pcw::util::metrics {
 
@@ -52,7 +56,8 @@ class Gauge {
 };
 
 /// Log2-bucketed histogram of u64 samples (latencies in ns, sizes in
-/// bytes): bucket b counts samples with bit_width == b.
+/// bytes): bucket b holds the samples with bit_width == b + 1, that is
+/// [2^b, 2^(b+1) - 1], except that 0 and 1 share bucket 0.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -88,58 +93,23 @@ class Histogram {
 
  private:
   static std::size_t bucket_of(std::uint64_t v) noexcept {
-    std::size_t b = 0;
-    while (v > 1) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
+    return static_cast<std::size_t>(std::bit_width(v | 1)) - 1;
   }
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> buckets_[kBuckets]{};
 };
 
-/// The process-wide registry. Members are the metric taxonomy (see
-/// docs/observability.md for the name table surfaced through pcw::).
+/// The process-wide registry: one member per PCW_METRICS entry, in list
+/// order.
 struct Registry {
-  // sz codec pipeline
-  Counter sz_bytes_in;         // raw bytes entering compress()
-  Counter sz_bytes_out;        // container bytes leaving compress()
-  Counter sz_blocks_encoded;   // blocks through quantize+huffman encode
-  Counter sz_blocks_decoded;   // blocks entropy-decoded (full or region)
-  Counter sz_temporal_blocks;  // encoded blocks that chose the temporal path
-  Counter sz_outliers;         // unpredictable values stored verbatim
-  Counter sz_huffman_symbols;  // symbols through the Huffman tables (probes)
-  // h5 I/O + async queue
-  Counter io_writes;
-  Counter io_write_bytes;
-  Counter io_reads;
-  Counter io_read_bytes;
-  Counter io_syncs;
-  Counter io_write_retries;   // transient-failure retries on the async queue
-  Counter io_async_enqueues;  // async_write/async_read submissions
-  Gauge io_queue_depth;       // in-flight async ops (value + high-water)
-  Histogram io_write_ns;      // per-pwrite latency
-  // fault injection (util::fault): ops observed while a plan was armed
-  Counter fault_writes;
-  Counter fault_reads;
-  Counter fault_syncs;
-  Counter fault_fired;  // plans that actually fired
-  // engine / series
-  Counter engine_writes;        // write_fields calls
-  Counter series_steps;         // SeriesWriter steps
-  Counter chain_links_decoded;  // restart-chain links decoded
-  Counter degraded_reads;       // keyframe fallbacks taken
-  // store (the pcwd checkpoint-store service, src/store)
-  Counter store_requests;         // protocol requests served
-  Counter store_cache_hits;       // decoded-block cache hits
-  Counter store_cache_misses;     // cache misses that became decodes
-  Counter store_cache_evictions;  // entries evicted under the byte budget
-  Counter store_coalesced;        // readers that joined an in-flight decode
-  Counter store_write_batches;    // group commits admitting >=1 WRITE_STEP
-  Gauge store_cache_bytes;        // bytes resident in the cache (+ hiwater)
-  Gauge store_active_clients;     // connected clients (+ hiwater)
+#define PCW_REGISTRY_COUNTER(member, doc) Counter member;
+#define PCW_REGISTRY_GAUGE(member, value_name, hiwater_name, doc) Gauge member;
+#define PCW_REGISTRY_HISTOGRAM(member, p50_name, p99_name, doc) Histogram member;
+  PCW_METRICS(PCW_REGISTRY_COUNTER, PCW_REGISTRY_GAUGE, PCW_REGISTRY_HISTOGRAM)
+#undef PCW_REGISTRY_COUNTER
+#undef PCW_REGISTRY_GAUGE
+#undef PCW_REGISTRY_HISTOGRAM
 
   static Registry& get() noexcept {
     static Registry r;
@@ -147,50 +117,12 @@ struct Registry {
   }
 };
 
-/// Plain-struct snapshot of every registry member (the internal mirror
-/// of pcw::Telemetry).
-struct Snapshot {
-  std::uint64_t sz_bytes_in = 0;
-  std::uint64_t sz_bytes_out = 0;
-  std::uint64_t sz_blocks_encoded = 0;
-  std::uint64_t sz_blocks_decoded = 0;
-  std::uint64_t sz_temporal_blocks = 0;
-  std::uint64_t sz_outliers = 0;
-  std::uint64_t sz_huffman_symbols = 0;
-  std::uint64_t io_writes = 0;
-  std::uint64_t io_write_bytes = 0;
-  std::uint64_t io_reads = 0;
-  std::uint64_t io_read_bytes = 0;
-  std::uint64_t io_syncs = 0;
-  std::uint64_t io_write_retries = 0;
-  std::uint64_t io_async_enqueues = 0;
-  std::uint64_t io_queue_depth = 0;
-  std::uint64_t io_queue_hiwater = 0;
-  std::uint64_t io_write_p50_ns = 0;
-  std::uint64_t io_write_p99_ns = 0;
-  std::uint64_t fault_writes = 0;
-  std::uint64_t fault_reads = 0;
-  std::uint64_t fault_syncs = 0;
-  std::uint64_t fault_fired = 0;
-  std::uint64_t engine_writes = 0;
-  std::uint64_t series_steps = 0;
-  std::uint64_t chain_links_decoded = 0;
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t store_requests = 0;
-  std::uint64_t store_cache_hits = 0;
-  std::uint64_t store_cache_misses = 0;
-  std::uint64_t store_cache_evictions = 0;
-  std::uint64_t store_coalesced = 0;
-  std::uint64_t store_write_batches = 0;
-  std::uint64_t store_cache_bytes = 0;
-  std::uint64_t store_cache_hiwater = 0;
-  std::uint64_t store_active_clients = 0;
-  std::uint64_t store_clients_hiwater = 0;
-  std::uint64_t trace_spans = 0;
-  std::uint64_t trace_dropped = 0;
-};
-
-Snapshot snapshot();
-void reset();
+/// Zeroes every registry member.
+inline void reset() noexcept {
+  Registry& r = Registry::get();
+#define PCW_RESET(member, ...) r.member.reset();
+  PCW_METRICS(PCW_RESET, PCW_RESET, PCW_RESET)
+#undef PCW_RESET
+}
 
 }  // namespace pcw::util::metrics

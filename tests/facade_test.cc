@@ -1,7 +1,7 @@
 // Tests for the public pcw:: façade: round-trip write → read → series
 // through pcw::Writer / pcw::Reader only, Status propagation (no
-// exception ever crosses the boundary), option builders, and the
-// blob-level codec surface.
+// exception ever crosses the boundary), option builders, the
+// blob-level codec surface, and the telemetry rows and per-handle deltas.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -52,6 +52,11 @@ struct Checkpoint {
   Status write(WriterOptions options = {}) {
     Result<Writer> writer = Writer::create(path, options);
     if (!writer.ok()) return writer.status();
+    return write_to(*writer);
+  }
+
+  /// Writes field0 from every rank through `writer`, then closes it.
+  Status write_to(Writer& writer) {
     Status inner = Status::Ok();
     const Status ran = run(ranks, [&](Rank& rank) {
       Field field;
@@ -59,9 +64,9 @@ struct Checkpoint {
       field.local = FieldView::of(slabs[static_cast<std::size_t>(rank.rank())], local);
       field.global_dims = global;
       field.codec = CodecOptions().with_error_bound(eb);
-      const Result<WriteReport> report = writer->write(rank, {&field, 1});
+      const Result<WriteReport> report = writer.write(rank, {&field, 1});
       if (!report.ok() && rank.rank() == 0) inner = report.status();
-      const Status closed = writer->close(rank);
+      const Status closed = writer.close(rank);
       if (!closed.ok() && rank.rank() == 0 && inner.ok()) inner = closed;
     });
     if (!inner.ok()) return inner;
@@ -436,6 +441,145 @@ TEST(FacadeTest, BlobSurfaceRoundTripAndInspect) {
   bad.resize(8);
   EXPECT_FALSE(inspect_blob(bad).ok());
   EXPECT_FALSE(decode_blob(bad).ok());
+}
+
+// ------------------------------------------------------------ telemetry ----
+
+// The row names are a wire contract: pcwd STATS, the CLIs' --stats tables
+// and the benchmark harness all key on them, in this order.
+TEST(FacadeTest, TelemetryItemNamesAreTheGoldenList) {
+  const std::vector<std::string> golden = {
+      "sz_bytes_in",         "sz_bytes_out",          "sz_blocks_encoded",
+      "sz_blocks_decoded",   "sz_temporal_blocks",    "sz_outliers",
+      "sz_huffman_symbols",  "io_writes",             "io_write_bytes",
+      "io_reads",            "io_read_bytes",         "io_syncs",
+      "io_write_retries",    "io_async_enqueues",     "io_queue_depth",
+      "io_queue_hiwater",    "io_write_p50_ns",       "io_write_p99_ns",
+      "fault_writes",        "fault_reads",           "fault_syncs",
+      "fault_fired",         "engine_writes",         "series_steps",
+      "chain_links_decoded", "degraded_reads",        "store_requests",
+      "store_cache_hits",    "store_cache_misses",    "store_cache_evictions",
+      "store_coalesced",     "store_write_batches",   "store_cache_bytes",
+      "store_cache_hiwater", "store_active_clients",  "store_clients_hiwater",
+      "trace_spans",         "trace_dropped",
+  };
+  ASSERT_EQ(golden.size(), 38u);
+  std::vector<std::string> names;
+  for (const TelemetryItem& item : telemetry_items(metrics_snapshot())) {
+    names.emplace_back(item.name);
+  }
+  EXPECT_EQ(names, golden);
+  std::vector<std::string> sorted = names;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+}
+
+/// Bytes of sz and h5 work done before a handle exists, so its base is
+/// non-zero and a delta that failed to subtract it would show.
+void do_unrelated_work() {
+  Checkpoint earlier("facade_telemetry_earlier.pcw5");
+  ASSERT_TRUE(earlier.write().ok());
+  Result<Reader> reader = Reader::open(earlier.path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader->read<float>("field0").ok());
+}
+
+/// A handle's telemetry() against two process-wide snapshots taken when
+/// the handle was created (`base`) and right after it (`now`): counters
+/// are the handle's own work, level readings are the process's.
+void expect_handle_delta(const Telemetry& handle, const Telemetry& base,
+                         const Telemetry& now) {
+  EXPECT_EQ(handle.sz_bytes_in, now.sz_bytes_in - base.sz_bytes_in);
+  EXPECT_EQ(handle.io_writes, now.io_writes - base.io_writes);
+  EXPECT_EQ(handle.series_steps, now.series_steps - base.series_steps);
+  EXPECT_EQ(handle.sz_blocks_decoded, now.sz_blocks_decoded - base.sz_blocks_decoded);
+  EXPECT_EQ(handle.io_queue_hiwater, now.io_queue_hiwater);
+  EXPECT_EQ(handle.io_write_p50_ns, now.io_write_p50_ns);
+  EXPECT_EQ(handle.trace_spans, now.trace_spans);
+}
+
+TEST(FacadeTest, WriterTelemetryCountsOnlyItsOwnWork) {
+  do_unrelated_work();
+  Checkpoint cp("facade_telemetry_writer.pcw5");
+  Result<Writer> writer = Writer::create(cp.path);
+  ASSERT_TRUE(writer.ok());
+  const Telemetry base = metrics_snapshot();
+  ASSERT_GT(base.sz_bytes_in, 0u);
+  ASSERT_TRUE(cp.write_to(*writer).ok());
+  const Telemetry t = writer->telemetry();
+  expect_handle_delta(t, base, metrics_snapshot());
+  const std::uint64_t raw_bytes =
+      static_cast<std::uint64_t>(cp.ranks) * cp.local.count() * sizeof(float);
+  EXPECT_EQ(t.sz_bytes_in, raw_bytes);
+  EXPECT_GT(t.io_writes, 0u);
+  EXPECT_EQ(t.series_steps, 0u);
+  EXPECT_EQ(t.sz_blocks_decoded, 0u);
+}
+
+TEST(FacadeTest, ReaderTelemetryCountsOnlyItsOwnWork) {
+  Checkpoint cp("facade_telemetry_reader.pcw5");
+  ASSERT_TRUE(cp.write().ok());
+  do_unrelated_work();
+  Result<Reader> reader = Reader::open(cp.path);
+  ASSERT_TRUE(reader.ok());
+  const Telemetry base = metrics_snapshot();
+  ASSERT_GT(base.sz_blocks_decoded, 0u);
+  ASSERT_TRUE(reader->read<float>("field0").ok());
+  const Telemetry t = reader->telemetry();
+  expect_handle_delta(t, base, metrics_snapshot());
+  EXPECT_EQ(t.sz_blocks_decoded, 2u * static_cast<std::uint64_t>(cp.ranks));
+  EXPECT_EQ(t.sz_bytes_in, 0u);
+  EXPECT_EQ(t.io_writes, 0u);
+}
+
+TEST(FacadeTest, SeriesWriterTelemetryCountsOnlyItsOwnWork) {
+  const Dims dims = Dims::make_3d(2, 16, 16);
+  const std::vector<float> slab = smooth_slab(dims, 0, 0);
+  const auto write_steps = [&](const std::string& path, int steps, Telemetry* base,
+                               Telemetry* handle) {
+    Result<Writer> writer = Writer::create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(run(1, [&](Rank& rank) {
+                  Result<SeriesWriter> series = SeriesWriter::create(*writer);
+                  if (!series.ok()) throw std::runtime_error(series.status().to_string());
+                  if (base != nullptr) *base = metrics_snapshot();
+                  for (int t = 0; t < steps; ++t) {
+                    Field field;
+                    field.name = "rho";
+                    field.local = FieldView::of(slab, dims);
+                    field.global_dims = dims;
+                    field.codec = CodecOptions().with_error_bound(1e-3);
+                    const Result<SeriesStepReport> rep = series->write_step(rank, {&field, 1});
+                    if (!rep.ok()) throw std::runtime_error(rep.status().to_string());
+                  }
+                  const Status closed = writer->close(rank);
+                  if (!closed.ok()) throw std::runtime_error(closed.to_string());
+                  if (handle != nullptr) *handle = series->telemetry();
+                }).ok());
+    std::filesystem::remove(path);
+  };
+  do_unrelated_work();
+  write_steps(temp_path("facade_telemetry_series_a.pcw5"), 2, nullptr, nullptr);
+  Telemetry base, t;
+  write_steps(temp_path("facade_telemetry_series_b.pcw5"), 3, &base, &t);
+  ASSERT_GE(base.series_steps, 2u);
+  expect_handle_delta(t, base, metrics_snapshot());
+  EXPECT_EQ(t.series_steps, 3u);
+  EXPECT_EQ(t.sz_bytes_in, 3u * dims.count() * sizeof(float));
+}
+
+// metrics_reset() under a live handle must not wrap its counters to ~2^64.
+TEST(FacadeTest, HandleTelemetrySaturatesAfterMetricsReset) {
+  do_unrelated_work();
+  Checkpoint cp("facade_telemetry_reset.pcw5");
+  Result<Writer> writer = Writer::create(cp.path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(cp.write_to(*writer).ok());
+  const std::uint64_t raw_bytes =
+      static_cast<std::uint64_t>(cp.ranks) * cp.local.count() * sizeof(float);
+  metrics_reset();
+  EXPECT_LE(writer->telemetry().sz_bytes_in, raw_bytes);
+  EXPECT_LE(writer->telemetry().io_writes, metrics_snapshot().io_writes);
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 
 #include "data/workloads.h"
 #include "model/ratio_model.h"
+#include "pcw/telemetry.h"
 #include "sz/compressor.h"
 #include "sz/huffman.h"
 #include "util/cpu.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -412,13 +412,13 @@ TEST(RatioModel, TracedAsEstimateAndLeavesSzCountersAlone) {
   const auto data = data::make_nyx_field(dims, data::NyxField::kTemperature, 5);
   sz::Params p;
   p.error_bound = 1e3;
-  const util::metrics::Snapshot before = util::metrics::snapshot();
+  const Telemetry before = metrics_snapshot();
   util::trace::stop();
   util::trace::clear();
   util::trace::start();
   const RatioEstimate est = estimate_ratio<float>(data, dims, p);
   util::trace::stop();
-  const util::metrics::Snapshot after = util::metrics::snapshot();
+  const Telemetry after = metrics_snapshot();
   EXPECT_EQ(after.sz_bytes_in, before.sz_bytes_in);
   EXPECT_EQ(after.sz_bytes_out, before.sz_bytes_out);
   EXPECT_EQ(after.sz_blocks_encoded, before.sz_blocks_encoded);

@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <filesystem>
 #include <new>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "pcw/telemetry.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -261,7 +264,7 @@ TEST(Metrics, ConcurrentUpdatesStayConsistent) {
   }
   for (std::thread& t : threads) t.join();
 
-  const metrics::Snapshot snap = metrics::snapshot();
+  const Telemetry snap = metrics_snapshot();
   EXPECT_EQ(snap.sz_bytes_in, static_cast<std::uint64_t>(2 * kThreads * kIters));
   EXPECT_EQ(snap.io_queue_depth, 0u);
   EXPECT_GE(snap.io_queue_hiwater, 1u);
@@ -292,6 +295,16 @@ TEST(Metrics, HistogramQuantileBounds) {
   EXPECT_EQ(hist.quantile_bound(0.99), 15u);
   hist.record(1u << 20);  // one large outlier shifts only the tail
   EXPECT_EQ(hist.quantile_bound(0.5), 15u);
+
+  // The edges: 0 and 1 share bucket 0, 2 starts bucket 1, and the top
+  // bucket's bound saturates.
+  const std::pair<std::uint64_t, std::uint64_t> edges[] = {
+      {0, 1}, {1, 1}, {2, 3}, {std::uint64_t{1} << 63, UINT64_MAX}};
+  for (const auto& [sample, bound] : edges) {
+    metrics::Histogram one;
+    one.record(sample);
+    EXPECT_EQ(one.quantile_bound(0.5), bound) << sample;
+  }
 }
 
 TEST(Metrics, ResetZeroesEverything) {
@@ -300,7 +313,7 @@ TEST(Metrics, ResetZeroesEverything) {
   reg.io_queue_depth.add(3);
   reg.io_write_ns.record(100);
   metrics::reset();
-  const metrics::Snapshot snap = metrics::snapshot();
+  const Telemetry snap = metrics_snapshot();
   EXPECT_EQ(snap.sz_bytes_in, 0u);
   EXPECT_EQ(snap.io_queue_depth, 0u);
   EXPECT_EQ(snap.io_queue_hiwater, 0u);

@@ -11,7 +11,10 @@ Scans README.md and docs/*.md and fails on:
     references docs, docs cross-reference each other, and both point at
     tools, so a rename or deletion anywhere surfaces here;
   * a file in docs/ that docs/README.md (the index) does not mention;
-  * a top-level README that has lost its pointer to the docs index.
+  * a top-level README that has lost its pointer to the docs index;
+  * a "Metric taxonomy" table in docs/observability.md whose readings
+    (name, order, meaning) differ from the PCW_METRICS list in
+    include/pcw/metric_list.h.
 
 Fenced code blocks are skipped entirely: their ``#`` lines are not
 headings and their paths (`out.pcw5`, `in.f32`) are placeholders.
@@ -37,6 +40,8 @@ REF_EXTENSIONS = (".md", ".py", ".sh", ".cc", ".h", ".hpp", ".cpp",
 # references resolve against these roots in addition to the repo root
 # and the referencing file's own directory.
 SEARCH_ROOTS = ("", "include", "src")
+# The one declaration of every metric; the taxonomy table must match it.
+METRIC_LIST = "include/pcw/metric_list.h"
 
 PROBLEMS = []
 
@@ -122,6 +127,52 @@ def check_file(path):
     print(f"ok: {rel}: {n_links} link(s), {n_refs} file reference(s)")
 
 
+def metric_list_readings():
+    """(name, doc) of every reading PCW_METRICS declares, in list order.
+
+    COUNTER(member, doc) is one reading named member; GAUGE(member,
+    value, hiwater, doc) and HISTOGRAM(member, p50, p99, doc) are two,
+    named by their second and third arguments, sharing the doc.
+    """
+    with open(os.path.join(ROOT, METRIC_LIST), encoding="utf-8") as f:
+        text = f.read()
+    body = text[text.index("#define PCW_METRICS"):].replace("\\\n", " ")
+    readings = []
+    for m in re.finditer(r'\b(COUNTER|GAUGE|HISTOGRAM)\(([^")]*)"([^"]*)"\)', body):
+        kind, args, doc = m.groups()
+        names = [a.strip() for a in args.split(",") if a.strip()]
+        readings += [(n, doc) for n in (names[:1] if kind == "COUNTER" else names[1:3])]
+    return readings
+
+
+def check_metric_table():
+    """The taxonomy table lists exactly the PCW_METRICS readings."""
+    declared = metric_list_readings()
+    path = os.path.join(ROOT, "docs", "observability.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("## Metric taxonomy", 1)[-1].split("\n## ", 1)[0]
+    documented = [(m.group(1), m.group(2).strip()) for m in re.finditer(
+        r"^\| `(\w+)` \|[^|]*\|(.*)\|\s*$", section, re.MULTILINE)]
+    names, doc_names = [n for n, _ in declared], [n for n, _ in documented]
+    for name in sorted(set(names) - set(doc_names)):
+        problem(f"docs/observability.md: metric `{name}` missing from the "
+                f"taxonomy table ({METRIC_LIST} declares it)")
+    for name in sorted(set(doc_names) - set(names)):
+        problem(f"docs/observability.md: taxonomy row `{name}` is not "
+                f"declared in {METRIC_LIST}")
+    if set(names) == set(doc_names) and names != doc_names:
+        problem("docs/observability.md: taxonomy rows are not in "
+                f"{METRIC_LIST} order")
+    docs = dict(declared)
+    for name, meaning in documented:
+        if name in docs and meaning != docs[name]:
+            problem(f"docs/observability.md: `{name}` reads '{meaning}', "
+                    f"{METRIC_LIST} says '{docs[name]}'")
+    print(f"ok: docs/observability.md: {len(documented)} metric row(s) "
+          f"against {len(declared)} declared")
+
+
 def main():
     readme = os.path.join(ROOT, "README.md")
     docs_dir = os.path.join(ROOT, "docs")
@@ -132,6 +183,7 @@ def main():
 
     for path in [readme] + pages:
         check_file(path)
+    check_metric_table()
 
     # Index completeness: every doc page appears in docs/README.md, and
     # the top-level README points readers at the index.
