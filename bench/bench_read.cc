@@ -9,7 +9,11 @@
 //                     (threads=1 + pipeline=off is the serial baseline).
 //                     serial_noverify/serial_verify rows isolate the cost
 //                     of checksum verification (off vs blob-level CRC);
-//                     check_bench.py gates the overhead at < 5%.
+//                     check_bench.py gates the overhead at < 5%. The
+//                     decode_ref row has every rank decode the same
+//                     partition blobs from memory through pcw::decode_blob
+//                     (no file, no read engine): check_bench.py bounds
+//                     how far the serial restart may fall behind it.
 //   * repartition   — M != N ranks restart from an N-rank checkpoint via
 //                     restart_region hyperslabs.
 //   * sparse_slice  — analysis slices (one plane, a small box) where the
@@ -32,6 +36,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "pcw/kernels.h"
 #include "pcw/pcw.h"
 #include "pcw/text.h"
 #include "pcw/workloads.h"
@@ -188,7 +193,14 @@ void emit_json(const Options& opt, const std::vector<BenchResult>& results,
   out << "    \"fields\": " << opt.fields << ",\n";
   out << "    \"write_ranks\": " << opt.write_ranks << ",\n";
   out << "    \"reps\": " << opt.reps << ",\n";
-  out << "    \"smoke\": " << (opt.smoke ? "true" : "false") << "\n";
+  out << "    \"smoke\": " << (opt.smoke ? "true" : "false") << ",\n";
+  out << "    \"host\": {\n";
+  out << "      \"cpu_count\": " << util::hardware_threads() << ",\n";
+  out << "      \"simd_detected\": \"" << util::simd_name(util::simd_detected())
+      << "\",\n";
+  out << "      \"simd_active\": \"" << util::simd_name(util::simd_active())
+      << "\"\n";
+  out << "    }\n";
   out << "  },\n";
   out << "  \"raw_bytes\": " << raw_bytes << ",\n";
   out << "  \"file_bytes\": " << file_bytes << ",\n";
@@ -357,6 +369,45 @@ int main(int argc, char** argv) {
   for (const unsigned threads : opt.threads) {
     timed_restart("full_restart", "", opt.write_ranks, threads, /*pipeline=*/true,
                   whole_field);
+  }
+  // The decode floor under the serial row: the same partition blobs,
+  // encoded here with the writer's codec options, decoded from memory by
+  // every rank through pcw::decode_blob — no file, no read engine.
+  {
+    std::vector<std::vector<std::uint8_t>> part_blobs;
+    BenchResult res;
+    res.scenario = "full_restart";
+    res.label = "decode_ref";
+    res.ranks = opt.write_ranks;
+    res.threads = 1;
+    res.pipeline = false;
+    for (int f = 0; f < opt.fields; ++f) {
+      const auto info = data::nyx_field_info(static_cast<data::NyxField>(f));
+      for (const auto& vec : blocks[static_cast<std::size_t>(f)]) {
+        Result<std::vector<std::uint8_t>> blob = encode_blob(
+            FieldView::of(vec, local), CodecOptions().with_error_bound(info.abs_error_bound));
+        if (!blob.ok()) die(blob.status());
+        const Result<BlobInfo> binfo = inspect_blob(*blob);
+        if (!binfo.ok()) die(binfo.status());
+        res.bytes_read += blob->size();
+        res.blocks_decoded += binfo->block_count;
+        part_blobs.push_back(std::move(*blob));
+      }
+    }
+    res.bytes_read *= static_cast<std::uint64_t>(opt.write_ranks);
+    res.blocks_decoded *= static_cast<std::uint64_t>(opt.write_ranks);
+    res.blocks_total = res.blocks_decoded;
+    res.seconds = best_seconds(opt.reps, [&] {
+      const Status ran = run(opt.write_ranks, [&](Rank&) {
+        for (const auto& blob : part_blobs) {
+          const Result<DecodedBlob> got = decode_blob(blob);
+          if (!got.ok()) throw std::runtime_error(got.status().to_string());
+        }
+      });
+      if (!ran.ok()) die(ran);
+    });
+    res.mb_per_s = static_cast<double>(raw_bytes) * opt.write_ranks / res.seconds / 1e6;
+    record(std::move(res));
   }
 
   // ---- scenario 2: repartitioned restart ----------------------------------

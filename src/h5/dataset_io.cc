@@ -387,10 +387,27 @@ void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
                                                ps.flat_hi - part.elem_offset);
   const std::size_t cover_lo = sz::region_flat_lo(cover, local_dims);
 
+  // When the segments tile one contiguous run of `out` in cover order —
+  // restart slabs and whole-field reads — the partition decodes straight
+  // into that run; any other selection decodes into scratch and scatters.
+  const std::size_t cover_count = cover.count();
+  const RowSegment& head = ps.segments.front();
+  bool tiles = head.flat_lo - part.elem_offset == cover_lo;
+  std::size_t tiled = 0;
+  for (const RowSegment& seg : ps.segments) {
+    tiles = tiles && seg.flat_lo == head.flat_lo + tiled &&
+            seg.out_offset == head.out_offset + tiled;
+    tiled += seg.len;
+  }
+  tiles = tiles && tiled == cover_count;
+  std::vector<T> scratch(tiles ? 0 : cover_count);
+  const std::span<T> dest =
+      tiles ? out.subspan(head.out_offset, cover_count) : std::span<T>(scratch);
+
   sz::RegionDecodeStats dstats;
-  std::vector<std::uint8_t> bytes;
   try {
-    bytes = filter->decode_region(payload, desc.dtype, local_dims, cover, threads, &dstats);
+    filter->decode_region(payload, desc.dtype, local_dims, cover, threads, &dstats,
+                          {reinterpret_cast<std::uint8_t*>(dest.data()), dest.size_bytes()});
   } catch (const std::exception&) {
     rethrow_with_location(desc.name, ps.part_index);
   }
@@ -398,11 +415,11 @@ void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
     stats->blocks_total += dstats.blocks_total;
     stats->blocks_decoded += dstats.blocks_decoded;
   }
+  if (tiles) return;
 
   for (const RowSegment& seg : ps.segments) {
     const std::size_t src = (seg.flat_lo - part.elem_offset) - cover_lo;
-    std::memcpy(out.data() + seg.out_offset, bytes.data() + src * sizeof(T),
-                seg.len * sizeof(T));
+    std::memcpy(out.data() + seg.out_offset, scratch.data() + src, seg.len * sizeof(T));
   }
 }
 

@@ -1,5 +1,6 @@
 #include "h5/filter.h"
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -7,18 +8,18 @@
 
 namespace pcw::h5 {
 
-std::vector<std::uint8_t> Filter::decode_region(std::span<const std::uint8_t> blob,
-                                                DataType dtype,
-                                                const sz::Dims& local_dims,
-                                                const sz::Region& region,
-                                                unsigned threads,
-                                                sz::RegionDecodeStats* stats) const {
+void Filter::decode_region(std::span<const std::uint8_t> blob, DataType dtype,
+                           const sz::Dims& local_dims, const sz::Region& region,
+                           unsigned threads, sz::RegionDecodeStats* stats,
+                           std::span<std::uint8_t> out) const {
   (void)threads;
   sz::validate_region(region, local_dims);
+  const std::size_t esize = element_size(dtype);
+  if (out.size() != region.count() * esize) {
+    throw std::invalid_argument("h5: region buffer size mismatch");
+  }
   const std::vector<std::uint8_t> full =
       decode(blob, dtype, sz::element_count(local_dims));
-  const std::size_t esize = element_size(dtype);
-  std::vector<std::uint8_t> out(region.count() * esize);
   sz::for_each_region_row(region, local_dims,
                           [&](std::size_t g, std::size_t len, std::size_t o) {
                             std::memcpy(out.data() + o * esize, full.data() + g * esize,
@@ -29,7 +30,6 @@ std::vector<std::uint8_t> Filter::decode_region(std::span<const std::uint8_t> bl
     stats->blocks_decoded = 1;
     stats->used_block_index = false;
   }
-  return out;
 }
 
 std::vector<std::uint8_t> NullFilter::decode(std::span<const std::uint8_t> blob,
@@ -90,34 +90,32 @@ std::vector<std::uint8_t> SzFilter::decode(std::span<const std::uint8_t> blob,
   throw std::invalid_argument("h5: unknown dtype");
 }
 
-std::vector<std::uint8_t> SzFilter::decode_region(std::span<const std::uint8_t> blob,
-                                                  DataType dtype,
-                                                  const sz::Dims& local_dims,
-                                                  const sz::Region& region,
-                                                  unsigned threads,
-                                                  sz::RegionDecodeStats* stats) const {
-  // The fast path trusts the container's own extents; if the caller's
-  // coordinate system disagrees (e.g. a flat {1,1,n} view of a 3-D blob),
-  // partial decode would reinterpret the data, so fall back to decoding
-  // everything and slicing in the caller's coordinates.
-  if (sz::inspect(blob).dims != local_dims) {
-    return Filter::decode_region(blob, dtype, local_dims, region, threads, stats);
+namespace {
+
+template <typename T>
+std::span<T> elements_of(std::span<std::uint8_t> bytes) {
+  if (bytes.size() % sizeof(T) != 0 ||
+      reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T) != 0) {
+    throw std::invalid_argument("h5: region buffer size or alignment mismatch");
   }
+  return {reinterpret_cast<T*>(bytes.data()), bytes.size() / sizeof(T)};
+}
+
+}  // namespace
+
+void SzFilter::decode_region(std::span<const std::uint8_t> blob, DataType dtype,
+                             const sz::Dims& local_dims, const sz::Region& region,
+                             unsigned threads, sz::RegionDecodeStats* stats,
+                             std::span<std::uint8_t> out) const {
   switch (dtype) {
-    case DataType::kFloat32: {
-      const std::vector<float> vals =
-          sz::decompress_region<float>(blob, region, threads, stats, params_.verify);
-      std::vector<std::uint8_t> out(vals.size() * sizeof(float));
-      std::memcpy(out.data(), vals.data(), out.size());
-      return out;
-    }
-    case DataType::kFloat64: {
-      const std::vector<double> vals =
-          sz::decompress_region<double>(blob, region, threads, stats, params_.verify);
-      std::vector<std::uint8_t> out(vals.size() * sizeof(double));
-      std::memcpy(out.data(), vals.data(), out.size());
-      return out;
-    }
+    case DataType::kFloat32:
+      sz::decompress_region_into<float>(blob, region, elements_of<float>(out), threads,
+                                        stats, params_.verify, &local_dims);
+      return;
+    case DataType::kFloat64:
+      sz::decompress_region_into<double>(blob, region, elements_of<double>(out), threads,
+                                         stats, params_.verify, &local_dims);
+      return;
     case DataType::kBytes:
       throw std::invalid_argument("h5: sz filter requires a float type");
   }

@@ -36,16 +36,16 @@ class Filter {
                                            std::uint64_t expect_elems) const = 0;
 
   /// Decodes only `region` (half-open box in the partition's `local_dims`
-  /// coordinates), returning region.count() elements in the region's own
-  /// row-major order. The base implementation decodes everything and
-  /// slices; SzFilter overrides it with a block-indexed partial decode.
-  /// `stats`, when non-null, reports how much of the blob was decoded.
-  virtual std::vector<std::uint8_t> decode_region(std::span<const std::uint8_t> blob,
-                                                  DataType dtype,
-                                                  const sz::Dims& local_dims,
-                                                  const sz::Region& region,
-                                                  unsigned threads,
-                                                  sz::RegionDecodeStats* stats) const;
+  /// coordinates) into `out`, which holds exactly region.count() elements
+  /// of `dtype` in the region's own row-major order (aligned for the
+  /// element type). The base
+  /// implementation decodes everything and slices; SzFilter overrides it
+  /// with a block-indexed partial decode. `stats`, when non-null, reports
+  /// how much of the blob was decoded.
+  virtual void decode_region(std::span<const std::uint8_t> blob, DataType dtype,
+                             const sz::Dims& local_dims, const sz::Region& region,
+                             unsigned threads, sz::RegionDecodeStats* stats,
+                             std::span<std::uint8_t> out) const;
 
   /// The logical extents a self-describing blob carries, when the codec's
   /// container records them (what unlocks block-indexed partial decode in
@@ -79,13 +79,14 @@ class SzFilter final : public Filter {
                                    const sz::Dims& dims) const override;
   std::vector<std::uint8_t> decode(std::span<const std::uint8_t> blob, DataType dtype,
                                    std::uint64_t expect_elems) const override;
-  /// Block-indexed partial decode via sz::decompress_region when the
-  /// container extents match `local_dims`; otherwise the full-decode
-  /// fallback keeps mismatched metadata readable.
-  std::vector<std::uint8_t> decode_region(std::span<const std::uint8_t> blob,
-                                          DataType dtype, const sz::Dims& local_dims,
-                                          const sz::Region& region, unsigned threads,
-                                          sz::RegionDecodeStats* stats) const override;
+  /// Block-indexed partial decode straight into `out` via
+  /// sz::decompress_region_into when the container extents match
+  /// `local_dims`; otherwise sz's full-decode fallback keeps mismatched
+  /// metadata readable. `local_dims` rides down to the one header parse.
+  void decode_region(std::span<const std::uint8_t> blob, DataType dtype,
+                     const sz::Dims& local_dims, const sz::Region& region,
+                     unsigned threads, sz::RegionDecodeStats* stats,
+                     std::span<std::uint8_t> out) const override;
   std::optional<sz::Dims> stored_dims(std::span<const std::uint8_t> blob) const override;
 
   const sz::Params& params() const { return params_; }

@@ -633,16 +633,22 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
 
 namespace {
 
-/// v1 (single-stream) decode: one Huffman stream and one outlier run over
-/// the whole domain, exactly as the seed compressor wrote it.
-template <typename T>
-void decode_v1(const RawHeader& h, std::span<const std::uint8_t> payload,
-               std::span<T> out) {
+/// Builds the shared Huffman decoder from the payload's codebook section.
+HuffmanDecoder make_decoder(const RawHeader& h, std::span<const std::uint8_t> payload) {
   std::size_t consumed = 0;
   HuffmanDecoder decoder(payload.subspan(0, h.codebook_size), &consumed);
   if (consumed != h.codebook_size) {
     throw std::runtime_error("sz: codebook size mismatch");
   }
+  return decoder;
+}
+
+/// v1 (single-stream) decode: one Huffman stream and one outlier run over
+/// the whole domain, exactly as the seed compressor wrote it.
+template <typename T>
+void decode_v1(const RawHeader& h, std::span<const std::uint8_t> payload,
+               std::span<T> out) {
+  const HuffmanDecoder decoder = make_decoder(h, payload);
   const std::size_t n = h.dims.count();
   util::BitReader reader(payload.subspan(h.codebook_size, h.huff_bytes));
   std::vector<std::uint32_t> codes(n);
@@ -678,24 +684,6 @@ BlockOffsets block_payload_offsets(const RawHeader& h, std::size_t elem_size) {
   return off;
 }
 
-/// Builds the shared Huffman decoder from the payload's codebook section.
-HuffmanDecoder make_decoder(const RawHeader& h, std::span<const std::uint8_t> payload) {
-  std::size_t consumed = 0;
-  HuffmanDecoder decoder(payload.subspan(0, h.codebook_size), &consumed);
-  if (consumed != h.codebook_size) {
-    throw std::runtime_error("sz: codebook size mismatch");
-  }
-  return decoder;
-}
-
-/// True when any block needs the reconstructed reference step to decode.
-bool needs_reference(const RawHeader& h) {
-  for (const BlockEntry& e : h.blocks) {
-    if (e.predictor == Predictor::kTemporal) return true;
-  }
-  return false;
-}
-
 /// Entropy-decodes one block's codes and copies out its outlier run.
 template <typename T>
 void decode_block_codes(const HuffmanDecoder& decoder,
@@ -718,104 +706,129 @@ void decode_block_codes(const HuffmanDecoder& decoder,
   reg.sz_huffman_symbols.add(n);
 }
 
-/// Entropy-decodes and dequantizes one v2/v3 block into `out` (block-
-/// local row-major order, blk.dims.count() elements). `prev` holds the
-/// block's slice of the reference step for temporal blocks (empty for
-/// spatial ones).
-template <typename T>
-void decode_block(const HuffmanDecoder& decoder, const RawHeader& h,
-                  std::span<const std::uint8_t> payload, const BlockRange& blk,
-                  const BlockEntry& entry, std::size_t huff_off,
-                  std::size_t outlier_off, std::span<const T> prev, std::span<T> out) {
-  std::vector<std::uint32_t> codes;
-  std::vector<T> outliers;
-  decode_block_codes<T>(decoder, payload, entry, huff_off, outlier_off,
-                        blk.dims.count(), codes, outliers);
-  util::trace::Span span("dequantize", "sz", "elems", blk.dims.count());
-  if (entry.predictor == Predictor::kTemporal) {
-    temporal_dequantize<T>(codes, outliers, prev, h.abs_eb, h.radius, out);
-  } else {
-    lorenzo_dequantize<T>(codes, outliers, blk.dims, h.abs_eb, h.radius, out);
-  }
-}
-
-/// v2/v3 decode: blocks decode + dequantize independently (and in
-/// parallel). `prev` is the full-field reference step, or empty when the
-/// container has no temporal blocks.
+/// The block decoder behind decompress and decompress_region (v2+):
+/// decodes the blocks `region` touches into `out`, region.count()
+/// elements in the region's own row-major order. `prev_region` is the
+/// reference step over the same region, or empty when no needed block is
+/// temporal.
+///
+/// Blocks are slabs along one axis, so "does block b overlap the request"
+/// is a 1-D interval test along that axis. A block whose whole box lies
+/// inside the region owns one contiguous run of `out` (the region then
+/// spans every other axis in full) and dequantizes there in place. A
+/// block the region cuts dequantizes whole — the Lorenzo stencil chains
+/// through the block — into a reused per-thread staging buffer, and only
+/// its share is copied out. Temporal blocks are point-wise: after the
+/// (inherently sequential) entropy decode only the selected rows are
+/// dequantized, against the matching rows of prev_region.
 template <typename T>
 void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
-                   unsigned threads, std::span<const T> prev, std::span<T> out,
-                   bool check_crcs) {
+                   const Region& region, std::span<const T> prev_region,
+                   std::span<T> out, unsigned threads, bool check_crcs,
+                   RegionDecodeStats& stats) {
   const HuffmanDecoder decoder = make_decoder(h, payload);
   const std::vector<BlockRange> blocks = blocks_from_index(h);
   const BlockOffsets off = block_payload_offsets(h, sizeof(T));
 
+  struct Needed {
+    std::size_t b = 0;
+    Region isect;           // region ∩ block box, in field coordinates
+    bool in_place = false;  // the whole box lies inside the region
+  };
+  std::vector<Needed> needed;
+  const int axis = slowest_nonunit_axis(h.dims);
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    Region box = Region::of(h.dims);
+    box.lo[axis] = begin;
+    begin += extent(blocks[b].dims, axis);
+    box.hi[axis] = begin;
+    const Region isect = intersect(region, box);
+    if (isect.empty()) continue;
+    if (h.blocks[b].predictor == Predictor::kTemporal && prev_region.empty()) {
+      throw std::runtime_error("sz: temporal blob requires a reference step");
+    }
+    needed.push_back({b, isect, isect == box});
+  }
+  stats.blocks_decoded = needed.size();
+  stats.used_block_index = true;
+
   // Mirror of the quantize-side partition (lorenzo_quantize_blocks):
-  // runs of consecutive spatial blocks with identical extents and
-  // contiguous data — rounded down to the lane granularity, up to
-  // lane_width() lanes — dequantize in SIMD lockstep; everything else —
-  // singles, temporal blocks, the non-uniform tail — keeps the scalar
+  // runs of consecutive spatial blocks with identical extents, contiguous
+  // data and the same placement — rounded down to the lane granularity,
+  // up to lane_width() lanes — dequantize in SIMD lockstep; everything
+  // else — singles, temporal blocks, the non-uniform tail — takes the
   // per-block path and all of its error semantics.
   struct Task {
-    std::size_t first = 0;
+    std::size_t first = 0;  // index into `needed`
     int count = 1;
   };
   std::vector<Task> tasks;
-  tasks.reserve(blocks.size());
+  tasks.reserve(needed.size());
   const int w = kern::lane_width();
   const int g = kern::lane_granularity();
   std::size_t scan = 0;
-  while (scan < blocks.size()) {
+  while (scan < needed.size()) {
+    const Needed& lead = needed[scan];
+    const BlockRange& first = blocks[lead.b];
+    const std::size_t bc = first.dims.count();
     int run = 0;
     if (w > 1 && h.radius <= kern::kLaneMaxRadius) {
-      const std::size_t bc = blocks[scan].dims.count();
-      if (bc > 0) {
-        const int cap = static_cast<int>(
-            std::min<std::size_t>(static_cast<std::size_t>(w), blocks.size() - scan));
-        while (run < cap) {
-          const std::size_t b = scan + static_cast<std::size_t>(run);
-          const bool lockstep =
-              h.blocks[b].predictor == Predictor::kSpatial &&
-              blocks[b].dims.d0 == blocks[scan].dims.d0 &&
-              blocks[b].dims.d1 == blocks[scan].dims.d1 &&
-              blocks[b].dims.d2 == blocks[scan].dims.d2 &&
-              blocks[b].elem_offset ==
-                  blocks[scan].elem_offset + static_cast<std::size_t>(run) * bc;
-          if (!lockstep) break;
-          ++run;
-        }
-        run = (run / g) * g;
+      const int cap = static_cast<int>(
+          std::min<std::size_t>(static_cast<std::size_t>(w), needed.size() - scan));
+      while (run < cap) {
+        const Needed& nb = needed[scan + static_cast<std::size_t>(run)];
+        const bool lockstep =
+            h.blocks[nb.b].predictor == Predictor::kSpatial &&
+            nb.in_place == lead.in_place && blocks[nb.b].dims == first.dims &&
+            blocks[nb.b].elem_offset ==
+                first.elem_offset + static_cast<std::size_t>(run) * bc;
+        if (!lockstep) break;
+        ++run;
+      }
+      run = (run / g) * g;
+    }
+    const int count = run >= g && run > 1 ? run : 1;
+    tasks.push_back({scan, count});
+    scan += static_cast<std::size_t>(count);
+  }
+
+  // Calls fn(block_offset, out_offset, len) for each contiguous stretch
+  // of a block's share of the region, in ascending block order; a block
+  // decoded in place is one stretch.
+  const std::size_t region_lo = region_flat_lo(region, h.dims);
+  const auto st = strides_of(h.dims);
+  const std::size_t rd1 = region.hi[1] - region.lo[1];
+  const std::size_t rd2 = region.hi[2] - region.lo[2];
+  auto for_each_run = [&](const Needed& nb, auto&& fn) {
+    const BlockRange& blk = blocks[nb.b];
+    if (nb.in_place) {
+      fn(std::size_t{0}, blk.elem_offset - region_lo, blk.dims.count());
+      return;
+    }
+    const Region& is = nb.isect;
+    for (std::size_t x = is.lo[0]; x < is.hi[0]; ++x) {
+      for (std::size_t y = is.lo[1]; y < is.hi[1]; ++y) {
+        fn(x * st[0] + y * st[1] + is.lo[2] - blk.elem_offset,
+           ((x - region.lo[0]) * rd1 + (y - region.lo[1])) * rd2 +
+               (is.lo[2] - region.lo[2]),
+           is.hi[2] - is.lo[2]);
       }
     }
-    const bool group = run >= g && run > 1;
-    tasks.push_back({scan, group ? run : 1});
-    scan += group ? static_cast<std::size_t>(run) : 1;
-  }
+  };
 
   util::parallel_for(tasks.size(), threads, [&](std::size_t t) {
     const Task& task = tasks[t];
-    if (task.count == 1) {
-      const std::size_t b = task.first;
-      const BlockRange& blk = blocks[b];
-      if (check_crcs) {
-        verify_block_crc(h, payload, b, off.huff[b], off.outlier[b], sizeof(T));
-      }
-      const std::span<const T> blk_prev =
-          h.blocks[b].predictor == Predictor::kTemporal
-              ? prev.subspan(blk.elem_offset, blk.dims.count())
-              : std::span<const T>{};
-      decode_block<T>(decoder, h, payload, blk, h.blocks[b], off.huff[b],
-                      off.outlier[b], blk_prev,
-                      out.subspan(blk.elem_offset, blk.dims.count()));
-      return;
-    }
-    const std::size_t first = task.first;
-    const std::size_t bc = blocks[first].dims.count();
-    // Reused across tasks (and calls): decode_block_codes overwrites each
-    // lane's codes and outliers in full, so retained capacity is safe and
-    // saves a multi-MB allocation + zero-fill per task.
+    const Needed& lead = needed[task.first];
+    const BlockRange& blk = blocks[lead.b];
+    const std::size_t bc = blk.dims.count();
+    // Reused across tasks (and calls): decode_block_codes and the
+    // dequantize kernels overwrite every element they hand on, so
+    // retained capacity is safe and saves a multi-MB allocation +
+    // zero-fill per task.
     static thread_local std::vector<std::vector<std::uint32_t>> codes;
     static thread_local std::vector<std::vector<T>> outliers;
+    static thread_local std::vector<T> staging;
     if (codes.size() < static_cast<std::size_t>(task.count)) {
       codes.resize(static_cast<std::size_t>(task.count));
       outliers.resize(static_cast<std::size_t>(task.count));
@@ -823,7 +836,7 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
     const std::uint32_t* cptr[kern::kMaxLanes] = {};
     std::span<const T> optr[kern::kMaxLanes];
     for (int l = 0; l < task.count; ++l) {
-      const std::size_t b = first + static_cast<std::size_t>(l);
+      const std::size_t b = needed[task.first + static_cast<std::size_t>(l)].b;
       if (check_crcs) {
         verify_block_crc(h, payload, b, off.huff[b], off.outlier[b], sizeof(T));
       }
@@ -835,16 +848,60 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
     }
     util::trace::Span span("dequantize", "sz", "elems",
                            bc * static_cast<std::size_t>(task.count));
-    kern::DequantizeBatch<T> batch;
-    batch.codes = cptr;
-    batch.outliers = optr;
-    batch.bc = bc;
-    batch.dims = blocks[first].dims;
-    batch.eb = h.abs_eb;
-    batch.radius = h.radius;
-    batch.out = out.data() + blocks[first].elem_offset;
-    batch.lanes = task.count;
-    kern::dequantize_lanes<T>(batch);
+
+    if (h.blocks[lead.b].predictor == Predictor::kTemporal) {
+      // Outliers are stored in whole-block order; skipping a span is just
+      // counting its code-0 markers. The tail walk pins the outlier count
+      // so a corrupt substream fails loudly instead of mis-scattering.
+      const std::vector<std::uint32_t>& c = codes[0];
+      std::size_t cursor = 0, k = 0;
+      auto skip_to = [&](std::size_t target) {
+        k += static_cast<std::size_t>(
+            std::count(c.begin() + static_cast<std::ptrdiff_t>(cursor),
+                       c.begin() + static_cast<std::ptrdiff_t>(target), 0u));
+        cursor = target;
+      };
+      for_each_run(lead, [&](std::size_t l, std::size_t o, std::size_t len) {
+        skip_to(l);
+        if (!kern::temporal_dequant_range<T>(c.data() + l, prev_region.data() + o,
+                                             out.data() + o, len, optr[0], k, h.abs_eb,
+                                             h.radius)) {
+          throw std::runtime_error("sz: outlier underrun");
+        }
+        cursor = l + len;
+      });
+      skip_to(c.size());
+      if (k != optr[0].size()) throw std::runtime_error("sz: outlier overrun");
+      return;
+    }
+
+    const std::size_t span_elems = bc * static_cast<std::size_t>(task.count);
+    if (!lead.in_place && staging.size() < span_elems) staging.resize(span_elems);
+    T* const dst =
+        lead.in_place ? out.data() + (blk.elem_offset - region_lo) : staging.data();
+    if (task.count == 1) {
+      lorenzo_dequantize<T>(codes[0], optr[0], blk.dims, h.abs_eb, h.radius,
+                            std::span<T>(dst, bc));
+    } else {
+      kern::DequantizeBatch<T> batch;
+      batch.codes = cptr;
+      batch.outliers = optr;
+      batch.bc = bc;
+      batch.dims = blk.dims;
+      batch.eb = h.abs_eb;
+      batch.radius = h.radius;
+      batch.out = dst;
+      batch.lanes = task.count;
+      kern::dequantize_lanes<T>(batch);
+    }
+    if (lead.in_place) return;
+    for (int l = 0; l < task.count; ++l) {
+      const T* src = dst + static_cast<std::size_t>(l) * bc;
+      for_each_run(needed[task.first + static_cast<std::size_t>(l)],
+                   [&](std::size_t b_off, std::size_t o, std::size_t len) {
+                     std::memcpy(out.data() + o, src + b_off, len * sizeof(T));
+                   });
+    }
   });
 }
 
@@ -879,6 +936,77 @@ std::span<const std::uint8_t> prepare_payload(const RawHeader& h,
   return payload;
 }
 
+/// Decodes `region`, a box in `coords`, of a parsed blob into `out` (the
+/// whole field is just the region that covers it), or — when `owned` is
+/// non-null — into *owned, sized only once the request has validated.
+/// v1 has one monolithic Huffman stream, and a region in extents other
+/// than the stored ones cannot map onto blocks: both decode the whole
+/// field and slice the request out in the caller's coordinates.
+template <typename T>
+void decode_region_into(std::span<const std::uint8_t> blob, const RawHeader& h,
+                        const Region& region, const Dims& coords,
+                        std::span<const T> prev_region, std::vector<T>* owned,
+                        std::span<T> out, unsigned threads, VerifyMode verify,
+                        RegionDecodeStats* stats) {
+  if (element_count(coords) != element_count(h.dims)) {
+    throw std::invalid_argument("sz: region extents != stored element count");
+  }
+  validate_region(region, coords);
+  if (!prev_region.empty() && prev_region.size() != region.count()) {
+    throw std::invalid_argument("sz: reference region size != region element count");
+  }
+  if (owned != nullptr) {
+    owned->resize(region.count());
+    out = *owned;
+  } else if (out.size() != region.count()) {
+    throw std::invalid_argument("sz: output size != region element count");
+  }
+  verify_before_decode(h, blob, verify);
+  const bool check_blocks = h.version >= kVersionV4 && verify == VerifyMode::kBlock;
+  RegionDecodeStats local;
+  local.blocks_total = h.version == kVersionV1 ? 1 : h.blocks.size();
+  if (!region.empty()) {
+    std::vector<std::uint8_t> payload_buf;
+    const std::span<const std::uint8_t> payload =
+        prepare_payload(h, blob, sizeof(T), payload_buf);
+    if (check_blocks) verify_codebook_crc(h, payload);
+    const Region whole = Region::of(h.dims);
+    if (h.version != kVersionV1 && coords == h.dims) {
+      decode_blocks<T>(h, payload, region, prev_region, out, threads, check_blocks, local);
+    } else {
+      const bool sliced = !(coords == h.dims && region == whole);
+      std::vector<T> full(sliced ? element_count(h.dims) : 0);
+      const std::span<T> dst = sliced ? std::span<T>(full) : out;
+      if (h.version == kVersionV1) {
+        decode_v1<T>(h, payload, dst);
+        local.blocks_decoded = 1;
+      } else {
+        decode_blocks<T>(h, payload, whole, std::span<const T>{}, dst, threads,
+                         check_blocks, local);
+      }
+      local.used_block_index = false;
+      if (sliced) {
+        for_each_region_row(region, coords, [&](std::size_t g, std::size_t len,
+                                                std::size_t o) {
+          std::memcpy(out.data() + o, full.data() + g, len * sizeof(T));
+        });
+      }
+    }
+  }
+  if (stats != nullptr) *stats = local;
+}
+
+/// Parses `blob` for one of the typed entry points.
+template <typename T>
+RawHeader parse_typed(std::span<const std::uint8_t> blob) {
+  RawHeader h = parse_header(blob);
+  if (h.dtype != dtype_of<T>()) {
+    throw std::runtime_error("sz: element type mismatch");
+  }
+  if (element_count(h.dims) == 0) throw std::runtime_error("sz: empty dims");
+  return h;
+}
+
 }  // namespace
 
 template <typename T>
@@ -891,32 +1019,13 @@ template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> blob, std::span<const T> prev,
                           Dims* dims_out, unsigned threads, VerifyMode verify) {
   util::trace::Span decompress_span("decompress", "sz", "bytes", blob.size());
-  const RawHeader h = parse_header(blob);
-  if (h.dtype != dtype_of<T>()) {
-    throw std::runtime_error("sz: element type mismatch");
-  }
-  const std::size_t n = element_count(h.dims);
-  if (n == 0) throw std::runtime_error("sz: empty dims");
-  if (!prev.empty() && prev.size() != n) {
+  const RawHeader h = parse_typed<T>(blob);
+  if (!prev.empty() && prev.size() != element_count(h.dims)) {
     throw std::invalid_argument("sz: reference step size != stored element count");
   }
-  if (prev.empty() && needs_reference(h)) {
-    throw std::runtime_error("sz: temporal blob requires a reference step");
-  }
-  verify_before_decode(h, blob, verify);
-
-  std::vector<std::uint8_t> payload_buf;
-  const std::span<const std::uint8_t> payload =
-      prepare_payload(h, blob, sizeof(T), payload_buf);
-
-  const bool check_blocks = h.version >= kVersionV4 && verify == VerifyMode::kBlock;
-  if (check_blocks) verify_codebook_crc(h, payload);
-  std::vector<T> out(n);
-  if (h.version == kVersionV1) {
-    decode_v1<T>(h, payload, out);
-  } else {
-    decode_blocks<T>(h, payload, threads, prev, out, check_blocks);
-  }
+  std::vector<T> out;
+  decode_region_into<T>(blob, h, Region::of(h.dims), h.dims, prev, &out, {}, threads,
+                        verify, nullptr);
   if (dims_out != nullptr) *dims_out = h.dims;
   return out;
 }
@@ -933,153 +1042,21 @@ std::vector<T> decompress_region(std::span<const std::uint8_t> blob, const Regio
                                  std::span<const T> prev_region, unsigned threads,
                                  RegionDecodeStats* stats, VerifyMode verify) {
   util::trace::Span region_span("decompress_region", "sz", "bytes", blob.size());
-  const RawHeader h = parse_header(blob);
-  if (h.dtype != dtype_of<T>()) {
-    throw std::runtime_error("sz: element type mismatch");
-  }
-  if (element_count(h.dims) == 0) throw std::runtime_error("sz: empty dims");
-  validate_region(region, h.dims);
-  if (!prev_region.empty() && prev_region.size() != region.count()) {
-    throw std::invalid_argument("sz: reference region size != region element count");
-  }
-  verify_before_decode(h, blob, verify);
-  const bool check_blocks = h.version >= kVersionV4 && verify == VerifyMode::kBlock;
-
-  RegionDecodeStats local;
-  local.blocks_total = h.version == kVersionV1 ? 1 : h.blocks.size();
-
-  std::vector<T> out(region.count());
-  if (region.empty()) {
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-
-  std::vector<std::uint8_t> payload_buf;
-  const std::span<const std::uint8_t> payload =
-      prepare_payload(h, blob, sizeof(T), payload_buf);
-  if (check_blocks) verify_codebook_crc(h, payload);
-
-  if (h.version == kVersionV1) {
-    // v1 has one monolithic Huffman stream: no random access is possible,
-    // so old blobs decode fully and the request is sliced out.
-    std::vector<T> full(element_count(h.dims));
-    decode_v1<T>(h, payload, full);
-    for_each_region_row(region, h.dims, [&](std::size_t g, std::size_t len,
-                                            std::size_t o) {
-      std::memcpy(out.data() + o, full.data() + g, len * sizeof(T));
-    });
-    local.blocks_decoded = 1;
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-
-  const HuffmanDecoder decoder = make_decoder(h, payload);
-  const std::vector<BlockRange> blocks = blocks_from_index(h);
-  const BlockOffsets off = block_payload_offsets(h, sizeof(T));
-
-  // Blocks are slabs along one axis, so "does block b overlap the
-  // request" is a 1-D interval test along that axis.
-  const int axis = slowest_nonunit_axis(h.dims);
-  struct NeededBlock {
-    std::size_t b = 0;
-    Region isect;  // region ∩ block box, in field coordinates
-  };
-  std::vector<NeededBlock> needed;
-  std::size_t begin = 0;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const std::size_t len = extent(blocks[b].dims, axis);
-    Region box = Region::of(h.dims);
-    box.lo[axis] = begin;
-    box.hi[axis] = begin + len;
-    begin += len;
-    const Region isect = intersect(region, box);
-    if (!isect.empty()) needed.push_back({b, isect});
-  }
-  local.blocks_decoded = needed.size();
-  local.used_block_index = true;
-
-  for (const NeededBlock& nb : needed) {
-    if (h.blocks[nb.b].predictor == Predictor::kTemporal && prev_region.empty()) {
-      throw std::runtime_error("sz: temporal blob requires a reference step");
-    }
-  }
-
-  // Each needed block decodes, then its share of the request lands in
-  // `out`. Blocks cover disjoint rows of the output, so the parallel
-  // writes never alias. Spatial blocks dequantize whole into a scratch
-  // buffer (the Lorenzo stencil chains through the block) and scatter;
-  // temporal blocks are point-wise, so after the (inherently sequential)
-  // entropy decode only the selected rows are dequantized, against the
-  // matching rows of prev_region.
-  const auto st = strides_of(h.dims);
-  const std::size_t rd1 = region.hi[1] - region.lo[1];
-  const std::size_t rd2 = region.hi[2] - region.lo[2];
-  util::parallel_for(needed.size(), threads, [&](std::size_t i) {
-    const NeededBlock& nb = needed[i];
-    const BlockRange& blk = blocks[nb.b];
-    const BlockEntry& entry = h.blocks[nb.b];
-    if (check_blocks) {
-      verify_block_crc(h, payload, nb.b, off.huff[nb.b], off.outlier[nb.b], sizeof(T));
-    }
-    const Region& is = nb.isect;
-    const std::size_t zlen = is.hi[2] - is.lo[2];
-    if (entry.predictor == Predictor::kSpatial) {
-      std::vector<T> buf(blk.dims.count());
-      decode_block<T>(decoder, h, payload, blk, entry, off.huff[nb.b],
-                      off.outlier[nb.b], std::span<const T>{}, buf);
-      for (std::size_t x = is.lo[0]; x < is.hi[0]; ++x) {
-        for (std::size_t y = is.lo[1]; y < is.hi[1]; ++y) {
-          const std::size_t g = x * st[0] + y * st[1] + is.lo[2];
-          const std::size_t o = ((x - region.lo[0]) * rd1 + (y - region.lo[1])) * rd2 +
-                                (is.lo[2] - region.lo[2]);
-          std::memcpy(out.data() + o, buf.data() + (g - blk.elem_offset),
-                      zlen * sizeof(T));
-        }
-      }
-      return;
-    }
-    std::vector<std::uint32_t> codes;
-    std::vector<T> outliers;
-    decode_block_codes<T>(decoder, payload, entry, off.huff[nb.b], off.outlier[nb.b],
-                          blk.dims.count(), codes, outliers);
-    // Walk the selected rows in ascending block-local order, carrying the
-    // outlier cursor across the skipped spans (outliers are stored in
-    // whole-block order; skipping is just counting their code-0 markers).
-    // Rows are contiguous in codes, prev_region, and out, so each one is
-    // a temporal dequantize range and takes the dispatched point kernel.
-    // The tail walk pins the outlier count so a corrupt substream fails
-    // loudly instead of mis-scattering.
-    std::size_t cursor = 0, k = 0;
-    auto skip_to = [&](std::size_t target) {
-      k += static_cast<std::size_t>(
-          std::count(codes.begin() + static_cast<std::ptrdiff_t>(cursor),
-                     codes.begin() + static_cast<std::ptrdiff_t>(target), 0u));
-      cursor = target;
-    };
-    for (std::size_t x = is.lo[0]; x < is.hi[0]; ++x) {
-      for (std::size_t y = is.lo[1]; y < is.hi[1]; ++y) {
-        const std::size_t g = x * st[0] + y * st[1] + is.lo[2];
-        const std::size_t l = g - blk.elem_offset;
-        const std::size_t o = ((x - region.lo[0]) * rd1 + (y - region.lo[1])) * rd2 +
-                              (is.lo[2] - region.lo[2]);
-        skip_to(l);
-        if (!kern::temporal_dequant_range<T>(codes.data() + l, prev_region.data() + o,
-                                             out.data() + o, zlen,
-                                             std::span<const T>(outliers), k, h.abs_eb,
-                                             h.radius)) {
-          throw std::runtime_error("sz: outlier underrun");
-        }
-        cursor = l + zlen;
-      }
-    }
-    skip_to(codes.size());
-    if (k != outliers.size()) {
-      throw std::runtime_error("sz: outlier overrun");
-    }
-  });
-
-  if (stats != nullptr) *stats = local;
+  const RawHeader h = parse_typed<T>(blob);
+  std::vector<T> out;
+  decode_region_into<T>(blob, h, region, h.dims, prev_region, &out, {}, threads, verify,
+                        stats);
   return out;
+}
+
+template <typename T>
+void decompress_region_into(std::span<const std::uint8_t> blob, const Region& region,
+                            std::span<T> out, unsigned threads, RegionDecodeStats* stats,
+                            VerifyMode verify, const Dims* region_dims) {
+  util::trace::Span region_span("decompress_region", "sz", "bytes", blob.size());
+  const RawHeader h = parse_typed<T>(blob);
+  decode_region_into<T>(blob, h, region, region_dims != nullptr ? *region_dims : h.dims,
+                        std::span<const T>{}, nullptr, out, threads, verify, stats);
 }
 
 std::vector<BlockInfo> inspect_blocks(std::span<const std::uint8_t> blob) {
@@ -1232,5 +1209,11 @@ template std::vector<double> decompress_region<double>(std::span<const std::uint
                                                        const Region&,
                                                        std::span<const double>, unsigned,
                                                        RegionDecodeStats*, VerifyMode);
+template void decompress_region_into<float>(std::span<const std::uint8_t>, const Region&,
+                                            std::span<float>, unsigned, RegionDecodeStats*,
+                                            VerifyMode, const Dims*);
+template void decompress_region_into<double>(std::span<const std::uint8_t>, const Region&,
+                                             std::span<double>, unsigned,
+                                             RegionDecodeStats*, VerifyMode, const Dims*);
 
 }  // namespace pcw::sz

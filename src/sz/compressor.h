@@ -184,10 +184,25 @@ struct RegionDecodeStats {
 /// working. Returns region.count() elements in the region's own row-major
 /// order. Throws std::invalid_argument on an inverted or out-of-bounds
 /// request and std::runtime_error on malformed blobs / type mismatch.
+/// decompress() runs the same block decoder on the whole field.
 template <typename T>
 std::vector<T> decompress_region(std::span<const std::uint8_t> blob, const Region& region,
                                  unsigned threads = 1, RegionDecodeStats* stats = nullptr,
                                  VerifyMode verify = VerifyMode::kBlock);
+
+/// Out-span form of decompress_region: writes the region.count() elements
+/// straight into `out` (std::invalid_argument when the sizes differ).
+/// Blocks wholly inside the region dequantize in place in `out`. When
+/// `region_dims` is non-null it names the extents `region` is expressed in
+/// (same element count as the stored extents): extents that match take
+/// the block-indexed decode; others — e.g. a flat {1,1,n} view of a 3-D
+/// blob — decode the whole field and slice in the caller's coordinates.
+template <typename T>
+void decompress_region_into(std::span<const std::uint8_t> blob, const Region& region,
+                            std::span<T> out, unsigned threads = 1,
+                            RegionDecodeStats* stats = nullptr,
+                            VerifyMode verify = VerifyMode::kBlock,
+                            const Dims* region_dims = nullptr);
 
 /// Temporal-capable region decode: `prev_region` holds the reconstructed
 /// reference step *over the same region* (region.count() elements in the

@@ -124,6 +124,26 @@ TEST(IntegritySz, StridedBitFlipSweepMultiBlock) {
                  std::exception)
         << "bit " << bit;
   }
+
+  // The region entry points decode in place and must refuse every flip
+  // too: a whole-field region (every block dequantized straight into the
+  // output) and a mid-block slab (staged partial blocks around in-place
+  // ones), on 10 equal slabs — enough for a lane group at every level.
+  const sz::Dims wide = sz::Dims::make_3d(20, 128, 128);
+  const auto wide_blob = sz::compress<float>(smooth_field(wide), wide, sz::Params{});
+  ASSERT_EQ(sz::inspect(wide_blob).block_count, 10u);
+  const sz::Region regions[] = {sz::Region::of(wide),
+                                sz::Region{{1, 0, 0}, {19, 128, 128}}};
+  for (std::size_t bit = 0; bit < wide_blob.size() * 8; bit += 101) {
+    auto bad = wide_blob;
+    flip_bit(bad, bit);
+    for (const sz::Region& region : regions) {
+      EXPECT_THROW(sz::decompress_region<float>(bad, region, 1, nullptr,
+                                                sz::VerifyMode::kBlock),
+                   std::exception)
+          << "bit " << bit << " planes [" << region.lo[0] << "," << region.hi[0] << ")";
+    }
+  }
 }
 
 TEST(IntegritySz, DeepVerifyLocalizesDamageToBlocks) {

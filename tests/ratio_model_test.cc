@@ -11,6 +11,7 @@
 #include "model/ratio_model.h"
 #include "pcw/telemetry.h"
 #include "sz/compressor.h"
+#include "support/simd_levels.h"
 #include "sz/huffman.h"
 #include "util/cpu.h"
 #include "util/rng.h"
@@ -303,12 +304,7 @@ RatioEstimate reference_estimate(std::span<const T> data, const sz::Dims& dims,
   return est;
 }
 
-std::vector<util::Simd> available_levels() {
-  std::vector<util::Simd> levels{util::Simd::kScalar};
-  if (util::simd_detected() >= util::Simd::kAvx2) levels.push_back(util::Simd::kAvx2);
-  if (util::simd_detected() >= util::Simd::kAvx512) levels.push_back(util::Simd::kAvx512);
-  return levels;
-}
+using testsupport::available_levels;
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);

@@ -5,10 +5,13 @@
 // read_dataset would, while decoding only what the selection needs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -16,6 +19,7 @@
 #include "core/read_planner.h"
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
+#include "sz/compressor.h"
 
 namespace pcw::core {
 namespace {
@@ -271,6 +275,57 @@ TEST_F(ReadEngineTest, ContiguousDatasetsSupportRegionReads) {
   ASSERT_EQ(engine_got[0].size(), want.size());
   EXPECT_EQ(0, std::memcmp(engine_got[0].data(), want.data(),
                            want.size() * sizeof(float)));
+}
+
+TEST_F(ReadEngineTest, CorruptBlockInRestartSlabNamesDatasetAndPartition) {
+  write_file();
+  // Rank 2's restart slab is exactly one writer partition, so it takes
+  // the decode-in-place branch; flip one bit in the middle of that
+  // partition's block payload.
+  const sz::Region slab = restart_region(global_, 2, kWriteRanks);
+  std::size_t part_index = 0;
+  std::uint64_t flip_at = 0;
+  {
+    auto file = h5::File::open(path());
+    const h5::DatasetDesc* desc = file->find_dataset(field_name(0));
+    ASSERT_NE(desc, nullptr);
+    const std::uint64_t slab_lo = sz::region_flat_lo(slab, global_);
+    while (part_index < desc->partitions.size() &&
+           desc->partitions[part_index].elem_offset != slab_lo) {
+      ++part_index;
+    }
+    ASSERT_LT(part_index, desc->partitions.size());
+    const h5::PartitionRecord& part = desc->partitions[part_index];
+    const std::uint64_t in_slot = std::min(part.actual_bytes, part.reserved_bytes);
+    const sz::HeaderInfo info = sz::inspect(file->pread(part.file_offset, in_slot));
+    ASSERT_EQ(info.block_count, 2u);
+    flip_at = part.file_offset + info.header_size + (in_slot - info.header_size) / 2;
+  }
+  {
+    std::fstream f(path(), std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(static_cast<std::streamoff>(flip_at));
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x10);
+    f.seekp(static_cast<std::streamoff>(flip_at));
+    f.write(&c, 1);
+  }
+
+  auto file = h5::File::open(path());
+  const std::string where = std::string("dataset '") + field_name(0) + "' partition " +
+                            std::to_string(part_index) + ": ";
+  mpi::Runtime::run(1, [&](mpi::Comm& comm) {
+    std::vector<ReadSpec> specs(1);
+    specs[0].name = field_name(0);
+    specs[0].region = slab;
+    try {
+      read_fields<float>(comm, *file, specs, ReadEngineConfig{});
+      ADD_FAILURE() << "a corrupt block decoded without error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  });
 }
 
 TEST_F(ReadEngineTest, MalformedRequestsThrow) {

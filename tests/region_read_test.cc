@@ -7,14 +7,17 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "support/build_v1_blob.h"
+#include "support/simd_levels.h"
 #include "sz/blocks.h"
 #include "sz/compressor.h"
 #include "sz/dims.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace pcw::sz {
@@ -50,15 +53,17 @@ std::vector<float> slice(const std::vector<float>& full, const Region& r,
 
 void expect_region_matches(std::span<const std::uint8_t> blob,
                            const std::vector<float>& full, const Region& r,
-                           const Dims& dims) {
-  for (const unsigned threads : {1u, 2u, 8u}) {
+                           const Dims& dims,
+                           std::initializer_list<unsigned> thread_counts = {1u, 2u, 8u}) {
+  for (const unsigned threads : thread_counts) {
     const auto got = decompress_region<float>(blob, r, threads);
     const auto want = slice(full, r, dims);
     ASSERT_EQ(got.size(), want.size());
     if (!want.empty()) {
       EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
           << "region [" << r.lo[0] << "," << r.hi[0] << ")x[" << r.lo[1] << ","
-          << r.hi[1] << ")x[" << r.lo[2] << "," << r.hi[2] << ") threads=" << threads;
+          << r.hi[1] << ")x[" << r.lo[2] << "," << r.hi[2] << ") threads=" << threads
+          << " simd=" << util::simd_name(util::simd_active());
     }
   }
 }
@@ -165,6 +170,32 @@ TEST_P(RegionReadSweep, MatchesSliceOfFullDecode) {
     }
     expect_region_matches(blob, full, r, dims);
   }
+
+  // The block decoder's placements, at every SIMD level: (a) the
+  // whole field, all blocks in place; (b) a slab along the block axis
+  // that starts and ends mid-block, so partial blocks are staged around
+  // the in-place ones; (c) the full block axis with a partial inner box,
+  // whose rows are not contiguous, so whole blocks are staged.
+  const int axis = slowest_nonunit_axis(dims);
+  const std::size_t half = extent(split_blocks(dims).front().dims, axis) / 2;
+  std::vector<Region> placements{Region::of(dims)};
+  Region mid = Region::of(dims);
+  mid.lo[axis] = half;
+  mid.hi[axis] = extent(dims, axis) - half;
+  placements.push_back(mid);
+  if (axis < 2) {
+    Region inner = Region::of(dims);
+    inner.lo[axis + 1] = 1;
+    inner.hi[axis + 1] = extent(dims, axis + 1) - 1;
+    placements.push_back(inner);
+  }
+  testsupport::ActiveGuard guard;
+  for (const util::Simd level : testsupport::available_levels()) {
+    util::simd_set_active(level);
+    for (const Region& r : placements) {
+      expect_region_matches(blob, full, r, dims, {1u, 3u, 0u});
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,7 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RegionCase{Dims::make_3d(128, 32, 32), 11},  // 4 blocks on d0
                       RegionCase{Dims::make_2d(512, 512), 12},     // 8 blocks on d1
                       RegionCase{Dims::make_1d(262144), 13},       // 8 blocks on d2
-                      RegionCase{Dims::make_3d(16, 16, 16), 14})); // single block
+                      RegionCase{Dims::make_3d(16, 16, 16), 14},  // single block
+                      RegionCase{Dims::make_3d(72, 128, 64), 15})); // 18 blocks: lane groups
 
 // ---- block-decode accounting -----------------------------------------------
 
@@ -209,6 +241,36 @@ TEST(RegionRead, DecodesOnlyIntersectingBlocks) {
       EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)));
     }
   }
+
+  // Lane grouping never decodes a neighbour: with 18 equal blocks, enough
+  // for a full lane group at every vector level, a one-plane request
+  // entropy-decodes exactly 1 block and a request over two blocks exactly
+  // 2 — counted by the process-wide decode counter, not just the stats.
+  const Dims wide = Dims::make_3d(72, 128, 64);  // 18 slabs of 4 planes
+  const auto wide_blob = compress<float>(smooth_field(wide, 8), wide, params);
+  ASSERT_EQ(inspect(wide_blob).block_count, 18u);
+  const Pin wide_pins[] = {
+      {Region{{9, 0, 0}, {10, 128, 64}}, 1},   // one plane
+      {Region{{3, 0, 0}, {5, 128, 64}}, 2},    // straddles slabs 0|1
+      {Region{{8, 0, 0}, {16, 128, 64}}, 2},   // exactly slabs 2 and 3
+      {Region{{0, 0, 0}, {72, 128, 64}}, 18},  // full field
+  };
+  testsupport::ActiveGuard guard;
+  for (const util::Simd level : testsupport::available_levels()) {
+    util::simd_set_active(level);
+    for (const Pin& pin : wide_pins) {
+      for (const unsigned threads : {1u, 3u}) {
+        const auto& counter = util::metrics::Registry::get().sz_blocks_decoded;
+        const std::uint64_t before = counter.get();
+        RegionDecodeStats stats;
+        decompress_region<float>(wide_blob, pin.region, threads, &stats);
+        EXPECT_EQ(stats.blocks_decoded, pin.expect_decoded);
+        EXPECT_EQ(counter.get() - before, pin.expect_decoded)
+            << "planes [" << pin.region.lo[0] << "," << pin.region.hi[0] << ") at "
+            << util::simd_name(level) << " threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(RegionRead, LzPayloadStillSupportsPartialDecode) {
@@ -229,6 +291,41 @@ TEST(RegionRead, LzPayloadStillSupportsPartialDecode) {
   const auto want = slice(full, r, dims);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)));
+}
+
+TEST(RegionRead, OutSpanFormAndForeignExtentsFallback) {
+  const Dims dims = Dims::make_3d(128, 32, 32);
+  Params params;
+  params.error_bound = 1e-3;
+  const auto blob = compress<float>(smooth_field(dims, 31), dims, params);
+  const auto full = decompress<float>(blob);
+
+  // Out-span form in the stored extents: block-indexed, straight into the
+  // caller's buffer.
+  const Region r{{40, 3, 0}, {71, 30, 32}};
+  std::vector<float> into(r.count());
+  RegionDecodeStats stats;
+  decompress_region_into<float>(blob, r, std::span<float>(into), 1, &stats);
+  EXPECT_TRUE(stats.used_block_index);
+  const auto want = slice(full, r, dims);
+  EXPECT_EQ(0, std::memcmp(into.data(), want.data(), want.size() * sizeof(float)));
+  std::vector<float> short_buf(r.count() - 1);
+  EXPECT_THROW(decompress_region_into<float>(blob, r, std::span<float>(short_buf)),
+               std::invalid_argument);
+
+  // The same blob seen as a flat {1,1,n} run: extents other than the
+  // stored ones decode whole and slice in the caller's coordinates.
+  const Dims flat = Dims::make_1d(dims.count());
+  const Region run{{0, 0, 1000}, {1, 1, 70000}};
+  std::vector<float> got(run.count());
+  decompress_region_into<float>(blob, run, std::span<float>(got), 2, &stats,
+                                VerifyMode::kBlock, &flat);
+  EXPECT_FALSE(stats.used_block_index);
+  EXPECT_EQ(0, std::memcmp(got.data(), full.data() + 1000, got.size() * sizeof(float)));
+  const Dims wrong = Dims::make_1d(dims.count() + 1);
+  EXPECT_THROW(decompress_region_into<float>(blob, run, std::span<float>(got), 1, nullptr,
+                                             VerifyMode::kBlock, &wrong),
+               std::invalid_argument);
 }
 
 // ---- v1 fallback -----------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sz/compressor.h"
+#include "support/simd_levels.h"
 #include "sz/huffman.h"
 #include "util/bitstream.h"
 #include "util/cpu.h"
@@ -21,22 +22,8 @@
 namespace pcw::sz {
 namespace {
 
-/// Dispatch levels this host can actually run (scalar always; vector
-/// levels only when detected, since simd_set_active clamps).
-std::vector<util::Simd> available_levels() {
-  std::vector<util::Simd> levels{util::Simd::kScalar};
-  if (util::simd_detected() >= util::Simd::kAvx2) levels.push_back(util::Simd::kAvx2);
-  if (util::simd_detected() >= util::Simd::kAvx512) {
-    levels.push_back(util::Simd::kAvx512);
-  }
-  return levels;
-}
-
-/// Restores the process-wide active level however a test exits.
-struct ActiveGuard {
-  util::Simd saved = util::simd_active();
-  ~ActiveGuard() { util::simd_set_active(saved); }
-};
+using testsupport::ActiveGuard;
+using testsupport::available_levels;
 
 template <typename T>
 bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
@@ -264,6 +251,44 @@ TEST(SimdDispatch, RegionDecode) {
           blob, region, std::span<const float>(prev_region));
       EXPECT_TRUE(bytes_equal(out, ref))
           << "region decode differs at " << util::simd_name(level);
+    }
+  }
+
+  // The block decoder's placements on a spatial blob of 18 4-plane
+  // blocks: (a) the whole field, every block in place; (b) a slab that
+  // starts and ends mid-block, two staged partial blocks around a full
+  // 16-lane in-place group; (c) a full-axis slab with a partial inner box,
+  // whose rows are not contiguous in the output, so every whole block is
+  // staged. Each must be the slice of a full decompress at every level and
+  // thread count, through both the vector and the out-span forms.
+  const Dims sdims = Dims::make_3d(72, 128, 64);
+  util::simd_set_active(util::Simd::kScalar);
+  const std::vector<std::uint8_t> sblob =
+      compress<float>(make_field<float>(sdims, 0.0), sdims, Params{.error_bound = 1e-3});
+  ASSERT_EQ(inspect(sblob).block_count, 18u);
+  const std::vector<float> sfull = decompress<float>(sblob);
+  const Region placements[] = {
+      Region::of(sdims),                // (a)
+      Region{{2, 0, 0}, {70, 128, 64}},  // (b)
+      Region{{0, 5, 3}, {72, 120, 61}},  // (c)
+  };
+  for (const Region& region : placements) {
+    std::vector<float> want(region.count());
+    for_each_region_row(region, sdims, [&](std::size_t g, std::size_t len, std::size_t o) {
+      std::memcpy(want.data() + o, sfull.data() + g, len * sizeof(float));
+    });
+    for (const util::Simd level : available_levels()) {
+      util::simd_set_active(level);
+      for (const unsigned threads : {1u, 3u, 0u}) {
+        EXPECT_TRUE(bytes_equal(decompress_region<float>(sblob, region, threads), want))
+            << "placement differs at " << util::simd_name(level) << " threads "
+            << threads;
+        std::vector<float> into(region.count(), std::numeric_limits<float>::quiet_NaN());
+        decompress_region_into<float>(sblob, region, std::span<float>(into), threads);
+        EXPECT_TRUE(bytes_equal(into, want))
+            << "out-span placement differs at " << util::simd_name(level)
+            << " threads " << threads;
+      }
     }
   }
 }

@@ -9,9 +9,13 @@ used to live in ci.yml):
   * the same validation for the CI smoke runs (``--smoke-dir``), plus a
     smoke-tolerant throughput ratchet: a smoke run may be slower than the
     committed baseline (tiny inputs, cold caches, shared runners), but a
-    serial-throughput drop of more than RATCHET (3x) fails the job;
+    serial-throughput drop of more than RATCHET (3x) fails the job (for
+    the read bench, restart throughput relative to the same run's
+    in-memory decode);
   * bench-specific invariants: sparse reads must decode strictly fewer
-    blocks than the container holds, the temporal predictor must keep its
+    blocks than the container holds, the serial full restart must stay
+    within RESTART_DECODE_FACTOR of decoding the same blobs from memory
+    on the non-smoke baseline, the temporal predictor must keep its
     >= 1.3x ratio edge over per-step spatial on the non-smoke baseline,
     and every restart verification must be bit-exact.
 
@@ -39,6 +43,14 @@ RATCHET = 3.0  # smoke serial throughput may not drop below baseline/3
 DORMANT_FLOOR = {"compress": 260.0, "decompress": 620.0}  # MB/s, t1
 DORMANT_TOLERANCE = 1.02
 TRACED_OVERHEAD = 1.10
+
+# Restart-vs-decode gate (non-smoke baseline only): serial full_restart
+# seconds over the decode_ref row's (the same blobs decoded from memory
+# by every rank). Seven runs on a 4-core AVX-512 host measured 1.24-1.45
+# after restart began decoding in place through the lane kernels; the
+# per-block scalar path it replaced measured 2.48-2.96, so 1.8 leaves
+# room for host noise while a return of that gap fails.
+RESTART_DECODE_FACTOR = 1.8
 
 PROBLEMS = []
 
@@ -144,8 +156,18 @@ def check_read(doc, path, smoke):
     if not smoke and overhead > 1.05:
         problem(f"{path}: verification overhead {overhead:.3f}x > 1.05x")
         return
+    serial = rows(doc, scenario="full_restart", label="serial")
+    ref = rows(doc, scenario="full_restart", label="decode_ref")
+    if len(serial) != 1 or len(ref) != 1:
+        problem(f"{path}: full_restart needs one serial + one decode_ref row")
+        return
+    gap = serial[0]["seconds"] / ref[0]["seconds"]
+    if not smoke and gap > RESTART_DECODE_FACTOR:
+        problem(f"{path}: serial restart {gap:.3f}x the in-memory decode "
+                f"> {RESTART_DECODE_FACTOR:.2f}x")
+        return
     ok(f"{path}: pcw.bench_read.v1, scenarios {sorted(scenarios)}, "
-       f"verify overhead {overhead:.3f}x")
+       f"verify overhead {overhead:.3f}x, restart/decode {gap:.3f}x")
 
 
 def check_timeseries(doc, path, smoke):
@@ -178,22 +200,29 @@ def check_timeseries(doc, path, smoke):
     ok(f"{path}: pcw.bench_timeseries.v1, temporal gain {gain:.2f}x")
 
 
-# Serial-throughput extractors for the ratchet: (description, selector).
+# Serial-throughput extractors for the ratchet: {key: (value, unit)},
+# higher is better.
 def serial_metrics(name, doc):
     if name == "kernels":
         return {
-            f"{r['stage']} t1": r["mb_per_s"]
+            f"{r['stage']} t1": (r["mb_per_s"], "MB/s")
             for r in doc.get("results", [])
             if r.get("threads") == 1
         }
     if name == "read":
-        return {
-            "full_restart serial": r["mb_per_s"]
-            for r in rows(doc, scenario="full_restart", label="serial")
-        }
+        # Restart speed relative to decoding the same blobs from memory in
+        # the same run. The smoke checkpoint is too small for absolute MB/s
+        # to compare with the full baseline: its fixed per-blob and per-run
+        # costs alone put it several times below the baseline's rate.
+        serial = rows(doc, scenario="full_restart", label="serial")
+        ref = rows(doc, scenario="full_restart", label="decode_ref")
+        if len(serial) != 1 or len(ref) != 1 or serial[0]["seconds"] <= 0:
+            return {}
+        return {"full_restart serial vs decode_ref":
+                (ref[0]["seconds"] / serial[0]["seconds"], "x")}
     if name == "timeseries":
         return {
-            f"write_series {r['label']}": r["mb_per_s"]
+            f"write_series {r['label']}": (r["mb_per_s"], "MB/s")
             for r in rows(doc, scenario="write_series")
         }
     return {}
@@ -241,17 +270,17 @@ def main():
             continue
         base_m = serial_metrics(name, base)
         smoke_m = serial_metrics(name, smoke)
-        for key, base_v in sorted(base_m.items()):
+        for key, (base_v, unit) in sorted(base_m.items()):
             if key not in smoke_m:
                 problem(f"{smoke_path}: smoke run dropped metric '{key}'")
                 continue
-            smoke_v = smoke_m[key]
+            smoke_v = smoke_m[key][0]
             if smoke_v <= 0 or base_v / smoke_v > RATCHET:
-                problem(f"{smoke_path}: {key} {smoke_v:.1f} MB/s vs baseline "
-                        f"{base_v:.1f} MB/s (> {RATCHET:.0f}x regression)")
+                problem(f"{smoke_path}: {key} {smoke_v:.3g} {unit} vs baseline "
+                        f"{base_v:.3g} {unit} (> {RATCHET:.0f}x regression)")
             else:
-                ok(f"{smoke_path}: {key} {smoke_v:.1f} MB/s within "
-                   f"{RATCHET:.0f}x of baseline {base_v:.1f} MB/s")
+                ok(f"{smoke_path}: {key} {smoke_v:.3g} {unit} within "
+                   f"{RATCHET:.0f}x of baseline {base_v:.3g} {unit}")
 
     if PROBLEMS:
         print(f"\n{len(PROBLEMS)} perf-gate violation(s)")
