@@ -1,6 +1,9 @@
 // Engineering microbenchmarks: per-stage throughput of the pcw::sz
-// pipeline (quantize, Huffman encode, end-to-end compress/decompress) at
-// 1..N threads. Not a paper figure; this is the measured perf baseline
+// pipeline at 1..N threads. The stage rows time the calls compress()
+// itself makes — `quantize` is lorenzo_quantize_blocks, `encode` is the
+// per-block run tokenization + Huffman encode + block CRC — so they add
+// up to the end-to-end `compress` row (the codebook build and container
+// assembly are the small remainder); `decompress` is the full decode. Not a paper figure; this is the measured perf baseline
 // every perf PR must beat, emitted as machine-readable JSON with
 // `--json` (schema pcw.bench_kernels.v1 -> BENCH_kernels.json).
 //
@@ -116,16 +119,23 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// Best-of-reps wall time for one timed closure.
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
+/// Best-of-reps wall time for one timed closure; `setup` runs untimed
+/// before each rep.
+template <typename Setup, typename Fn>
+double best_seconds(int reps, Setup&& setup, Fn&& fn) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
+    setup();
     util::Timer timer;
     fn();
     best = std::min(best, timer.seconds());
   }
   return best;
+}
+
+template <typename Fn>
+double best_seconds(int reps, Fn&& fn) {
+  return best_seconds(reps, [] {}, fn);
 }
 
 void emit_json(const Options& opt, const std::vector<Result>& results,
@@ -200,19 +210,18 @@ int main(int argc, char** argv) {
   sz::Params params;
   params.error_bound = opt.eb;
 
-  // Shared fixtures for the stage-level measurements: one serial pipeline
-  // pass provides the codes/codebook the encode stage re-times.
+  // Shared fixtures for the stage-level measurements: the quantized codes
+  // and the shared codebook (plain codes plus run tokens) that compress
+  // builds from them, which the encode stage re-times.
   const std::vector<sz::BlockRange> blocks = sz::split_blocks(opt.dims);
-  std::vector<sz::QuantizeResult<float>> quants(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    quants[b] = sz::lorenzo_quantize<float>(
-        std::span<const float>(field).subspan(blocks[b].elem_offset,
-                                              blocks[b].dims.count()),
-        blocks[b].dims, opt.eb, params.radius);
-  }
-  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
+  const std::uint32_t radius = params.radius;
+  std::vector<std::uint64_t> counts(sz::run_alphabet(radius), 0);
+  const std::vector<sz::QuantizeResult<float>> quants = sz::lorenzo_quantize_blocks<float>(
+      field, blocks, opt.eb, radius, 1, nullptr,
+      std::span<std::uint64_t>(counts).first(2ull * radius));
   for (const auto& q : quants) {
-    for (const auto c : q.codes) ++counts[c];
+    std::vector<std::uint32_t> codes = q.codes;
+    sz::tokenize_runs(codes, radius).fold_into(std::span<std::uint64_t>(counts), radius);
   }
   std::vector<sz::SymbolCount> freqs;
   for (std::uint32_t s = 0; s < counts.size(); ++s) {
@@ -220,6 +229,7 @@ int main(int argc, char** argv) {
   }
   const sz::HuffmanEncoder encoder(freqs);
   const std::vector<std::uint8_t> blob = sz::compress<float>(field, opt.dims, params);
+  std::vector<std::vector<std::uint32_t>> codes(blocks.size());
 
   std::vector<Result> results;
   auto record = [&](const char* stage, unsigned threads, double seconds) {
@@ -236,26 +246,36 @@ int main(int argc, char** argv) {
   for (const unsigned threads : opt.threads) {
     std::printf("threads=%u (%u blocks)\n", threads,
                 static_cast<unsigned>(blocks.size()));
-    // Stage: Lorenzo quantization over blocks.
+    // Stage: Lorenzo quantization of the block decomposition, with the
+    // code histogram, as compress runs it.
     record("quantize", threads, best_seconds(opt.reps, [&] {
-             std::vector<sz::QuantizeResult<float>> out(blocks.size());
-             util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
-               out[b] = sz::lorenzo_quantize<float>(
-                   std::span<const float>(field).subspan(blocks[b].elem_offset,
-                                                         blocks[b].dims.count()),
-                   blocks[b].dims, opt.eb, params.radius);
-             });
+             std::vector<std::uint64_t> hist(2ull * radius, 0);
+             const auto out = sz::lorenzo_quantize_blocks<float>(
+                 field, blocks, opt.eb, radius, threads, nullptr, hist);
+             if (out.size() != blocks.size()) std::exit(1);
            }));
-    // Stage: Huffman encode of the pre-computed codes.
-    record("encode", threads, best_seconds(opt.reps, [&] {
-             std::vector<std::vector<std::uint8_t>> out(blocks.size());
-             util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
-               util::BitWriter writer;
-               writer.reserve_bytes(quants[b].codes.size() / 2);
-               for (const auto c : quants[b].codes) encoder.encode(c, writer);
-               out[b] = writer.finish();
-             });
-           }));
+    // Stage: per-block run tokenization (in place, so each rep starts
+    // from a fresh copy of the codes), Huffman encode and block CRC.
+    record("encode", threads,
+           best_seconds(
+               opt.reps,
+               [&] {
+                 for (std::size_t b = 0; b < blocks.size(); ++b) codes[b] = quants[b].codes;
+               },
+               [&] {
+                 std::vector<std::vector<std::uint8_t>> out(blocks.size());
+                 std::vector<std::uint32_t> crcs(blocks.size());
+                 util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
+                   sz::tokenize_runs(codes[b], radius);
+                   util::BitWriter writer;
+                   writer.reserve_bytes(codes[b].size() / 2);
+                   encoder.encode_all(codes[b], writer, 2ull * radius);
+                   out[b] = writer.finish();
+                   const std::uint32_t crc = util::crc32c(0, out[b].data(), out[b].size());
+                   crcs[b] = util::crc32c(crc, quants[b].outliers.data(),
+                                          quants[b].outliers.size() * sizeof(float));
+                 });
+               }));
     // End-to-end compress and decompress through the public API.
     sz::Params p = params;
     p.threads = threads;

@@ -94,6 +94,8 @@ struct CodecOptions {
   ErrorBoundMode mode = ErrorBoundMode::kAbsolute;
   double error_bound = 1e-3;
   std::uint32_t radius = 32768;
+  /// Code runs of zero-residual codes as Huffman run tokens (container
+  /// v5), sz's sub-1-bit stage; false codes every element separately.
   bool lossless = true;
   // zfp knob:
   std::uint32_t rate_bits = 8;
@@ -131,13 +133,22 @@ struct BlobInfo {
   double abs_error_bound = 0.0;
   std::uint32_t radius = 0;
   std::uint64_t outlier_count = 0;
+  /// Legacy (v1–v4) blobs only: the payload is stored LZ-compressed.
   bool lz_applied = false;
+  /// Container v5: run tokens code the zero-residual runs.
+  bool run_tokens = false;
   std::uint32_t version = 0;
   std::uint32_t block_count = 0;
   std::uint32_t temporal_blocks = 0;
-  /// True for sz container v4: the blob carries CRC32C checksums.
+  /// True for sz container v4 and later: the blob carries CRC32C checksums.
   bool checksummed = false;
 };
+
+/// Which stage codes a blob's sub-1-bit structure: "run tokens" (v5),
+/// "lz" (legacy LZ payload) or "none".
+inline const char* sub_bit_stage(const BlobInfo& info) {
+  return info.run_tokens ? "run tokens" : info.lz_applied ? "lz" : "none";
+}
 
 /// One per-block index entry of an sz blob (the marginal cost of decoding
 /// that block in a partial read).

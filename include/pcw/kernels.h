@@ -1,6 +1,7 @@
 // pcw toolkit — the compression kernel internals (Lorenzo stencil,
-// canonical Huffman, bitstreams, block splitting, the sz container, the
-// zfp stand-in, the shared thread pool) for stage-level benchmarking.
+// canonical Huffman with run tokens, bitstreams, CRC32C, block splitting,
+// the sz container, the zfp stand-in, the shared thread pool) for
+// stage-level benchmarking.
 //
 // In-tree convenience surface for bench_kernels and kernel-level tools;
 // applications compress through pcw/codec.h instead. Not part of the
@@ -14,6 +15,7 @@
 #include "sz/kernels.h"        // IWYU pragma: export
 #include "sz/lorenzo.h"        // IWYU pragma: export
 #include "util/bitstream.h"    // IWYU pragma: export
+#include "util/crc32c.h"       // IWYU pragma: export
 #include "util/cpu.h"          // IWYU pragma: export
 #include "util/thread_pool.h"  // IWYU pragma: export
 #include "zfp/zfp.h"           // IWYU pragma: export

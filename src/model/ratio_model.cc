@@ -1,6 +1,7 @@
 #include "model/ratio_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -18,27 +19,30 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   const double eb = sz::resolve_error_bound<T>(data, params);
   const std::size_t total = dims.count();
 
-  // Block grid.
+  // Box grid: a box's rows run along the fastest axis, and in 3-D it is
+  // exactly as thick as the encoder's slab blocks and aligned to them, so
+  // each sampled plane sees the stencil its block does (a block's first
+  // plane is zero-padded).
   const bool is_multidim = dims.rank() >= 2;
-  const std::size_t bx = is_multidim ? std::min(config.block_edge, dims.d0) : 1;
-  const std::size_t by = is_multidim ? std::min(config.block_edge, dims.d1) : 1;
-  const std::size_t bz =
-      is_multidim ? std::min(config.block_edge, dims.d2) : std::min(config.block_len_1d, dims.d2);
+  const std::size_t bx = dims.d0 > 1 ? sz::split_blocks(dims).front().dims.d0 : 1;
+  const std::size_t by = is_multidim ? std::min(kBoxRows, dims.d1) : 1;
+  const std::size_t bz = std::min(is_multidim ? kBoxRowLen : kBoxLen1d, dims.d2);
   const std::size_t gx = (dims.d0 + bx - 1) / bx;
   const std::size_t gy = (dims.d1 + by - 1) / by;
   const std::size_t gz = (dims.d2 + bz - 1) / bz;
   const std::size_t total_blocks = gx * gy * gz;
   const std::size_t block_points = bx * by * bz;
-  std::size_t want_blocks = static_cast<std::size_t>(
-      std::ceil(config.sample_fraction * static_cast<double>(total) /
-                static_cast<double>(block_points)));
+  const double want_points = std::max(config.sample_fraction * static_cast<double>(total),
+                                      static_cast<double>(kMinSamplePoints));
+  std::size_t want_blocks =
+      static_cast<std::size_t>(std::ceil(want_points / static_cast<double>(block_points)));
   want_blocks = std::clamp<std::size_t>(want_blocks, 1, total_blocks);
   // Prime-ish stride decorrelates the sample from periodic structure.
   const std::size_t stride = std::max<std::size_t>(1, total_blocks / want_blocks);
 
-  // Gather the sampled blocks, in grid order, into one contiguous buffer
+  // Gather the sampled boxes, in grid order, into one contiguous buffer
   // and quantize each in isolation (zero-padded at its own faces) with
-  // the compressor's kernel: consecutive equal-shape blocks run as one
+  // the compressor's kernel: consecutive equal-shape boxes run as one
   // lockstep lane group.
   std::vector<sz::BlockRange> blocks;
   std::vector<T> samples;
@@ -61,25 +65,22 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   }
   const std::size_t points = samples.size();
   span.set_arg("points", points);
-  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
-  const auto quants = sz::lorenzo_quantize_blocks<T>(samples, blocks, eb, params.radius,
-                                                     /*threads=*/1, nullptr, counts);
-
-  std::uint64_t outliers = 0, run_saved = 0;
-  for (const auto& q : quants) {
+  // Run tokens, as the encoder codes them: the absorbed zero-residual
+  // codes leave the histogram, the tokens join it, and each token adds
+  // its raw length bits.
+  const bool runs = sz::uses_run_tokens(params);
+  std::vector<std::uint64_t> counts(
+      runs ? sz::run_alphabet(params.radius) : 2ull * params.radius, 0);
+  auto quants = sz::lorenzo_quantize_blocks<T>(
+      samples, blocks, eb, params.radius, /*threads=*/1, nullptr,
+      std::span<std::uint64_t>(counts).first(2ull * params.radius));
+  std::uint64_t outliers = 0, length_bits = 0;
+  for (auto& q : quants) {
     outliers += q.outliers.size();
-    // Run-length structure: codes repeated >= min_lz_run times produce
-    // byte-periodic Huffman output the LZ stage collapses. Count the codes
-    // covered by such runs (minus a fixed anchor per run that LZ still
-    // spends tokens on).
-    const std::vector<std::uint32_t>& codes = q.codes;
-    std::size_t run_start = 0;
-    for (std::size_t k = 1; k <= codes.size(); ++k) {
-      if (k == codes.size() || codes[k] != codes[run_start]) {
-        const std::size_t len = k - run_start;
-        if (len >= config.min_lz_run && len > 8) run_saved += len - 8;
-        run_start = k;
-      }
+    if (runs) {
+      const sz::RunTokenStats stats = sz::tokenize_runs(q.codes, params.radius);
+      stats.fold_into(std::span<std::uint64_t>(counts), params.radius);
+      length_bits += stats.length_bits();
     }
   }
 
@@ -88,47 +89,31 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   if (points == 0) return est;
   est.outlier_fraction = static_cast<double>(outliers) / static_cast<double>(points);
 
-  // Hypothetical Huffman cost over the sampled histogram.
+  // Hypothetical Huffman cost over the sampled, tokenized histogram.
   std::vector<sz::SymbolCount> freqs;
-  std::uint64_t distinct = 0;
   for (std::uint32_t s = 0; s < counts.size(); ++s) {
-    if (counts[s] > 0) {
-      freqs.push_back({s, counts[s]});
-      ++distinct;
-    }
+    if (counts[s] > 0) freqs.push_back({s, counts[s]});
   }
   const auto lengths = sz::huffman_code_lengths(freqs);
-  std::uint64_t huff_bits = 0;
-  double saved_bits = 0.0;
+  std::uint64_t huff_bits = length_bits;
   for (std::size_t k = 0; k < freqs.size(); ++k) {
     huff_bits += freqs[k].count * lengths[k];
   }
   est.huffman_bit_rate = static_cast<double>(huff_bits) / static_cast<double>(points);
 
-  // LZ gain: codes inside long runs compress to (almost) nothing; weight
-  // the saved codes by the *modal* code length since runs are
-  // overwhelmingly the zero-residual code.
-  std::uint8_t modal_len = 8;
-  std::uint64_t modal_count = 0;
-  for (std::size_t k = 0; k < freqs.size(); ++k) {
-    if (freqs[k].count > modal_count) {
-      modal_count = freqs[k].count;
-      modal_len = lengths[k];
-    }
-  }
-  saved_bits = static_cast<double>(run_saved) * static_cast<double>(modal_len);
-  if (params.lossless && huff_bits > 0) {
-    est.lz_gain = std::clamp(1.0 - saved_bits / static_cast<double>(huff_bits), 0.02, 1.0);
-  }
-
   // Per-partition overheads amortized over the full partition, not the
-  // sample: serialized codebook (~3 bytes/distinct symbol) + container
-  // header (~64 bytes).
+  // sample: the serialized codebook of the sampled symbols (a varint
+  // symbol and a length byte each) + container header (~64 bytes).
+  std::size_t codebook_bytes = 5;  // the entry-count varint, at most
+  for (const sz::SymbolCount& f : freqs) {
+    codebook_bytes += static_cast<std::size_t>(std::bit_width(f.symbol | 1u) + 6) / 7 + 1;
+  }
   const double overhead_bits =
-      (static_cast<double>(distinct) * 24.0 + 64.0 * 8.0) / static_cast<double>(total);
+      8.0 * static_cast<double>(codebook_bytes + 64) /
+      static_cast<double>(total);
   const double outlier_raw_bits = est.outlier_fraction * 8.0 * sizeof(T);
 
-  est.bit_rate = est.huffman_bit_rate * est.lz_gain + outlier_raw_bits + overhead_bits;
+  est.bit_rate = est.huffman_bit_rate + outlier_raw_bits + overhead_bits;
   est.bit_rate = std::max(est.bit_rate, 0.05);
   est.ratio = 8.0 * sizeof(T) / est.bit_rate;
   return est;

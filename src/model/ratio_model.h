@@ -2,22 +2,24 @@
 //
 // Re-implements the ratio-quality model of Jin et al. [25] that the paper
 // builds on: instead of compressing a partition to learn its size, we
-//   1. sample a small fraction of the partition in contiguous blocks,
-//   2. quantize each block in isolation (zero-padded at its own faces)
+//   1. sample a small fraction of the partition in contiguous boxes whose
+//      rows run along the fastest axis and whose planes line up with the
+//      encoder's slab blocks,
+//   2. quantize each box in isolation (zero-padded at its own faces)
 //      through the compressor's own Lorenzo kernel,
 //      sz::lorenzo_quantize_blocks, which runs equal-shape samples as
 //      lockstep SIMD lane groups,
-//   3. cost a hypothetical Huffman codebook over the sampled
-//      quantization-code histogram,
-//   4. estimate the LZ back-end gain from run-length structure of the
-//      sampled code stream,
+//   3. code runs of zero-residual codes as run tokens with the encoder's
+//      own tokenizer, sz::tokenize_runs,
+//   4. cost a hypothetical Huffman codebook over the sampled, tokenized
+//      histogram plus the tokens' raw length bits,
 // which yields a predicted bit-rate at a few percent of compression cost.
 //
 // Like the original model, accuracy degrades at very high ratios (> 32x,
-// i.e. bit-rate < 1): there the final size is dominated by how well LZ
-// collapses near-constant Huffman output, which run-length analysis only
-// approximates. The paper's Eq. (3) widens the reserved extra space in
-// exactly this regime; see model/extra_space.h.
+// i.e. bit-rate < 1): there the size is dominated by how long the
+// zero-residual runs are, and a sample sees only runs that fit inside
+// one of its boxes. The paper's Eq. (3) widens the reserved extra space
+// in exactly this regime; see model/extra_space.h.
 #pragma once
 
 #include <cstddef>
@@ -33,20 +35,29 @@ struct RatioEstimate {
   double ratio = 0.0;             // predicted original/compressed ratio
   double outlier_fraction = 0.0;  // predicted unpredictable-point fraction
   std::size_t sampled_points = 0; // how many points the estimate used
-  double huffman_bit_rate = 0.0;  // pre-LZ entropy-stage estimate
-  double lz_gain = 1.0;           // predicted LZ shrink factor (<= 1)
+  /// Predicted Huffman-stage bits per element, run tokens and their
+  /// length bits included.
+  double huffman_bit_rate = 0.0;
 };
 
 struct RatioModelConfig {
   /// Fraction of points to sample; the paper targets <10% of compression
   /// time for the whole prediction phase.
   double sample_fraction = 0.03;
-  /// Sampled block edge (3-D) / block length (1-D).
-  std::size_t block_edge = 8;
-  std::size_t block_len_1d = 512;
-  /// Runs of identical codes at least this long are assumed LZ-collapsible.
-  std::size_t min_lz_run = 16;
 };
+
+/// Sampled box: kBoxRows rows of up to kBoxRowLen elements along the
+/// fastest axis (2-D and 3-D fields; in 3-D as many planes thick as the
+/// encoder's slab blocks), or a run of kBoxLen1d elements (1-D fields).
+/// Long rows keep the sampled runs of zero-residual codes as long as the
+/// encoder sees them.
+inline constexpr std::size_t kBoxRows = 4;
+inline constexpr std::size_t kBoxRowLen = 256;
+inline constexpr std::size_t kBoxLen1d = 1024;
+/// Floor on the sampled points: a small partition's sample_fraction would
+/// see too few distinct codes to cost its codebook (a few microseconds of
+/// work).
+inline constexpr std::size_t kMinSamplePoints = 2048;
 
 /// Predicts the compressed bit-rate of `data` under `params` without
 /// compressing it.

@@ -174,6 +174,7 @@ Result<BlobInfo> inspect_blob(std::span<const std::uint8_t> blob) {
     out.radius = info.radius;
     out.outlier_count = info.outlier_count;
     out.lz_applied = info.lz_applied;
+    out.run_tokens = info.run_tokens;
     out.version = info.version;
     out.block_count = info.block_count;
     out.temporal_blocks = info.temporal_blocks;

@@ -27,10 +27,16 @@ constexpr std::uint8_t kVersionV1 = 1;
 constexpr std::uint8_t kVersionV2 = 2;
 constexpr std::uint8_t kVersionV3 = 3;
 constexpr std::uint8_t kVersionV4 = 4;
+constexpr std::uint8_t kVersionV5 = 5;
+// Legacy (v1–v4): the stored payload is the LZ-compressed raw payload.
+// No v5 writer sets it; v5 readers reject it.
 constexpr std::uint8_t kFlagLz = 0x01;
 // Informational fast-path flag: set iff any block index entry records the
 // temporal predictor (the blob cannot decode without a reference step).
 constexpr std::uint8_t kFlagTemporal = 0x02;
+// v5: the codebook carries run-token symbols (sz/huffman.h). Readers
+// accept token symbols only when it is set.
+constexpr std::uint8_t kFlagRunTokens = 0x04;
 
 // v2 fixed header: magic..payload_raw_size (the v1 header, 76 bytes) plus
 // the u32 block count; the per-block index follows. v3 shares the fixed
@@ -42,6 +48,10 @@ constexpr std::uint8_t kFlagTemporal = 0x02;
 // (CRC32C of the whole header with these four bytes zeroed), codebook_crc
 // u32, stored_crc u32. Each v4 index entry always carries the predictor
 // byte plus a block CRC (its pre-LZ Huffman substream ++ outlier run).
+//
+// v5 is v4's layout with version 5: never LZ, so stored_size ==
+// payload_raw_size, and (kFlagRunTokens) Huffman substreams that may
+// carry run tokens. See docs/sz_container_v5.md.
 constexpr std::size_t kV2FixedHeaderBytes = 80;
 constexpr std::size_t kV2IndexEntryBytes = 24;
 constexpr std::size_t kV3IndexEntryBytes = 25;
@@ -58,6 +68,12 @@ static_assert(kV2FixedHeaderBytes + kMaxBlocks * kV3IndexEntryBytes <= kMaxHeade
 // output bytes each). A header that violates one is malformed, rejected
 // before its fields can size an allocation — the fuzz-sweep guarantee
 // that truncated or bit-flipped blobs can never OOM the reader.
+//
+// Without run tokens every element costs at least one code bit. A token
+// covering L codes costs at least 1 + floor(log2 L) bits, cheapest per
+// code at L = kRunMax - 1 (12 bits for 4095 codes), so a token-bearing
+// substream holds at most 8 * 4095 / 12 = 2730 elements per byte.
+constexpr std::uint64_t kMaxElemsPerHuffByte = 8 * (kRunMax - 1) / kRunMaxLog;
 constexpr std::uint64_t kMaxHuffBitsPerElem = 56;
 constexpr std::uint64_t kMaxCodebookBytesPerSymbol = 6;
 constexpr std::uint64_t kMaxLzExpansion = 300;
@@ -103,6 +119,7 @@ struct RawHeader {
   std::size_t header_end = 0;
 
   std::size_t elem_size() const { return dtype == DataType::kFloat32 ? 4 : 8; }
+  bool run_tokens() const { return version >= kVersionV5 && (flags & kFlagRunTokens); }
 };
 
 RawHeader parse_header(std::span<const std::uint8_t> blob) {
@@ -112,7 +129,7 @@ RawHeader parse_header(std::span<const std::uint8_t> blob) {
   }
   RawHeader h;
   h.version = read_pod<std::uint8_t>(blob, pos);
-  if (h.version < kVersionV1 || h.version > kVersionV4) {
+  if (h.version < kVersionV1 || h.version > kVersionV5) {
     throw std::runtime_error("sz: unsupported version");
   }
   const std::uint8_t dtype_byte = read_pod<std::uint8_t>(blob, pos);
@@ -131,6 +148,17 @@ RawHeader parse_header(std::span<const std::uint8_t> blob) {
   h.codebook_size = read_pod<std::uint64_t>(blob, pos);
   h.huff_bytes = read_pod<std::uint64_t>(blob, pos);
   h.payload_raw_size = read_pod<std::uint64_t>(blob, pos);
+  if (h.version >= kVersionV5 && (h.flags & kFlagLz)) {
+    throw std::runtime_error("sz: LZ flag on a v5 container");
+  }
+  if (h.run_tokens() && h.radius > kMaxRunRadius) {
+    throw std::runtime_error("sz: radius too large for run tokens");
+  }
+  // Least Huffman bytes an n-element substream can take (see above).
+  const auto min_huff_bytes = [&h](std::uint64_t n) {
+    return h.run_tokens() ? (n + kMaxElemsPerHuffByte - 1) / kMaxElemsPerHuffByte
+                          : (n + 7) / 8;
+  };
   if (h.version >= kVersionV4) {
     h.stored_size = read_pod<std::uint64_t>(blob, pos);
     h.header_crc = read_pod<std::uint32_t>(blob, pos);
@@ -175,8 +203,9 @@ RawHeader parse_header(std::span<const std::uint8_t> blob) {
       }
       if (e.elem_count == 0) throw std::runtime_error("sz: empty block");
       // Per-block plausibility: every element consumes at least one code
-      // bit, and a block holds at most one outlier per element.
-      if (e.huff_bytes < (e.elem_count + 7) / 8 || e.outlier_count > e.elem_count) {
+      // bit (or 1/kMaxElemsPerHuffByte of a byte with run tokens), and a
+      // block holds at most one outlier per element.
+      if (e.huff_bytes < min_huff_bytes(e.elem_count) || e.outlier_count > e.elem_count) {
         throw std::runtime_error("sz: block index inconsistent with header");
       }
       elems = checked_add(elems, e.elem_count);
@@ -205,7 +234,7 @@ RawHeader parse_header(std::span<const std::uint8_t> blob) {
       __builtin_mul_overflow(n, kMaxCodebookBytesPerSymbol, &codebook_cap) ||
       __builtin_add_overflow(codebook_cap, kCapSlackBytes, &codebook_cap);
   if (cap_overflow || h.outlier_count > n || h.huff_bytes > huff_cap ||
-      h.codebook_size > codebook_cap || h.huff_bytes < (n + 7) / 8) {
+      h.codebook_size > codebook_cap || h.huff_bytes < min_huff_bytes(n)) {
     throw std::runtime_error("sz: header sizes implausible");
   }
   // The three payload sections must add up exactly; every later subspan
@@ -220,8 +249,9 @@ RawHeader parse_header(std::span<const std::uint8_t> blob) {
     throw std::runtime_error("sz: payload sections inconsistent with header");
   }
   if (h.version >= kVersionV4) {
-    // Without LZ the stored section *is* the raw payload; with LZ it must
-    // be smaller (the writer only keeps a winning LZ pass).
+    // Without LZ (always, from v5) the stored section *is* the raw
+    // payload; with LZ it must be smaller (the legacy writer only kept a
+    // winning LZ pass).
     const bool lz = (h.flags & kFlagLz) != 0;
     if (lz ? h.stored_size >= h.payload_raw_size
            : h.stored_size != h.payload_raw_size) {
@@ -325,11 +355,12 @@ void verify_before_decode(const RawHeader& h, std::span<const std::uint8_t> blob
   if (h.version < kVersionV4 || verify == VerifyMode::kOff) return;
   verify_header_crc(h, blob);
   // kBlock normally defers to the per-block CRCs of the decoded blocks,
-  // but an LZ-compressed payload has a hole they cannot close: a flipped
-  // match offset can expand to the exact same pre-LZ bytes when the match
-  // source is periodic data. The expansion reads every stored byte anyway,
-  // so the stored CRC costs one marginal pass and restores the guarantee
-  // that every flipped bit fails the decode.
+  // but a legacy LZ-compressed payload has a hole they cannot close: a
+  // flipped match offset can expand to the exact same pre-LZ bytes when
+  // the match source is periodic data. The expansion reads every stored
+  // byte anyway, so the stored CRC costs one marginal pass and restores
+  // the guarantee that every flipped bit fails the decode. v5 never
+  // carries LZ, so kBlock touches only the blocks it decodes.
   if (verify == VerifyMode::kBlob || (h.flags & kFlagLz)) verify_stored_crc(h, blob);
 }
 
@@ -354,26 +385,41 @@ double resolve_error_bound(std::span<const T> data, const Params& params) {
 
 namespace {
 
-/// Builds the code histogram used both for the shared codebook and for
-/// the per-block predictor decision.
-inline std::vector<std::uint32_t> code_histogram(const std::vector<std::uint32_t>& codes,
-                                                 std::uint32_t radius) {
-  std::vector<std::uint32_t> hist(2ull * radius, 0);
-  for (const std::uint32_t c : codes) ++hist[c];
-  return hist;
+/// One block's symbols as the encoder will code them: the code histogram
+/// (with run tokens folded in when `runs`, the codes then tokenized in
+/// place) plus the tokens' raw length bits. Feeds both the shared
+/// codebook and the per-block predictor decision.
+struct BlockSymbols {
+  std::vector<std::uint32_t> hist;
+  std::uint64_t length_bits = 0;
+};
+
+BlockSymbols block_symbols(std::vector<std::uint32_t>& codes, std::uint32_t radius,
+                           bool runs) {
+  BlockSymbols out;
+  out.hist.assign(runs ? run_alphabet(radius) : 2ull * radius, 0);
+  for (const std::uint32_t c : codes) ++out.hist[c];
+  if (runs) {
+    const RunTokenStats stats = tokenize_runs(codes, radius);
+    stats.fold_into(std::span<std::uint32_t>(out.hist), radius);
+    out.length_bits = stats.length_bits();
+  }
+  return out;
 }
 
 /// Estimated storage cost of one quantized block in bits: the Shannon
-/// bound on its Huffman substream plus the raw bytes of its outliers. An
-/// approximation (the codebook is shared across blocks), but a pure
-/// function of the block's own codes — which is what keeps the per-block
-/// predictor choice, and hence the blob, independent of thread count.
+/// bound on its Huffman substream, the run tokens' length bits and the
+/// raw bytes of its outliers. An approximation (the codebook is shared
+/// across blocks), but a pure function of the block's own codes — which
+/// is what keeps the per-block predictor choice, and hence the blob,
+/// independent of thread count.
 template <typename T>
-double block_cost_bits(const std::vector<std::uint32_t>& hist, std::size_t outliers,
-                       std::size_t elems) {
-  const double total = static_cast<double>(elems);
-  double bits = 0.0;
-  for (const std::uint32_t count : hist) {
+double block_cost_bits(const BlockSymbols& sym, std::size_t outliers) {
+  std::uint64_t symbols = 0;
+  for (const std::uint32_t count : sym.hist) symbols += count;
+  const double total = static_cast<double>(symbols);
+  double bits = static_cast<double>(sym.length_bits);
+  for (const std::uint32_t count : sym.hist) {
     if (count > 0) {
       bits += static_cast<double>(count) * std::log2(total / static_cast<double>(count));
     }
@@ -382,6 +428,12 @@ double block_cost_bits(const std::vector<std::uint32_t>& hist, std::size_t outli
 }
 
 }  // namespace
+
+bool uses_run_tokens(const Params& params) {
+  // Only container v5 (the checksummed writer) carries tokens; the legacy
+  // v2/v3 layouts keep plain codes.
+  return params.checksum && params.lossless && params.radius <= kMaxRunRadius;
+}
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
@@ -409,74 +461,93 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   util::trace::Span compress_span("compress", "sz", "bytes",
                                   data.size() * sizeof(T));
 
-  // Stage 1: quantization + histogram. lorenzo_quantize_blocks runs
-  // lockstep SIMD groups where the decomposition allows and writes the
+  const bool runs = uses_run_tokens(params);
+  const std::uint32_t radius = params.radius;
+
+  // Stage 1: quantization + histogram + run tokens. lorenzo_quantize_blocks
+  // runs lockstep SIMD groups where the decomposition allows and writes the
   // spatial reconstruction straight into recon_out (series writers keep
   // it as the next temporal reference — blocks write disjoint slices, no
   // race), so compress never holds a second copy of the field. A
   // temporal compression then quantizes each block the delta way too and
-  // keeps whichever entropy-codes smaller, so a block with a stale or
-  // turbulent reference degrades to exactly the spatial cost.
+  // keeps whichever codes smaller, so a block with a stale or turbulent
+  // reference degrades to exactly the spatial cost.
   //
   // A spatial compression takes the summed code histogram `counts`
-  // straight from the quantizer. A temporal one costs each block's two
-  // predictors from their own histograms, so it keeps the winner's per
-  // block in `hists` and sums them in stage 2.
-  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
+  // straight from the quantizer, tokenizes each block in the parallel
+  // fan-out and folds the tokens into `counts`. A temporal one costs each
+  // block's two predictors from their own tokenized histograms, so it
+  // keeps the winner's per block in `hists` and sums them in stage 2.
+  std::vector<std::uint64_t> counts(runs ? run_alphabet(radius) : 2ull * radius, 0);
   std::vector<std::vector<std::uint32_t>> hists(temporal ? n_blocks : 0);
+  std::vector<RunTokenStats> run_stats(runs && !temporal ? n_blocks : 0);
   std::vector<Predictor> preds(n_blocks, Predictor::kSpatial);
   if (recon_out != nullptr) recon_out->resize(data.size());
   std::vector<QuantizeResult<T>> quants = lorenzo_quantize_blocks<T>(
-      data, blocks, eb, params.radius, params.threads,
+      data, blocks, eb, radius, params.threads,
       recon_out != nullptr ? recon_out->data() : nullptr,
-      temporal ? std::span<std::uint64_t>{} : std::span<std::uint64_t>(counts));
-  if (temporal) util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
-    const BlockRange& blk = blocks[b];
-    const auto block_data = data.subspan(blk.elem_offset, blk.dims.count());
-    auto delta = temporal_quantize<T>(
-        block_data, prev.subspan(blk.elem_offset, blk.dims.count()), eb, params.radius);
-    hists[b] = code_histogram(quants[b].codes, params.radius);
-    auto delta_hist = code_histogram(delta.codes, params.radius);
-    const double spatial_cost =
-        block_cost_bits<T>(hists[b], quants[b].outliers.size(), block_data.size());
-    const double delta_cost =
-        block_cost_bits<T>(delta_hist, delta.outliers.size(), block_data.size());
-    if (delta_cost < spatial_cost) {
-      quants[b] = std::move(delta);
-      hists[b] = std::move(delta_hist);
-      preds[b] = Predictor::kTemporal;
-      if (recon_out != nullptr) {
-        std::copy(quants[b].recon.begin(), quants[b].recon.end(),
-                  recon_out->begin() + static_cast<std::ptrdiff_t>(blk.elem_offset));
+      temporal ? std::span<std::uint64_t>{}
+               : std::span<std::uint64_t>(counts).first(2ull * radius));
+  if (temporal) {
+    util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
+      const BlockRange& blk = blocks[b];
+      const auto block_data = data.subspan(blk.elem_offset, blk.dims.count());
+      auto delta = temporal_quantize<T>(
+          block_data, prev.subspan(blk.elem_offset, blk.dims.count()), eb, radius);
+      BlockSymbols spatial = block_symbols(quants[b].codes, radius, runs);
+      BlockSymbols delta_sym = block_symbols(delta.codes, radius, runs);
+      if (block_cost_bits<T>(delta_sym, delta.outliers.size()) <
+          block_cost_bits<T>(spatial, quants[b].outliers.size())) {
+        quants[b] = std::move(delta);
+        spatial = std::move(delta_sym);
+        preds[b] = Predictor::kTemporal;
+        if (recon_out != nullptr) {
+          std::copy(quants[b].recon.begin(), quants[b].recon.end(),
+                    recon_out->begin() + static_cast<std::ptrdiff_t>(blk.elem_offset));
+        }
       }
-    }
-    std::vector<T>().swap(quants[b].recon);
-  });
+      hists[b] = std::move(spatial.hist);
+      std::vector<T>().swap(quants[b].recon);
+    });
+  } else if (runs) {
+    util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
+      util::trace::Span span("run_tokens", "sz", "block", b);
+      run_stats[b] = tokenize_runs(quants[b].codes, radius);
+    });
+  }
 
   // Stage 2: merge histograms into one shared canonical codebook. The
   // merge is a plain sum, so the codebook — and hence the whole blob — is
   // independent of how the blocks were scheduled.
+  for (const RunTokenStats& stats : run_stats) {
+    stats.fold_into(std::span<std::uint64_t>(counts), radius);
+  }
   for (const auto& hist : hists) {
     for (std::size_t s = 0; s < hist.size(); ++s) counts[s] += hist[s];
   }
   hists.clear();
   std::vector<SymbolCount> freqs;
+  bool any_token = false;
   for (std::uint32_t s = 0; s < counts.size(); ++s) {
-    if (counts[s] > 0) freqs.push_back({s, counts[s]});
+    if (counts[s] > 0) {
+      freqs.push_back({s, counts[s]});
+      any_token = any_token || s >= 2 * radius;
+    }
   }
   const HuffmanEncoder encoder(freqs);
   const std::vector<std::uint8_t> codebook = encoder.serialize_codebook();
 
-  // Stage 3: per-block Huffman encoding into independent substreams. The
-  // v4 block CRCs are taken here too, inside the parallel fan-out while
-  // the substream is cache-hot — off the serial assembly path.
+  // Stage 3: per-block Huffman encoding into independent substreams, each
+  // token's length bits straight after its codeword. The block CRCs are
+  // taken here too, inside the parallel fan-out while the substream is
+  // cache-hot — off the serial assembly path.
   std::vector<std::vector<std::uint8_t>> huffs(n_blocks);
   std::vector<std::uint32_t> block_crcs(n_blocks, 0);
   util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
     util::trace::Span span("huffman_encode", "sz", "block", b);
     util::BitWriter writer;
     writer.reserve_bytes(quants[b].codes.size() / 2);
-    encoder.encode_all(quants[b].codes, writer);
+    encoder.encode_all(quants[b].codes, writer, runs ? 2ull * radius : kNoRunTokens);
     huffs[b] = writer.finish();
     if (params.checksum) {
       std::uint32_t c = util::crc32c(0, huffs[b].data(), huffs[b].size());
@@ -487,23 +558,20 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   });
 
   // Stage 4: serial container assembly. With checksums off, a spatial
-  // compression keeps emitting container v2 byte-for-byte and a temporal
-  // one v3; with checksums on (the default) both emit v4, whose index
+  // compression keeps emitting the container v2 layout and a temporal
+  // one v3; with checksums on (the default) both emit v5, whose index
   // entries always carry the predictor byte plus the block CRC.
   const std::uint8_t version =
-      params.checksum ? kVersionV4 : (temporal ? kVersionV3 : kVersionV2);
+      params.checksum ? kVersionV5 : (temporal ? kVersionV3 : kVersionV2);
   const std::size_t entry_bytes =
       params.checksum ? kV4IndexEntryBytes
                       : (temporal ? kV3IndexEntryBytes : kV2IndexEntryBytes);
-  std::uint64_t huff_total = 0, outlier_total = 0, symbol_total = 0;
+  std::uint64_t huff_total = 0, outlier_total = 0;
   std::uint64_t temporal_blocks = 0;
-  bool any_temporal = false;
   for (std::size_t b = 0; b < n_blocks; ++b) {
     huff_total += huffs[b].size();
     outlier_total += quants[b].outliers.size();
-    symbol_total += quants[b].codes.size();
     if (preds[b] == Predictor::kTemporal) ++temporal_blocks;
-    any_temporal = any_temporal || preds[b] == Predictor::kTemporal;
   }
   const std::size_t payload_size = codebook.size() +
                                    static_cast<std::size_t>(huff_total) +
@@ -511,70 +579,27 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   const std::size_t fixed_bytes =
       params.checksum ? kV4FixedHeaderBytes : kV2FixedHeaderBytes;
   const std::size_t header_size = fixed_bytes + n_blocks * entry_bytes;
+  const std::uint8_t flags =
+      static_cast<std::uint8_t>((temporal_blocks > 0 ? kFlagTemporal : 0) |
+                                (any_token ? kFlagRunTokens : 0));
 
-  // The LZ stage only pays off when the Huffman stream still carries long
-  // runs — i.e. at low bit-rates. Past ~20% of the original bit width the
-  // entropy stage output is effectively incompressible, and running LZ
-  // there would only drag the throughput floor down (SZ keeps its Fig.-5
-  // band ~2x wide for the same reason: its zstd pass is cheap relative to
-  // our from-scratch LZ, so we gate instead).
-  const double payload_bits_per_val =
-      8.0 * static_cast<double>(payload_size) / static_cast<double>(data.size());
-  const bool lz_worthwhile = payload_bits_per_val < 0.2 * 8.0 * sizeof(T);
-
-  std::uint8_t flags = any_temporal ? kFlagTemporal : std::uint8_t{0};
-  // When the LZ stage is attempted the payload is pre-assembled; `stored`
-  // then holds whichever of (LZ output, raw payload) won, so the losing
-  // branch never re-concatenates the parts.
-  std::vector<std::uint8_t> stored;
-  bool have_stored = false;
-  if (params.lossless && lz_worthwhile) {
-    std::vector<std::uint8_t> payload;
-    payload.reserve(payload_size);
-    payload.insert(payload.end(), codebook.begin(), codebook.end());
-    for (const auto& huff : huffs) payload.insert(payload.end(), huff.begin(), huff.end());
-    for (const auto& quant : quants) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(quant.outliers.data());
-      payload.insert(payload.end(), p, p + quant.outliers.size() * sizeof(T));
-    }
-    std::vector<std::uint8_t> lz;
-    {
-      util::trace::Span span("lz", "sz", "bytes", payload.size());
-      lz = lz_compress(payload);
-    }
-    if (lz.size() < payload.size()) {
-      stored = std::move(lz);
-      flags |= kFlagLz;
-    } else {
-      stored = std::move(payload);
-    }
-    have_stored = true;
-  }
-
-  // v4 integrity fields: the stored-payload CRC covers the bytes exactly
-  // as they land in the container (post-LZ); without an LZ pass it is
-  // chained over the sections to avoid materializing the payload twice.
-  const std::uint64_t stored_size =
-      have_stored ? stored.size() : static_cast<std::uint64_t>(payload_size);
+  // Integrity fields: the stored payload is the raw payload, so its CRC is
+  // chained over the sections without materializing the payload twice.
   std::uint32_t codebook_crc = 0, stored_crc = 0;
   if (params.checksum) {
     codebook_crc = util::crc32c(0, codebook.data(), codebook.size());
-    if (have_stored) {
-      stored_crc = util::crc32c(0, stored.data(), stored.size());
-    } else {
-      std::uint32_t c = codebook_crc;
-      for (const auto& huff : huffs) c = util::crc32c(c, huff.data(), huff.size());
-      for (const auto& quant : quants) {
-        c = util::crc32c(c, quant.outliers.data(), quant.outliers.size() * sizeof(T));
-      }
-      stored_crc = c;
+    std::uint32_t c = codebook_crc;
+    for (const auto& huff : huffs) c = util::crc32c(c, huff.data(), huff.size());
+    for (const auto& quant : quants) {
+      c = util::crc32c(c, quant.outliers.data(), quant.outliers.size() * sizeof(T));
     }
+    stored_crc = c;
   }
 
   // Reserve the true final size up front; every append below lands in
   // place with no regrowth or second copy of the payload.
   std::vector<std::uint8_t> blob;
-  blob.reserve(header_size + (have_stored ? stored.size() : payload_size));
+  blob.reserve(header_size + payload_size);
   append_pod(blob, kMagic);
   append_pod(blob, version);
   append_pod(blob, static_cast<std::uint8_t>(dtype_of<T>()));
@@ -584,13 +609,13 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   append_pod(blob, static_cast<std::uint64_t>(dims.d1));
   append_pod(blob, static_cast<std::uint64_t>(dims.d2));
   append_pod(blob, eb);
-  append_pod(blob, params.radius);
+  append_pod(blob, radius);
   append_pod(blob, outlier_total);
   append_pod(blob, static_cast<std::uint64_t>(codebook.size()));
   append_pod(blob, huff_total);
   append_pod(blob, static_cast<std::uint64_t>(payload_size));
   if (params.checksum) {
-    append_pod(blob, stored_size);
+    append_pod(blob, static_cast<std::uint64_t>(payload_size));  // stored_size
     append_pod(blob, std::uint32_t{0});  // header_crc, patched below
     append_pod(blob, codebook_crc);
     append_pod(blob, stored_crc);
@@ -609,15 +634,11 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
     const std::uint32_t hcrc = header_crc_of(std::span(blob.data(), header_size));
     std::memcpy(blob.data() + kV4HeaderCrcOffset, &hcrc, sizeof(hcrc));
   }
-  if (have_stored) {
-    blob.insert(blob.end(), stored.begin(), stored.end());
-  } else {
-    blob.insert(blob.end(), codebook.begin(), codebook.end());
-    for (const auto& huff : huffs) blob.insert(blob.end(), huff.begin(), huff.end());
-    for (const auto& quant : quants) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(quant.outliers.data());
-      blob.insert(blob.end(), p, p + quant.outliers.size() * sizeof(T));
-    }
+  blob.insert(blob.end(), codebook.begin(), codebook.end());
+  for (const auto& huff : huffs) blob.insert(blob.end(), huff.begin(), huff.end());
+  for (const auto& quant : quants) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(quant.outliers.data());
+    blob.insert(blob.end(), p, p + quant.outliers.size() * sizeof(T));
   }
   {
     auto& reg = util::metrics::Registry::get();
@@ -626,17 +647,20 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
     reg.sz_blocks_encoded.add(n_blocks);
     reg.sz_temporal_blocks.add(temporal_blocks);
     reg.sz_outliers.add(outlier_total);
-    reg.sz_huffman_symbols.add(symbol_total);
+    reg.sz_huffman_symbols.add(data.size());
   }
   return blob;
 }
 
 namespace {
 
-/// Builds the shared Huffman decoder from the payload's codebook section.
+/// Builds the shared Huffman decoder from the payload's codebook section;
+/// a v5 codebook flagged for run tokens decodes them into zero-residual
+/// runs.
 HuffmanDecoder make_decoder(const RawHeader& h, std::span<const std::uint8_t> payload) {
   std::size_t consumed = 0;
-  HuffmanDecoder decoder(payload.subspan(0, h.codebook_size), &consumed);
+  HuffmanDecoder decoder(payload.subspan(0, h.codebook_size), &consumed,
+                         h.run_tokens() ? h.radius : 0);
   if (consumed != h.codebook_size) {
     throw std::runtime_error("sz: codebook size mismatch");
   }
@@ -726,7 +750,6 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
                    const Region& region, std::span<const T> prev_region,
                    std::span<T> out, unsigned threads, bool check_crcs,
                    RegionDecodeStats& stats) {
-  const HuffmanDecoder decoder = make_decoder(h, payload);
   const std::vector<BlockRange> blocks = blocks_from_index(h);
   const BlockOffsets off = block_payload_offsets(h, sizeof(T));
 
@@ -751,7 +774,19 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
     needed.push_back({b, isect, isect == box});
   }
   stats.blocks_decoded = needed.size();
+  stats.blocks_verified = check_crcs ? needed.size() : 0;
   stats.used_block_index = true;
+
+  // kBlock: the needed blocks' CRCs all pass before any decode work (the
+  // decoder tables included), so damage anywhere in the request fails
+  // fast instead of after decoding the blocks ahead of it.
+  if (check_crcs) {
+    util::parallel_for(needed.size(), threads, [&](std::size_t i) {
+      const std::size_t b = needed[i].b;
+      verify_block_crc(h, payload, b, off.huff[b], off.outlier[b], sizeof(T));
+    });
+  }
+  const HuffmanDecoder decoder = make_decoder(h, payload);
 
   // Mirror of the quantize-side partition (lorenzo_quantize_blocks):
   // runs of consecutive spatial blocks with identical extents, contiguous
@@ -837,9 +872,6 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
     std::span<const T> optr[kern::kMaxLanes];
     for (int l = 0; l < task.count; ++l) {
       const std::size_t b = needed[task.first + static_cast<std::size_t>(l)].b;
-      if (check_crcs) {
-        verify_block_crc(h, payload, b, off.huff[b], off.outlier[b], sizeof(T));
-      }
       decode_block_codes<T>(decoder, payload, h.blocks[b], off.huff[b], off.outlier[b],
                             bc, codes[static_cast<std::size_t>(l)],
                             outliers[static_cast<std::size_t>(l)]);
@@ -906,8 +938,8 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
 }
 
 /// Resolves the stored section into the raw (pre-LZ) payload and checks
-/// the three payload sections add up; `buf` owns the bytes when an LZ
-/// expansion was needed.
+/// the three payload sections add up; `buf` owns the bytes when a legacy
+/// LZ expansion was needed (v5 payloads are used in place).
 std::span<const std::uint8_t> prepare_payload(const RawHeader& h,
                                               std::span<const std::uint8_t> blob,
                                               std::size_t elem_size,
@@ -955,21 +987,28 @@ void decode_region_into(std::span<const std::uint8_t> blob, const RawHeader& h,
   if (!prev_region.empty() && prev_region.size() != region.count()) {
     throw std::invalid_argument("sz: reference region size != region element count");
   }
-  if (owned != nullptr) {
-    owned->resize(region.count());
-    out = *owned;
-  } else if (out.size() != region.count()) {
+  if (owned == nullptr && out.size() != region.count()) {
     throw std::invalid_argument("sz: output size != region element count");
   }
   verify_before_decode(h, blob, verify);
   const bool check_blocks = h.version >= kVersionV4 && verify == VerifyMode::kBlock;
   RegionDecodeStats local;
   local.blocks_total = h.version == kVersionV1 ? 1 : h.blocks.size();
+  // The payload must be present before the output is sized: the header's
+  // element counts are bounded by its Huffman bytes (parse_header), and
+  // those by the bytes actually stored, so a blob cut short after a
+  // crafted header cannot drive a huge allocation.
+  std::vector<std::uint8_t> payload_buf;
+  std::span<const std::uint8_t> payload;
   if (!region.empty()) {
-    std::vector<std::uint8_t> payload_buf;
-    const std::span<const std::uint8_t> payload =
-        prepare_payload(h, blob, sizeof(T), payload_buf);
+    payload = prepare_payload(h, blob, sizeof(T), payload_buf);
     if (check_blocks) verify_codebook_crc(h, payload);
+  }
+  if (owned != nullptr) {
+    owned->resize(region.count());
+    out = *owned;
+  }
+  if (!region.empty()) {
     const Region whole = Region::of(h.dims);
     if (h.version != kVersionV1 && coords == h.dims) {
       decode_blocks<T>(h, payload, region, prev_region, out, threads, check_blocks, local);
@@ -1083,6 +1122,7 @@ HeaderInfo inspect(std::span<const std::uint8_t> blob) {
   info.radius = h.radius;
   info.outlier_count = h.outlier_count;
   info.lz_applied = (h.flags & kFlagLz) != 0;
+  info.run_tokens = h.run_tokens();
   info.payload_raw_size = h.payload_raw_size;
   info.header_size = h.header_end;
   info.version = h.version;
@@ -1125,9 +1165,15 @@ BlobVerifyReport verify_blob(std::span<const std::uint8_t> blob, bool deep) {
       }
     } else if (!(h.flags & kFlagLz)) {
       // Legacy blobs carry no CRCs; check what structure allows — the
-      // stored extent against the actual bytes. (LZ blobs validate their
-      // length only on expansion, which scrub's cheap pass skips.)
+      // stored extent against the actual bytes, exactly: a blob is
+      // stored with nothing after its payload, and v5's header read as
+      // v1 (one flipped version bit) leaves its index bytes over. (LZ
+      // blobs validate their length only on expansion, which scrub's
+      // cheap pass skips.)
       validate_payload_extent(h, esize, blob.size() - h.header_end);
+      if (blob.size() - h.header_end != h.payload_raw_size) {
+        throw std::runtime_error("sz: bytes past the payload");
+      }
     }
   } catch (const std::exception& e) {
     r.detail = e.what();

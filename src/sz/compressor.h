@@ -1,6 +1,6 @@
 // pcw::sz top-level error-bounded lossy compressor (SZ3 stand-in).
 //
-// Pipeline: Lorenzo predict+quantize -> canonical Huffman -> LZ back end.
+// Pipeline: Lorenzo predict+quantize -> run tokens -> canonical Huffman.
 // The container is self-describing: decompress() needs only the blob.
 //
 // Container v2 splits the field into independent slabs (sz/blocks.h) that
@@ -13,14 +13,20 @@
 // the reconstructed previous step, falling back to the spatial stencil
 // per block when the delta histogram costs more, with the choice recorded
 // in the block index. With Params::checksum = false, spatial compressions
-// keep emitting v2 byte-for-byte and temporal ones v3.
+// keep emitting the v2 layout and temporal ones v3.
 //
-// Container v4 (Params::checksum, the default) adds CRC32C integrity
+// Container v4 (Params::checksum, the default) added CRC32C integrity
 // data: a header checksum, a checksum of the stored (post-LZ) payload, a
 // checksum of the codebook section, and one per block (its Huffman
 // substream + outlier run). decompress()/decompress_region() verify per
 // the VerifyMode knob; verify_blob() checks a blob without decoding it.
 // See docs/integrity.md for the byte layout.
+//
+// Container v5 (what the checksummed writer emits) is v4's layout without
+// the whole-payload LZ pass: each block codes runs of zero-residual codes
+// as Huffman run tokens inside its own substream, so region reads and
+// kBlock verification touch only the blocks they need. Readers keep
+// v1–v4, LZ included. See docs/sz_container_v5.md.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +67,7 @@ enum class ErrorBoundMode : std::uint8_t {
 /// is recorded in the block index.
 enum class Predictor : std::uint8_t { kSpatial = 0, kTemporal = 1 };
 
-/// Read-side checksum verification depth (container v4; a no-op on v1–v3
+/// Read-side checksum verification depth (container v4+; a no-op on v1–v3
 /// blobs, which carry no checksums).
 ///   kOff   — trust the bytes; zero verification cost.
 ///   kBlob  — verify the header CRC and the CRC of the stored (post-LZ)
@@ -70,11 +76,11 @@ enum class Predictor : std::uint8_t { kSpatial = 0, kTemporal = 1 };
 ///            entropy decode or LZ expansion.
 ///   kBlock — verify the header + codebook CRCs plus the per-block CRC of
 ///            each block actually decoded; a partial region read pays
-///            only for the blocks it touches. When the blob carries an LZ
-///            stage the stored-payload CRC is checked too (the expansion
-///            reads every stored byte anyway, and per-block CRCs alone
-///            cannot catch an LZ-stream flip whose expansion reproduces
-///            identical bytes). The default.
+///            only for the blocks it touches. When a legacy (v4) blob
+///            carries an LZ stage the stored-payload CRC is checked too
+///            (the expansion reads every stored byte anyway, and
+///            per-block CRCs alone cannot catch an LZ-stream flip whose
+///            expansion reproduces identical bytes). The default.
 enum class VerifyMode : std::uint8_t { kOff = 0, kBlob = 1, kBlock = 2 };
 
 struct Params {
@@ -83,19 +89,20 @@ struct Params {
   /// Half-width of the quantization codebook; alphabet is 2*radius codes.
   /// SZ's default. Larger radius = fewer outliers, bigger codebook.
   std::uint32_t radius = 32768;
-  /// Apply the LZ lossless stage when it shrinks the payload.
+  /// Code runs of zero-residual codes as Huffman run tokens (container
+  /// v5 only; the legacy checksum = false layouts never carry them).
   bool lossless = true;
   /// Worker threads for the block-parallel pipeline: 1 = serial (default),
   /// 0 = all hardware threads, N = exactly N. The blob is byte-identical
   /// for every value — blocks are a pure function of the extents.
   unsigned threads = 1;
   /// kTemporal requires the prev-step overload of compress(); kSpatial
-  /// with checksum = false keeps emitting container v2 byte-for-byte.
+  /// with checksum = false keeps emitting the container v2 layout.
   Predictor predictor = Predictor::kSpatial;
-  /// Emit container v4 with CRC32C checksums (header, stored payload,
-  /// codebook, and per block). false reproduces the legacy v2/v3 bytes
-  /// exactly. Checksums are computed inside the parallel encode stages,
-  /// off the serial assembly path.
+  /// Emit container v5 with CRC32C checksums (header, stored payload,
+  /// codebook, and per block). false emits the legacy v2/v3 layouts
+  /// (without run tokens or the retired LZ pass). Checksums are computed
+  /// inside the parallel encode stages, off the serial assembly path.
   bool checksum = true;
   /// Verification depth applied by the decompress entry points when this
   /// Params is used on the read side (h5::SzFilter threads it through).
@@ -109,15 +116,18 @@ struct HeaderInfo {
   double abs_error_bound = 0.0;   // as applied (relative already resolved)
   std::uint32_t radius = 0;
   std::uint64_t outlier_count = 0;
+  /// Legacy (v1–v4) blobs only: the payload is stored LZ-compressed.
   bool lz_applied = false;
+  /// v5: the Huffman substreams carry run tokens (sub-1-bit coding).
+  bool run_tokens = false;
   std::uint64_t payload_raw_size = 0;   // pre-LZ payload bytes
   std::uint64_t header_size = 0;        // container header + block index bytes
-  std::uint32_t version = 0;            // container version (1, 2, 3 or 4)
+  std::uint32_t version = 0;            // container version (1 to 5)
   std::uint32_t block_count = 0;        // v2+ slab count (1 for v1)
   /// Blocks whose predictor is kTemporal; > 0 means decoding needs the
   /// reconstructed reference step (the prev overloads below).
   std::uint32_t temporal_blocks = 0;
-  /// True for container v4: the blob carries CRC32C checksums.
+  /// True for container v4 and v5: the blob carries CRC32C checksums.
   bool checksummed = false;
 };
 
@@ -144,7 +154,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
 
 /// Decompresses a blob produced by compress<T>. Throws std::runtime_error
 /// on malformed input, element-type mismatch, checksum mismatch (per
-/// `verify`, container v4), or when the blob contains temporal blocks
+/// `verify`, container v4+), or when the blob contains temporal blocks
 /// (those need the prev overload). If `dims_out` is non-null it receives
 /// the stored extents. `threads` fans v2+ blocks out across
 /// util::ThreadPool (same 0/1/N semantics as Params::threads); the output
@@ -171,6 +181,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> blob, std::span<const T>
 struct RegionDecodeStats {
   std::uint64_t blocks_total = 0;    // blocks in the container (1 for v1)
   std::uint64_t blocks_decoded = 0;  // blocks Huffman-decoded + dequantized
+  std::uint64_t blocks_verified = 0; // blocks whose CRC was checked (kBlock)
   /// True when the v2 block index drove a partial decode; false on the v1
   /// fallback (full decode + slice).
   bool used_block_index = false;
@@ -220,6 +231,11 @@ std::vector<T> decompress_region(std::span<const std::uint8_t> blob, const Regio
                                  RegionDecodeStats* stats = nullptr,
                                  VerifyMode verify = VerifyMode::kBlock);
 
+/// Whether compress() codes zero-residual runs as run tokens under
+/// `params`: container v5 with Params::lossless (and a radius whose token
+/// symbols fit a u32). The ratio model costs the same choice.
+bool uses_run_tokens(const Params& params);
+
 /// Parses the container header without touching the payload.
 HeaderInfo inspect(std::span<const std::uint8_t> blob);
 
@@ -227,20 +243,20 @@ HeaderInfo inspect(std::span<const std::uint8_t> blob);
 struct BlobVerifyReport {
   bool parsed = false;        // header parsed and structurally consistent
   std::uint32_t version = 0;  // container version (0 when unparseable)
-  bool checksummed = false;   // v4: the blob carries CRCs to check
+  bool checksummed = false;   // v4+: the blob carries CRCs to check
   /// parsed, structurally sound, and every applicable checksum matched.
   /// For v1–v3 blobs this is structural consistency only.
   bool ok = false;
-  /// Deep mode, v4: indices of blocks whose CRC failed.
+  /// Deep mode, v4+: indices of blocks whose CRC failed.
   std::vector<std::uint32_t> damaged_blocks;
   std::string detail;  // first failure, human-readable ("" when ok)
 };
 
 /// Verifies a blob without decoding it and without throwing. The cheap
-/// pass checks structure plus (v4) the header and stored-payload CRCs —
+/// pass checks structure plus (v4+) the header and stored-payload CRCs —
 /// enough to detect any corruption. `deep` additionally expands LZ (which
 /// also validates the stored extent of legacy pre-v4 LZ blobs) and, on
-/// v4, checks the codebook and every per-block CRC, localizing the
+/// v4+, checks the codebook and every per-block CRC, localizing the
 /// damage to block indices so region reads can route around it.
 BlobVerifyReport verify_blob(std::span<const std::uint8_t> blob, bool deep = false);
 

@@ -110,6 +110,53 @@ std::vector<std::uint8_t> build_depths(std::span<const SymbolCount> freqs) {
 
 }  // namespace
 
+std::uint64_t RunTokenStats::length_bits() const {
+  std::uint64_t bits = 0;
+  for (std::size_t k = 0; k < tokens.size(); ++k) bits += tokens[k] * k;
+  return bits;
+}
+
+RunTokenStats tokenize_runs(std::vector<std::uint32_t>& codes, std::uint32_t radius) {
+  RunTokenStats stats;
+  const std::uint32_t base = 2 * radius;
+  std::uint32_t* c = codes.data();
+  const std::size_t n = codes.size();
+  // Any run of kRunMin or more codes covers a multiple of kRunMin, so only
+  // those positions are probed; a hit is widened to its maximal run. The
+  // codes between runs move down in one memmove each (none before the
+  // first token), and the write cursor never passes the read cursor: a
+  // token pair replaces at least kRunMin codes.
+  std::size_t r = 0, w = 0;  // read (emitted up to) and write cursors
+  for (std::size_t p = 0; p < n;) {
+    if (c[p] != radius) {
+      p += kRunMin;
+      continue;
+    }
+    std::size_t begin = p, end = p + 1;
+    while (begin > r && c[begin - 1] == radius) --begin;
+    while (end < n && c[end] == radius) ++end;
+    p = (end + kRunMin - 1) / kRunMin * kRunMin;
+    std::size_t len = end - begin;
+    if (len < kRunMin) continue;
+    if (w != r) std::memmove(c + w, c + r, (begin - r) * sizeof(std::uint32_t));
+    w += begin - r;
+    while (len >= kRunMin) {
+      const auto piece = static_cast<std::uint32_t>(std::min<std::size_t>(len, kRunMax));
+      const int k = std::bit_width(piece) - 1;
+      c[w++] = base + static_cast<std::uint32_t>(k);
+      c[w++] = piece;
+      ++stats.tokens[static_cast<std::size_t>(k)];
+      stats.absorbed += piece;
+      len -= piece;
+    }
+    for (; len > 0; --len) c[w++] = radius;
+    r = end;
+  }
+  if (w != r) std::memmove(c + w, c + r, (n - r) * sizeof(std::uint32_t));
+  codes.resize(w + (n - r));
+  return stats;
+}
+
 std::vector<std::uint8_t> huffman_code_lengths(std::span<const SymbolCount> freqs) {
   // The BitWriter register holds at most 57 bits per put(); depths beyond
   // that are only reachable with pathological (near-Fibonacci) frequency
@@ -181,30 +228,42 @@ void HuffmanEncoder::encode(std::uint32_t symbol, util::BitWriter& out) const {
 }
 
 void HuffmanEncoder::encode_all(std::span<const std::uint32_t> symbols,
-                                util::BitWriter& out) const {
+                                util::BitWriter& out, std::uint64_t token_base) const {
   // Bulk path: pack codewords into a local buffer with one unconditional
   // 8-byte store per symbol, then splice the whole run into the writer.
-  // The stream is just the concatenation of LSB-first codewords, so this
-  // emits the same bytes as per-symbol put() while skipping its register
-  // spill per symbol. Needs a byte-aligned writer (block payloads start
-  // one) and codes that fit the u32 table.
+  // The stream is just the concatenation of LSB-first codewords (each
+  // token's length bits right after its codeword), so this emits the same
+  // bytes as per-symbol put() while skipping its register spill per
+  // symbol. Needs a byte-aligned writer (block payloads start one) and
+  // codes that fit the u32 table.
+  const std::size_t n = symbols.size();
   if (std::endian::native == std::endian::little && out.byte_aligned() &&
       max_len_ > 0 && max_len_ <= 32) {
     static thread_local std::vector<std::uint8_t> buf;
-    const std::size_t need =
-        symbols.size() * static_cast<std::size_t>((max_len_ + 7) / 8) + 8;
+    // With tokens, one spare byte per entry covers a token's length bits:
+    // its pair of entries budgets >= max_len_ + 16 bits.
+    const std::size_t per_entry =
+        static_cast<std::size_t>((max_len_ + 7) / 8) + (token_base != kNoRunTokens ? 1 : 0);
+    const std::size_t need = n * per_entry + 8;
     if (buf.size() < need) buf.resize(need);
     std::uint8_t* p = buf.data();
     std::uint64_t acc = 0;
     int nb = 0;
-    for (const std::uint32_t symbol : symbols) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t symbol = symbols[i];
       assert(symbol >= min_sym_ && symbol - min_sym_ < len_of_.size());
       const std::uint32_t slot = symbol - min_sym_;
       assert(len_of_[slot] > 0 && "symbol not in codebook");
       const std::uint64_t e = packed_[slot];
       acc |= (e & 0x00ffffffffffffffull) << nb;
       nb += static_cast<int>(e >> 56);
-      std::memcpy(p, &acc, 8);  // nb <= 7 + 32: the register never overflows
+      if (symbol >= token_base) {
+        // The run length's k low bits; its top bit is implied by k.
+        const int k = static_cast<int>(symbol - token_base);
+        acc |= static_cast<std::uint64_t>(symbols[++i] ^ (1u << k)) << nb;
+        nb += k;
+      }
+      std::memcpy(p, &acc, 8);  // nb <= 7 + 32 + 12: the register never overflows
       p += nb >> 3;
       acc >>= (nb & ~7);
       nb &= 7;
@@ -213,11 +272,16 @@ void HuffmanEncoder::encode_all(std::span<const std::uint32_t> symbols,
     out.put(acc, nb);
     return;
   }
-  for (const std::uint32_t symbol : symbols) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t symbol = symbols[i];
     assert(symbol >= min_sym_ && symbol - min_sym_ < len_of_.size());
     const std::uint32_t slot = symbol - min_sym_;
     assert(len_of_[slot] > 0 && "symbol not in codebook");
     out.put(code_of_[slot], len_of_[slot]);
+    if (symbol >= token_base) {
+      const int k = static_cast<int>(symbol - token_base);
+      out.put(symbols[++i] ^ (1u << k), k);
+    }
   }
 }
 
@@ -242,7 +306,7 @@ std::uint64_t HuffmanEncoder::cost_bits(std::span<const SymbolCount> freqs) cons
 }
 
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> codebook,
-                               std::size_t* consumed) {
+                               std::size_t* consumed, std::uint32_t run_radius) {
   std::size_t pos = 0;
   const std::uint32_t n = get_varint(codebook, pos);
   symbols_.resize(n);
@@ -256,6 +320,17 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> codebook,
     }
   }
   if (consumed != nullptr) *consumed = pos;
+  if (run_radius != 0) {
+    token_base_ = 2ull * run_radius;
+    run_code_ = run_radius;
+    for (const std::uint32_t sym : symbols_) {
+      if (sym >= token_base_ &&
+          (sym - token_base_ < static_cast<std::uint64_t>(kRunMinLog) ||
+           sym - token_base_ > static_cast<std::uint64_t>(kRunMaxLog))) {
+        throw std::runtime_error("huffman: invalid run token symbol");
+      }
+    }
+  }
   // Re-derive canonical order defensively (serialization is already sorted).
   std::vector<std::size_t> order(n);
   for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
@@ -371,9 +446,6 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> codebook,
 // walk since the unknown following bits could change them.
 void HuffmanDecoder::build_pack_table() {
   if (symbols_.size() <= 1) return;
-  for (const std::uint32_t s : symbols_) {
-    if (s > 0xffffu) return;  // symbol does not fit a u16 pack slot
-  }
   pack_.assign(fast_.size(), PackEntry{});
   for (std::uint32_t window = 0; window < fast_.size(); ++window) {
     PackEntry& e = pack_[window];
@@ -381,13 +453,25 @@ void HuffmanDecoder::build_pack_table() {
     while (e.nsyms < kPackSyms) {
       const FastEntry& fe = fast_[window >> used];
       if (fe.len == 0 || fe.len == kSubMarker || fe.len > kFastBits - used) break;
+      if (fe.symbol >= token_base_) {
+        // A run token ends the packed run; it joins the entry only when
+        // its k length bits are known window bits too.
+        const int k = static_cast<int>(fe.symbol - token_base_);
+        if (fe.len + k <= kFastBits - used) {
+          e.run = static_cast<std::uint16_t>((1u << k) |
+                                             ((window >> (used + fe.len)) & ((1u << k) - 1)));
+          used += fe.len + k;
+        }
+        break;
+      }
+      if (fe.symbol > 0xffffu) break;  // does not fit a u16 slot
       e.syms[e.nsyms++] = static_cast<std::uint16_t>(fe.symbol);
       used += fe.len;
     }
     e.bits = static_cast<std::uint8_t>(used);
     // A single packed symbol is just decode() with extra steps; leave the
     // entry unpackable so the run loop takes the plain path.
-    if (e.nsyms <= 1) e = PackEntry{};
+    if (e.nsyms <= 1 && e.run == 0) e = PackEntry{};
   }
 }
 
@@ -415,28 +499,85 @@ std::uint32_t HuffmanDecoder::decode(util::BitReader& in) const {
   return decode_slow(in);
 }
 
+namespace {
+
+/// Writes `len` (>= kRunMin) copies of `code` at `dst`, eight at a time
+/// when `room` allows the last group to spill past the run — the spill
+/// lands in outputs later decodes overwrite.
+inline void fill_run(std::uint32_t* dst, std::size_t len, std::size_t room,
+                     std::uint32_t code) {
+  if (room < len + kRunMin) {
+    std::fill_n(dst, len, code);
+    return;
+  }
+  for (std::size_t j = 0; j < len; j += kRunMin) {
+    for (std::size_t l = 0; l < kRunMin; ++l) dst[j + l] = code;
+  }
+}
+
+}  // namespace
+
+void HuffmanDecoder::put_decoded(std::uint32_t symbol, util::BitReader& in,
+                                 std::uint32_t* out, std::size_t& i,
+                                 std::size_t n) const {
+  if (symbol < token_base_) {
+    out[i++] = symbol;
+    return;
+  }
+  const int k = static_cast<int>(symbol - token_base_);
+  const std::size_t len = (std::size_t{1} << k) | in.get(k);
+  if (len > n - i) throw std::runtime_error("huffman: run token overruns the block");
+  fill_run(out + i, len, n - i, run_code_);
+  i += len;
+}
+
 void HuffmanDecoder::decode_run(util::BitReader& in, std::uint32_t* out,
                                 std::size_t n) const {
   std::size_t i = 0;
   if (!pack_.empty()) {
-    // Fast path preconditions: >= 64 bits left means the peek below is
-    // entirely real bits and the skip cannot cross the end, and room for
+    // Fast path preconditions: >= 64 bits left means the peeks below are
+    // entirely real bits and the skips cannot cross the end, and room for
     // kPackSyms outputs means the branchless full-entry store is safe.
     while (i + kPackSyms <= n && in.bits_remaining() >= 64) {
       const auto window = static_cast<std::uint32_t>(in.peek(kFastBits));
       const PackEntry& e = pack_[window];
-      if (e.nsyms == 0) {
-        out[i++] = decode(in);
+      if (e.bits != 0) {
+        for (int s = 0; s < kPackSyms; ++s) out[i + s] = e.syms[s];
+        i += e.nsyms;
+        in.skip(e.bits);
+        if (e.run != 0) {
+          if (e.run > n - i) throw std::runtime_error("huffman: run token overruns the block");
+          fill_run(out + i, e.run, n - i, run_code_);
+          i += e.run;
+        }
         continue;
       }
-      for (int s = 0; s < kPackSyms; ++s) out[i + s] = e.syms[s];
-      i += e.nsyms;
-      in.skip(e.bits);
+      // Not packable: decode()'s short-code step inlined on the window
+      // already peeked; long codes and invalid prefixes take decode().
+      const FastEntry& fe = fast_[window];
+      if (fe.len == 0 || fe.len > kFastBits) {
+        put_decoded(decode(in), in, out, i, n);
+        continue;
+      }
+      if (fe.symbol < token_base_) {
+        out[i++] = fe.symbol;
+        in.skip(fe.len);
+        continue;
+      }
+      // A short token codeword: it and its k length bits are all among
+      // the 64 bits known present — the same bits decode() + get(k) read.
+      const int k = static_cast<int>(fe.symbol - token_base_);
+      const std::size_t len =
+          (std::size_t{1} << k) | static_cast<std::size_t>(in.peek(fe.len + k) >> fe.len);
+      in.skip(fe.len + k);
+      if (len > n - i) throw std::runtime_error("huffman: run token overruns the block");
+      fill_run(out + i, len, n - i, run_code_);
+      i += len;
     }
   }
   // Tail (and the whole run at scalar dispatch): per-symbol decode, so
   // truncated or corrupt streams fail exactly like the scalar decoder.
-  for (; i < n; ++i) out[i] = decode(in);
+  while (i < n) put_decoded(decode(in), in, out, i, n);
 }
 
 // Canonical decode, MSB-first code assembled bit by bit. Reached only for

@@ -6,9 +6,17 @@
 // are present in the codebook. Canonical code assignment keeps the
 // serialized codebook small (symbol + bit length per entry) and makes
 // decoding table-driven.
+//
+// Run tokens (container v5) carry the sub-1-bit structure of smooth data,
+// as cuSZ+ does: a run of kRunMin..kRunMax zero-residual codes (code ==
+// radius) is one symbol 2 * radius + k, k = floor(log2 L), in the same
+// shared codebook, followed in the stream by the k low bits of the run
+// length L. See docs/sz_container_v5.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -22,6 +30,52 @@ struct SymbolCount {
   std::uint64_t count = 0;
 };
 
+/// Shortest run of zero-residual codes coded as a token, and the longest
+/// one token covers (longer runs split into several tokens).
+inline constexpr std::uint32_t kRunMin = 8;
+inline constexpr std::uint32_t kRunMax = 4096;
+/// Token symbols sit at 2 * radius + k for k = floor(log2 L) in
+/// [kRunMinLog, kRunMaxLog]; the stream carries k raw length bits.
+inline constexpr int kRunMinLog = 3;
+inline constexpr int kRunMaxLog = 12;
+/// No token symbols: the sentinel token base for legacy (v1–v4) streams.
+inline constexpr std::uint64_t kNoRunTokens = std::numeric_limits<std::uint64_t>::max();
+/// Largest radius whose token symbols still fit a u32 (readers reject
+/// larger ones on token-bearing blobs).
+inline constexpr std::uint32_t kMaxRunRadius = std::uint32_t{1} << 30;
+
+/// Code alphabet size once token symbols are added: 2 * radius codes plus
+/// the token symbols above them.
+inline std::size_t run_alphabet(std::uint32_t radius) {
+  return 2ull * radius + kRunMaxLog + 1;
+}
+
+/// What tokenize_runs did to one block's codes.
+struct RunTokenStats {
+  std::uint64_t absorbed = 0;                          // codes the tokens replaced
+  std::array<std::uint32_t, kRunMaxLog + 1> tokens{};  // tokens per k
+
+  /// Raw length bits the tokens add after their codewords.
+  std::uint64_t length_bits() const;
+  /// Moves the absorbed codes out of hist[radius] and counts the tokens
+  /// at hist[2 * radius + k]; `hist` spans run_alphabet(radius) entries.
+  template <typename Count>
+  void fold_into(std::span<Count> hist, std::uint32_t radius) const {
+    hist[radius] -= static_cast<Count>(absorbed);
+    for (int k = kRunMinLog; k <= kRunMaxLog; ++k) {
+      hist[2ull * radius + static_cast<std::size_t>(k)] += tokens[static_cast<std::size_t>(k)];
+    }
+  }
+};
+
+/// Rewrites `codes` in place into the token stream the encoder codes:
+/// each run of at least kRunMin codes equal to `radius` becomes the pair
+/// {2 * radius + k, L} per kRunMax-long piece, and a leftover shorter
+/// than kRunMin stays as plain codes. The result is never longer than the
+/// input. A pure function of the codes, so blobs stay independent of
+/// thread count.
+RunTokenStats tokenize_runs(std::vector<std::uint32_t>& codes, std::uint32_t radius);
+
 class HuffmanEncoder {
  public:
   /// Builds a canonical codebook from symbol frequencies. Zero-count
@@ -33,8 +87,12 @@ class HuffmanEncoder {
 
   /// Appends the codewords for a whole symbol run. Identical output to
   /// calling encode() per symbol; keeps the per-symbol table lookup and
-  /// the BitWriter register dance inside one translation unit.
-  void encode_all(std::span<const std::uint32_t> symbols, util::BitWriter& out) const;
+  /// the BitWriter register dance inside one translation unit. With a
+  /// `token_base` (2 * radius), `symbols` is tokenize_runs() output: each
+  /// symbol >= token_base is followed by its run length, whose k low bits
+  /// are written straight after the codeword.
+  void encode_all(std::span<const std::uint32_t> symbols, util::BitWriter& out,
+                  std::uint64_t token_base = kNoRunTokens) const;
 
   /// Serializes the codebook (count + per-symbol {varint symbol, u8 len}).
   std::vector<std::uint8_t> serialize_codebook() const;
@@ -67,18 +125,24 @@ class HuffmanEncoder {
 class HuffmanDecoder {
  public:
   /// Reconstructs the codebook from HuffmanEncoder::serialize_codebook
-  /// output. Returns bytes consumed via `consumed`.
-  HuffmanDecoder(std::span<const std::uint8_t> codebook, std::size_t* consumed);
+  /// output. Returns bytes consumed via `consumed`. A non-zero
+  /// `run_radius` reads a run-token stream (container v5): symbols from
+  /// 2 * run_radius up are tokens, and a codebook holding any symbol
+  /// there that is not a valid token is rejected.
+  HuffmanDecoder(std::span<const std::uint8_t> codebook, std::size_t* consumed,
+                 std::uint32_t run_radius = 0);
 
-  /// Decodes one symbol.
+  /// Decodes one codeword (a token's symbol, not its run).
   std::uint32_t decode(util::BitReader& in) const;
 
-  /// Decodes `n` symbols. Equivalent to calling decode() n times —
-  /// including on malformed input, where truncated or invalid streams
-  /// fail at the same symbol with the same error — but when the
-  /// multi-symbol pack table is built (SIMD levels only, see
-  /// build_pack_table) each table probe retires up to kPackSyms short
-  /// codes at once.
+  /// Decodes `n` codes, expanding each run token into its run of
+  /// run_radius codes (a run that would overrun `n` throws). Without
+  /// tokens, equivalent to calling decode() n times — including on
+  /// malformed input, where truncated or invalid streams fail at the
+  /// same symbol with the same error. When the multi-symbol pack table
+  /// is built (SIMD levels only, see build_pack_table) each table probe
+  /// retires up to kPackSyms short codes at once; a packed run ends
+  /// before a token, so both paths read the same bits.
   void decode_run(util::BitReader& in, std::uint32_t* out, std::size_t n) const;
 
   std::size_t distinct_symbols() const { return symbols_.size(); }
@@ -92,6 +156,13 @@ class HuffmanDecoder {
   static constexpr std::uint8_t kSubMarker = 0xff;
 
   std::uint32_t decode_slow(util::BitReader& in) const;
+  /// Stores `symbol` at out[i], or expands it when it is a run token.
+  void put_decoded(std::uint32_t symbol, util::BitReader& in, std::uint32_t* out,
+                   std::size_t& i, std::size_t n) const;
+
+  /// First token symbol (2 * run_radius), kNoRunTokens for legacy streams.
+  std::uint64_t token_base_ = kNoRunTokens;
+  std::uint32_t run_code_ = 0;
 
   std::vector<std::uint32_t> symbols_;       // canonical order
   std::vector<std::uint8_t> lengths_;
@@ -114,18 +185,21 @@ class HuffmanDecoder {
   };
   std::vector<SubMeta> sub_meta_;
   std::vector<FastEntry> sub_;
-  /// Symbols retired per pack-table probe. 7 u16 symbols + 2 counters =
-  /// 16-byte entries, 32 KiB for the 2^kFastBits table.
+  /// Symbols retired per pack-table probe. 7 u16 symbols + 2 counters +
+  /// a run length = 18-byte entries, 36 KiB for the 2^kFastBits table.
   static constexpr int kPackSyms = 7;
   struct PackEntry {
     std::uint16_t syms[kPackSyms] = {};
-    std::uint8_t nsyms = 0;  // 0 = window not packable: take the single path
-    std::uint8_t bits = 0;   // total stream bits the packed run consumes
+    std::uint8_t nsyms = 0;
+    std::uint8_t bits = 0;   // stream bits the entry consumes; 0 = not packable
+    std::uint16_t run = 0;   // a run token's length after the symbols, or 0
   };
   /// Multi-symbol table over the same kFastBits window as fast_: every
   /// run of whole codes that provably fits the window, regardless of the
-  /// (unknown) bits that follow. Empty when disabled — scalar dispatch
-  /// level, single-symbol books, or symbols too wide for u16.
+  /// (unknown) bits that follow. A run ends at a run token — taking it
+  /// along, expanded, when its length bits lie inside the window too —
+  /// and before symbols too wide for u16. Empty when disabled — scalar
+  /// dispatch level or single-symbol books.
   std::vector<PackEntry> pack_;
   void build_pack_table();
 };

@@ -1,11 +1,10 @@
-// Byte-oriented LZ77 back end (LZ4-like token format).
+// Byte-oriented LZ77 decoder (LZ4-like token format) for legacy blobs.
 //
-// SZ applies a general-purpose lossless compressor (zstd) after Huffman
-// coding; this module is our from-scratch stand-in. It matters most at
-// very high compression ratios, where the Huffman stream still contains
-// long runs (e.g. all-zero quantization codes) that entropy coding alone
-// cannot collapse below 1 bit/symbol — exactly the regime the paper's
-// Eq. (3) compensates for.
+// Containers v1–v4 could store their whole payload LZ-compressed (SZ's
+// zstd pass after Huffman coding, in our from-scratch stand-in). v5
+// writers code the same sub-1-bit structure as Huffman run tokens inside
+// each block instead, so the library keeps only the decoder; the
+// reference encoder lives with the tests (tests/support/lz_compress.h).
 //
 // Format (repeats until input consumed):
 //   token byte: high nibble = literal run length (15 => extended bytes),
@@ -23,11 +22,7 @@
 
 namespace pcw::sz {
 
-/// Greedy hash-chain LZ compressor. Never fails; worst case the output is
-/// input size + small per-block overhead.
-std::vector<std::uint8_t> lz_compress(std::span<const std::uint8_t> input);
-
-/// Inverse of lz_compress. `expected_size` is the decoded size recorded by
+/// Decodes an LZ stream. `expected_size` is the decoded size recorded by
 /// the caller (the compressor container stores it); used to preallocate
 /// and to validate.
 std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input,

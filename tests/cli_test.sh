@@ -43,6 +43,16 @@ head -c 4096 /dev/zero >"${raw}"
 check "compress roundtrip" 0 "" \
   "${pcwz}" compress "${raw}" "${blob}" --dims 1,1,1024 --eb 1e-3
 check "inspect" 0 "pcw::sz" "${pcwz}" inspect "${blob}"
+# inspect names the stage that codes the sub-1-bit structure: run tokens
+# in container v5 (an all-zero field is one long zero-residual run), none
+# with --no-lossless, LZ on a checked-in legacy v4 blob.
+check "inspect run tokens" 0 "sub-1-bit stage: run tokens" "${pcwz}" inspect "${blob}"
+check "compress --no-lossless" 0 "" \
+  "${pcwz}" compress "${raw}" "${tmpdir}/plain.pcwz" --dims 1,1,1024 --eb 1e-3 --no-lossless
+check "inspect no sub-1-bit stage" 0 "sub-1-bit stage: none" \
+  "${pcwz}" inspect "${tmpdir}/plain.pcwz"
+check "inspect legacy lz" 0 "sub-1-bit stage: lz" \
+  "${pcwz}" inspect "$(dirname "$0")/fixtures/legacy_lz/v4_lz.pcwz"
 check "decompress" 0 "" "${pcwz}" decompress "${blob}" "${tmpdir}/back.f32"
 
 # --stats: every subcommand prints the telemetry snapshot (counter rows
@@ -145,6 +155,8 @@ if [[ -n "${quickstart}" ]]; then
       "${pcwz}" read "${ckpt}" no_such_dataset "${tmpdir}/o.raw"
     check "read --stats" 0 "telemetry:" \
       "${pcwz}" read "${ckpt}" baryon_density "${tmpdir}/whole.raw" --stats
+    check "pcw5ls --blocks sub-1-bit column" 0 "sub-1-bit" \
+      "${pcw5ls}" "${ckpt}" --blocks
     check "pcw5ls --stats" 0 "telemetry:" "${pcw5ls}" "${ckpt}" --stats
     check "pcw5ls --stats io counters" 0 "io_reads" "${pcw5ls}" "${ckpt}" --stats
     check "pcw5ls --stats unknown flag" 2 "usage:" \

@@ -9,6 +9,7 @@
 #include "sz/huffman.h"
 #include "sz/lorenzo.h"
 #include "support/build_v1_blob.h"
+#include "support/legacy_fixtures.h"
 #include "util/bitstream.h"
 #include "util/pod_io.h"
 #include "util/rng.h"
@@ -139,23 +140,60 @@ TEST(Compressor, HeaderInspectionMatchesInputs) {
   EXPECT_GT(info.payload_raw_size, 0u);
 }
 
-TEST(Compressor, LosslessStageEngagesOnHighRatio) {
+TEST(Compressor, RunTokensCodeBelowOneBitPerValue) {
   // A very loose bound sends almost all codes to the zero-residual bin;
-  // the Huffman stream is then runs the LZ stage must collapse.
+  // run tokens must take the field below Huffman's 1-bit floor.
   const auto data = smooth_field(32, 7, 0.0);
   const Dims dims = Dims::make_3d(32, 32, 32);
-  Params with_lz;
-  with_lz.error_bound = 0.5;
-  Params without_lz = with_lz;
-  without_lz.lossless = false;
-  const auto small = compress<float>(data, dims, with_lz);
-  const auto big = compress<float>(data, dims, without_lz);
+  Params with_runs;
+  with_runs.error_bound = 0.5;
+  Params without_runs = with_runs;
+  without_runs.lossless = false;
+  const auto small = compress<float>(data, dims, with_runs);
+  const auto big = compress<float>(data, dims, without_runs);
+  EXPECT_LT(bit_rate(small.size(), data.size()), 1.0);
+  EXPECT_GE(bit_rate(big.size(), data.size()), 1.0);
   EXPECT_LT(small.size(), big.size());
-  EXPECT_TRUE(inspect(small).lz_applied);
-  EXPECT_FALSE(inspect(big).lz_applied);
+  for (const auto* blob : {&small, &big}) {
+    EXPECT_EQ(inspect(*blob).version, 5u);
+    EXPECT_FALSE(inspect(*blob).lz_applied);
+  }
+  EXPECT_TRUE(inspect(small).run_tokens);
+  EXPECT_FALSE(inspect(big).run_tokens);
   // Both decode identically within bound.
   EXPECT_LE(max_abs_err(data, decompress<float>(small)), 0.5);
   EXPECT_LE(max_abs_err(data, decompress<float>(big)), 0.5);
+}
+
+TEST(Compressor, ConstantFieldCodesAsRunTokensOnly) {
+  // Every code is the zero residual (after each block's first point), so
+  // each block is a few 4096-code tokens and a short tail; 8 equal blocks
+  // of 4x64x128 can even leave a codebook of token symbols alone.
+  for (const Dims& dims : {Dims::make_3d(32, 64, 128), Dims::make_1d(32768 * 2 + 4099)}) {
+    const std::vector<float> data(dims.count(), 1.25f);
+    Params p;
+    p.error_bound = 1e-3;
+    const auto blob = compress<float>(data, dims, p);
+    EXPECT_TRUE(inspect(blob).run_tokens);
+    EXPECT_LT(bit_rate(blob.size(), data.size()), 0.1);
+    EXPECT_LE(max_abs_err(data, decompress<float>(blob)), 1e-3);
+  }
+}
+
+TEST(Compressor, LegacyLzFixtureDecodesBitExactly) {
+  // Writers no longer run the LZ stage; a checked-in v4 + LZ blob pins
+  // that the reader still expands it bit for bit, under every verify mode.
+  const auto blob = testsupport::load_fixture(testsupport::kV4Lz);
+  const HeaderInfo info = inspect(blob);
+  EXPECT_EQ(info.version, testsupport::kV4Lz.version);
+  EXPECT_TRUE(info.lz_applied);
+  EXPECT_FALSE(info.run_tokens);
+  for (const VerifyMode mode : {VerifyMode::kOff, VerifyMode::kBlob, VerifyMode::kBlock}) {
+    Dims dims;
+    const auto out = decompress<float>(blob, &dims, 2, mode);
+    EXPECT_EQ(dims, testsupport::kV4Lz.dims);
+    EXPECT_EQ(testsupport::fnv1a(out), testsupport::kV4Lz.decoded_fnv1a);
+  }
 }
 
 TEST(Compressor, OneDimensionalData) {

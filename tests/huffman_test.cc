@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sz/huffman.h"
@@ -223,6 +226,170 @@ TEST_P(HuffmanRandomRoundTrip, RoundTripsRandomAlphabet) {
 
 INSTANTIATE_TEST_SUITE_P(AlphabetSizes, HuffmanRandomRoundTrip,
                          ::testing::Values(2, 3, 16, 100, 1000, 65536));
+
+// ---- run tokens (container v5) ---------------------------------------------
+
+/// Plain code stream with zero-residual runs of the given lengths between
+/// single non-zero codes (radius +- 1..3).
+std::vector<std::uint32_t> runs_stream(std::uint32_t radius,
+                                       const std::vector<std::size_t>& runs,
+                                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint32_t> codes;
+  for (const std::size_t len : runs) {
+    codes.insert(codes.end(), len, radius);
+    const auto d = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
+    codes.push_back(rng.uniform() < 0.5 ? radius - d : radius + d);
+  }
+  return codes;
+}
+
+/// The tokenizer spelled out as one plain scan: every maximal run of the
+/// zero-residual code, split greedily into kRunMax pieces while at least
+/// kRunMin codes remain.
+std::vector<std::uint32_t> reference_tokens(const std::vector<std::uint32_t>& codes,
+                                            std::uint32_t radius, RunTokenStats& stats) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < codes.size();) {
+    std::size_t j = i;
+    while (j < codes.size() && codes[j] == codes[i]) ++j;
+    std::size_t len = j - i;
+    if (codes[i] == radius) {
+      for (; len >= kRunMin; len -= std::min<std::size_t>(len, kRunMax)) {
+        const std::size_t piece = std::min<std::size_t>(len, kRunMax);
+        std::size_t k = 0;
+        while ((std::size_t{2} << k) <= piece) ++k;
+        out.push_back(2 * radius + static_cast<std::uint32_t>(k));
+        out.push_back(static_cast<std::uint32_t>(piece));
+        ++stats.tokens[k];
+        stats.absorbed += piece;
+      }
+    }
+    out.insert(out.end(), len, codes[i]);
+    i = j;
+  }
+  return out;
+}
+
+/// Tokenizes, builds the shared codebook over the tokenized histogram and
+/// encodes — what compress() does per block.
+struct TokenStream {
+  std::vector<std::uint8_t> codebook;
+  std::vector<std::uint8_t> bits;
+};
+
+TokenStream encode_tokens(std::vector<std::uint32_t> codes, std::uint32_t radius,
+                          int lead_bits = 0) {
+  std::vector<std::uint64_t> hist(run_alphabet(radius), 0);
+  for (const auto c : codes) ++hist[c];
+  const RunTokenStats stats = tokenize_runs(codes, radius);
+  stats.fold_into(std::span<std::uint64_t>(hist), radius);
+  std::vector<SymbolCount> freqs;
+  for (std::uint32_t s = 0; s < hist.size(); ++s) {
+    if (hist[s] > 0) freqs.push_back({s, hist[s]});
+  }
+  const HuffmanEncoder enc(freqs);
+  util::BitWriter w;
+  if (lead_bits > 0) w.put(0, lead_bits);
+  enc.encode_all(codes, w, 2ull * radius);
+  return {enc.serialize_codebook(), w.finish()};
+}
+
+TEST(RunTokens, TokenizeMatchesReferenceScan) {
+  const std::uint32_t radius = 32768;
+  const std::vector<std::vector<std::size_t>> cases = {
+      {},
+      {0, 0, 0},
+      {7, 8, 9, 15, 16, 17},
+      {4095, 4096, 4097, 8192, 8199, 4096 + 7, 4096 + 8},
+      {100000},
+      {3, 1, 0, 2, 12, 5, 31, 33, 64, 1000, 2047, 2048}};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    auto codes = runs_stream(radius, cases[c], c);
+    codes.insert(codes.end(), 9, radius);  // a run at the very end, too
+    RunTokenStats want;
+    const auto expect = reference_tokens(codes, radius, want);
+    const RunTokenStats got = tokenize_runs(codes, radius);
+    EXPECT_EQ(codes, expect) << "case " << c;
+    EXPECT_EQ(got.absorbed, want.absorbed) << "case " << c;
+    EXPECT_EQ(got.tokens, want.tokens) << "case " << c;
+  }
+  // Random run lengths, dense and sparse.
+  util::Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::size_t> runs(200);
+    for (auto& len : runs) {
+      len = trial % 2 == 0 ? rng.uniform_index(12) : rng.uniform_index(9000);
+    }
+    auto codes = runs_stream(radius, runs, 100 + static_cast<std::uint64_t>(trial));
+    RunTokenStats want;
+    const auto expect = reference_tokens(codes, radius, want);
+    const RunTokenStats got = tokenize_runs(codes, radius);
+    EXPECT_EQ(codes, expect) << "trial " << trial;
+    EXPECT_EQ(got.absorbed, want.absorbed) << "trial " << trial;
+  }
+}
+
+TEST(RunTokens, RoundTripExpandsRunsAtEveryRadius) {
+  // Radius 32768 puts the tokens above the u16 pack slots; radius 100
+  // puts them inside, where the pack table must still stop at a token.
+  for (const std::uint32_t radius : {32768u, 100u, 4u}) {
+    const auto codes = runs_stream(radius, {0, 8, 3, 4096, 4097, 20000, 7, 12, 1, 300}, radius);
+    const TokenStream ts = encode_tokens(codes, radius);
+    std::size_t consumed = 0;
+    const HuffmanDecoder dec(ts.codebook, &consumed, radius);
+    util::BitReader r(ts.bits);
+    std::vector<std::uint32_t> out(codes.size());
+    dec.decode_run(r, out.data(), out.size());
+    EXPECT_EQ(out, codes) << "radius " << radius;
+    EXPECT_EQ((r.bits_consumed() + 7) / 8, ts.bits.size()) << "radius " << radius;
+  }
+}
+
+TEST(RunTokens, UnalignedWriterTakesThePerSymbolPathToTheSameBits) {
+  // A writer that is not byte-aligned skips the bulk packer; both paths
+  // must emit the same codewords and length bits.
+  const std::uint32_t radius = 32768;
+  const auto codes = runs_stream(radius, {9, 0, 5000, 2, 40}, 3);
+  std::size_t used[2] = {};
+  for (const int lead : {0, 3}) {
+    const TokenStream ts = encode_tokens(codes, radius, lead);
+    std::size_t consumed = 0;
+    const HuffmanDecoder dec(ts.codebook, &consumed, radius);
+    util::BitReader r(ts.bits);
+    r.get(lead);
+    std::vector<std::uint32_t> out(codes.size());
+    dec.decode_run(r, out.data(), out.size());
+    EXPECT_EQ(out, codes) << "lead " << lead;
+    used[lead == 0 ? 0 : 1] = r.bits_consumed() - static_cast<std::size_t>(lead);
+  }
+  EXPECT_EQ(used[0], used[1]);
+}
+
+TEST(RunTokens, DecoderRejectsInvalidTokenSymbols) {
+  const std::uint32_t radius = 1000;
+  for (const std::uint32_t bad : {2 * radius, 2 * radius + 2, 2 * radius + 13}) {
+    const std::vector<SymbolCount> freqs{{radius, 10}, {bad, 3}};
+    const HuffmanEncoder enc(freqs);
+    std::size_t consumed = 0;
+    EXPECT_THROW(HuffmanDecoder(enc.serialize_codebook(), &consumed, radius),
+                 std::runtime_error)
+        << "symbol 2R+" << bad - 2 * radius;
+    // A legacy stream (no run radius) takes the same book as plain codes.
+    EXPECT_NO_THROW(HuffmanDecoder(enc.serialize_codebook(), &consumed));
+  }
+}
+
+TEST(RunTokens, TokenOverrunningTheBlockThrows) {
+  const std::uint32_t radius = 32768;
+  const auto codes = runs_stream(radius, {5000}, 1);  // one 4096 token + 904
+  const TokenStream ts = encode_tokens(codes, radius);
+  std::size_t consumed = 0;
+  const HuffmanDecoder dec(ts.codebook, &consumed, radius);
+  util::BitReader r(ts.bits);
+  std::vector<std::uint32_t> out(4000);
+  EXPECT_THROW(dec.decode_run(r, out.data(), out.size()), std::runtime_error);
+}
 
 }  // namespace
 }  // namespace pcw::sz

@@ -1,6 +1,7 @@
-// End-to-end checkpoint integrity: the checksummed sz container v4
-// (every single-bit flip detected, legacy v1–v3 still readable and never
-// crashing on malformed input), the sealed-footer + dual-slot commit
+// End-to-end checkpoint integrity: the checksummed sz container v5
+// (every single-bit flip detected, run-token blobs included; legacy v1–v4
+// blobs, LZ ones included, still readable and never crashing on
+// malformed input), the sealed-footer + dual-slot commit
 // protocol (a torn last commit degrades to the shadow copy), the scrub
 // audit, and degraded series reads (a corrupt mid-chain link falls back
 // to the chain's keyframe).
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "h5/file.h"
 #include "h5/format.h"
 #include "pcw/pcw.h"
+#include "support/legacy_fixtures.h"
 #include "sz/compressor.h"
 
 namespace pcw {
@@ -49,6 +52,16 @@ std::vector<float> smooth_field(const sz::Dims& dims) {
   return out;
 }
 
+/// A small high-ratio field whose v5 blob carries run tokens: most codes
+/// are zero residuals in long runs.
+std::vector<std::uint8_t> token_blob(const sz::Dims& dims) {
+  sz::Params p;
+  p.error_bound = 0.05;
+  auto blob = sz::compress<float>(smooth_field(dims), dims, p);
+  if (!sz::inspect(blob).run_tokens) throw std::logic_error("fixture lost its run tokens");
+  return blob;
+}
+
 void flip_bit(std::vector<std::uint8_t>& bytes, std::size_t bit) {
   bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
 }
@@ -65,15 +78,16 @@ void flip_file_bit(const std::string& path, std::uint64_t byte_offset, int bit) 
   f.write(&c, 1);
 }
 
-// ---- sz container v4 ------------------------------------------------------
+// ---- sz container v5 ------------------------------------------------------
 
-TEST(IntegritySz, V4IsTheDefaultAndRoundTripsUnderEveryVerifyMode) {
+TEST(IntegritySz, V5IsTheDefaultAndRoundTripsUnderEveryVerifyMode) {
   const sz::Dims dims = sz::Dims::make_3d(4, 32, 64);
   const auto data = smooth_field(dims);
   const auto blob = sz::compress<float>(data, dims, sz::Params{});
 
   const sz::HeaderInfo info = sz::inspect(blob);
-  EXPECT_EQ(info.version, 4u);
+  EXPECT_EQ(info.version, 5u);
+  EXPECT_FALSE(info.lz_applied);
   EXPECT_TRUE(info.checksummed);
 
   const auto off = sz::decompress<float>(blob, nullptr, 1, sz::VerifyMode::kOff);
@@ -92,18 +106,92 @@ TEST(IntegritySz, V4IsTheDefaultAndRoundTripsUnderEveryVerifyMode) {
 }
 
 TEST(IntegritySz, EverySingleBitFlipDetectedSingleBlock) {
-  // Small single-block blob so the sweep can afford every bit.
+  // Small single-block blobs so the sweep can afford every bit: plain
+  // codes, and a near-constant field coded in run tokens.
   const sz::Dims dims = sz::Dims::make_1d(96);
-  const auto data = smooth_field(dims);
-  const auto blob = sz::compress<float>(data, dims, sz::Params{});
-  ASSERT_EQ(sz::inspect(blob).block_count, 1u);
+  const std::vector<std::uint8_t> blobs[] = {
+      sz::compress<float>(smooth_field(dims), dims, sz::Params{}),
+      token_blob(sz::Dims::make_3d(1, 32, 64))};
+  for (const auto& blob : blobs) {
+    ASSERT_EQ(sz::inspect(blob).block_count, 1u);
+    for (std::size_t bit = 0; bit < blob.size() * 8; ++bit) {
+      auto bad = blob;
+      flip_bit(bad, bit);
+      // The cheap (header + stored payload CRC) pass covers every byte.
+      EXPECT_FALSE(sz::verify_blob(bad, false).ok) << "bit " << bit;
+      // The decode path itself must refuse too (never wrong data as success).
+      EXPECT_THROW(sz::decompress<float>(bad, nullptr, 1, sz::VerifyMode::kBlock),
+                   std::exception)
+          << "bit " << bit;
+    }
+  }
+}
 
-  for (std::size_t bit = 0; bit < blob.size() * 8; ++bit) {
+// v5 replaces the legacy ">= 1 code bit per element" plausibility rule
+// with a per-block cap of 2730 elements per Huffman byte (a 4095-code run
+// token costs at least 12 bits). A crafted header claiming more elements
+// than its substream can code is refused while parsing — before any
+// buffer is sized from it — and the cap itself is the exact boundary.
+TEST(IntegritySz, V5HeaderOverTheElementsPerByteCapRejected) {
+  const auto blob = token_blob(sz::Dims::make_1d(20000));
+  ASSERT_EQ(sz::inspect(blob).block_count, 1u);
+  // v5 layout: d0/d1/d2 at 8/16/24, the one index entry at 100 with its
+  // elem_count first and huff_bytes next.
+  std::uint64_t huff_bytes = 0;
+  std::memcpy(&huff_bytes, blob.data() + 108, 8);
+  auto craft = [&](std::uint64_t elems) {
+    auto bad = blob;
+    const std::uint64_t one = 1;
+    std::memcpy(bad.data() + 8, &one, 8);
+    std::memcpy(bad.data() + 16, &one, 8);
+    std::memcpy(bad.data() + 24, &elems, 8);
+    std::memcpy(bad.data() + 100, &elems, 8);
+    return bad;
+  };
+  EXPECT_NO_THROW(sz::inspect(craft(huff_bytes * 2730)));
+  for (const std::uint64_t elems : {huff_bytes * 2730 + 1, std::uint64_t{1} << 40}) {
+    const auto bad = craft(elems);
+    try {
+      sz::inspect(bad);
+      FAIL() << elems << " elements in " << huff_bytes << " bytes parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("inconsistent"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(sz::decompress<float>(bad, nullptr, 1, sz::VerifyMode::kOff),
+                 std::runtime_error);
+    EXPECT_FALSE(sz::verify_blob(bad, true).parsed);
+  }
+  // Within the cap, a header may still claim a vast substream the blob
+  // does not hold: 2^30 Huffman bytes coding 2730 x 2^30 elements. The
+  // missing payload is refused before the 11 TB output is sized.
+  auto vast = blob;
+  const std::uint64_t huff = std::uint64_t{1} << 30, one = 1;
+  const std::uint64_t elems = huff * 2730;
+  std::uint64_t codebook = 0, raw = 0;
+  std::memcpy(&codebook, blob.data() + 52, 8);
+  raw = codebook + huff;  // the blob's outliers are dropped
+  for (const auto& [off, v] : std::initializer_list<std::pair<std::size_t, std::uint64_t>>{
+           {8, one}, {16, one}, {24, elems}, {44, 0}, {60, huff}, {68, raw}, {76, raw},
+           {100, elems}, {108, huff}, {116, 0}}) {
+    std::memcpy(vast.data() + off, &v, 8);
+  }
+  ASSERT_NO_THROW(sz::inspect(vast));
+  for (const auto mode : {sz::VerifyMode::kOff, sz::VerifyMode::kBlock}) {
+    EXPECT_THROW(sz::decompress<float>(vast, nullptr, 1, mode), std::runtime_error);
+  }
+}
+
+TEST(IntegritySz, LegacyLzBlobEveryStridedFlipDetected) {
+  // The stored-CRC hole: in an LZ payload a flipped match offset can
+  // expand to the very same bytes when its source is periodic, which no
+  // block CRC sees. kBlock closes it with the stored CRC on LZ blobs —
+  // pinned on the checked-in v4 + LZ blob, as writers no longer run LZ.
+  const auto blob = testsupport::load_fixture(testsupport::kV4Lz);
+  ASSERT_TRUE(sz::inspect(blob).lz_applied);
+  for (std::size_t bit = 0; bit < blob.size() * 8; bit += 7) {
     auto bad = blob;
     flip_bit(bad, bit);
-    // The cheap (header + stored payload CRC) pass covers every byte.
     EXPECT_FALSE(sz::verify_blob(bad, false).ok) << "bit " << bit;
-    // The decode path itself must refuse too (never wrong data as success).
     EXPECT_THROW(sz::decompress<float>(bad, nullptr, 1, sz::VerifyMode::kBlock),
                  std::exception)
         << "bit " << bit;
@@ -149,9 +237,8 @@ TEST(IntegritySz, StridedBitFlipSweepMultiBlock) {
 TEST(IntegritySz, DeepVerifyLocalizesDamageToBlocks) {
   const sz::Dims dims = sz::Dims::make_3d(16, 64, 64);  // 2 x kMinBlockElems
   const auto data = smooth_field(dims);
-  sz::Params p;
-  p.lossless = false;  // stored payload == pre-LZ bytes: a flip hits one block
-  const auto blob = sz::compress<float>(data, dims, p);
+  // v5 stores the raw payload, so a flipped byte lands in one block.
+  const auto blob = sz::compress<float>(data, dims, sz::Params{});
   ASSERT_GT(sz::inspect(blob).block_count, 1u);
 
   auto bad = blob;
@@ -184,21 +271,32 @@ TEST(IntegritySz, LegacyContainersStillDecodeAndVerifyModesAreNoOps) {
 TEST(IntegritySz, TruncationSweepNeverAcceptsAPrefix) {
   const sz::Dims dims = sz::Dims::make_3d(2, 32, 64);
   const auto data = smooth_field(dims);
-  std::vector<std::vector<std::uint8_t>> blobs;
-  blobs.push_back(sz::compress<float>(data, dims, sz::Params{}));  // v4
+  struct Case {
+    std::vector<std::uint8_t> blob;
+    std::vector<float> prev;  // reference step for temporal blocks
+  };
+  std::vector<Case> cases;
+  cases.push_back({sz::compress<float>(data, dims, sz::Params{}), {}});  // v5
+  cases.push_back({token_blob(dims), {}});                               // v5, run tokens
   sz::Params legacy;
   legacy.checksum = false;
-  blobs.push_back(sz::compress<float>(data, dims, legacy));  // v2
+  cases.push_back({sz::compress<float>(data, dims, legacy), {}});  // v2
   sz::Params temporal = legacy;
   temporal.predictor = sz::Predictor::kTemporal;
   std::vector<float> recon;
   sz::compress<float>(data, dims, legacy, {}, &recon);
-  blobs.push_back(sz::compress<float>(data, dims, temporal, recon));  // v3
+  cases.push_back({sz::compress<float>(data, dims, temporal, recon), recon});  // v3
+  // Legacy LZ blobs, whose writer is gone: the empty trailing literal
+  // token is the one prefix a legacy reader may accept.
+  const auto v2_lz = testsupport::load_fixture(testsupport::kV2Lz);
+  cases.push_back({v2_lz, {}});
+  cases.push_back({testsupport::load_fixture(testsupport::kV3Lz), sz::decompress<float>(v2_lz)});
 
-  for (const auto& blob : blobs) {
+  for (const Case& c : cases) {
+    const auto& blob = c.blob;
+    const std::span<const float> prev(c.prev);
     const std::uint32_t version = sz::inspect(blob).version;
-    const auto reference =
-        sz::decompress<float>(blob, std::span<const float>(recon));
+    const auto reference = sz::decompress<float>(blob, prev);
     for (std::size_t keep = 0; keep < blob.size();
          keep += (keep < 128 ? 1 : 197)) {
       const std::vector<std::uint8_t> cut(blob.begin(),
@@ -207,15 +305,15 @@ TEST(IntegritySz, TruncationSweepNeverAcceptsAPrefix) {
       bool threw = false;
       std::vector<float> out;
       try {
-        out = sz::decompress<float>(cut, std::span<const float>(recon));
+        out = sz::decompress<float>(cut, prev);
       } catch (const std::exception&) {
         threw = true;  // clean rejection — never a crash or OOM
       }
       const sz::BlobVerifyReport rep = sz::verify_blob(cut, true);
       if (version >= 4) {
         // The checksummed container detects every truncation outright.
-        EXPECT_TRUE(threw) << "v4 keep " << keep;
-        EXPECT_FALSE(rep.ok) << "v4 keep " << keep;
+        EXPECT_TRUE(threw) << "v" << version << " keep " << keep;
+        EXPECT_FALSE(rep.ok) << "v" << version << " keep " << keep;
       } else if (!threw) {
         // A legacy blob may tolerate losing semantically-empty trailing
         // bytes (an LZ end-of-stream token) — acceptable only when the

@@ -3,11 +3,14 @@
 #include <cstring>
 #include <vector>
 
+#include "support/lz_compress.h"
 #include "sz/lossless.h"
 #include "util/rng.h"
 
 namespace pcw::sz {
 namespace {
+
+using testsupport::lz_compress;
 
 std::vector<std::uint8_t> round_trip(const std::vector<std::uint8_t>& input) {
   const auto packed = lz_compress(input);

@@ -53,11 +53,14 @@ struct RatioGolden {
   std::size_t sampled_points;
 };
 
-// Captured with the generator above on dims 32x32x32, default model config.
+// Captured with the generator above on dims 32x32x32, default model config
+// (32x4x32 sample boxes as thick as the field's one slab block, the
+// 2048-point sample floor, exact codebook bytes; recaptured when run
+// tokens replaced the LZ heuristic).
 const RatioGolden kRatioGoldens[] = {
-    {42, 1e-1, 5.192138671875, 6.1631635867776371, 0.0, 1024},
-    {42, 1e-2, 8.37890625, 3.8191142191142191, 0.0, 1024},
-    {7, 1e-3, 10.359375, 3.0889894419306185, 0.0, 1024},
+    {42, 1e-1, 5.303466796875, 6.0337890714910465, 0.0, 4096},
+    {42, 1e-2, 8.900634765625, 3.5952491976849439, 0.0, 4096},
+    {7, 1e-3, 13.281982421875, 2.4092789000606585, 0.000244140625, 4096},
 };
 
 TEST(ModelGolden, RatioModelEstimatesArePinned) {

@@ -12,6 +12,7 @@
 #include "pcw/telemetry.h"
 #include "sz/compressor.h"
 #include "support/simd_levels.h"
+#include "sz/blocks.h"
 #include "sz/huffman.h"
 #include "util/cpu.h"
 #include "util/rng.h"
@@ -92,14 +93,18 @@ TEST(RatioModel, OutlierFractionReflectsData) {
   EXPECT_LT(est2.outlier_fraction, 0.05);
 }
 
-TEST(RatioModel, LzGainOnlyClaimedWhenRunsExist) {
+TEST(RatioModel, RunTokensOnlyClaimedWhenRunsExist) {
   const sz::Dims dims = sz::Dims::make_3d(32, 32, 32);
-  // Constant field: everything is one long zero-residual run.
+  // Constant field: everything is one long zero-residual run, which run
+  // tokens code far below Huffman's 1-bit floor.
   const std::vector<float> constant(dims.count(), 2.0f);
   sz::Params p;
   p.error_bound = 1e-3;
   const auto est = estimate_ratio<float>(constant, dims, p);
-  EXPECT_LT(est.lz_gain, 0.5);
+  EXPECT_LT(est.huffman_bit_rate, 0.1);
+  sz::Params no_runs = p;
+  no_runs.lossless = false;
+  EXPECT_GE(estimate_ratio<float>(constant, dims, no_runs).huffman_bit_rate, 1.0);
 
   // Rough field: runs are rare; predicted gain should be near 1.
   std::vector<float> rough(dims.count());
@@ -111,7 +116,10 @@ TEST(RatioModel, LzGainOnlyClaimedWhenRunsExist) {
   sz::Params p2;
   p2.error_bound = 1e-5;
   const auto est2 = estimate_ratio<float>(rough, dims, p2);
-  EXPECT_GT(est2.lz_gain, 0.9);
+  sz::Params p2_no_runs = p2;
+  p2_no_runs.lossless = false;
+  const auto est2_no_runs = estimate_ratio<float>(rough, dims, p2_no_runs);
+  EXPECT_GT(est2.huffman_bit_rate, 0.9 * est2_no_runs.huffman_bit_rate);
 }
 
 TEST(RatioModel, HighRatioRegimeKnownToDegrade) {
@@ -181,17 +189,17 @@ INSTANTIATE_TEST_SUITE_P(NyxFields, RatioModelFieldSweep,
 
 // ------------------------------------------------------ reference oracle ----
 
-/// Textbook zero-padded Lorenzo over one sampled block: each point sums
-/// whichever of its seven causal neighbours lie inside the block, in the
+/// Textbook zero-padded Lorenzo over one sampled box: each point sums
+/// whichever of its seven causal neighbours lie inside the box, in the
 /// compressor's fixed order. Accumulates the code histogram, outliers and
-/// the run-length savings the estimator counts.
+/// the run tokens the estimator counts, found here by a plain scan for
+/// maximal zero-residual runs, split into kRunMax-long pieces.
 template <typename T>
 void reference_block(std::span<const T> data, const sz::Dims& dims, std::size_t bx,
                      std::size_t by, std::size_t bz, std::size_t ex, std::size_t ey,
-                     std::size_t ez, double eb, std::uint32_t radius,
-                     std::size_t min_lz_run, std::vector<std::uint64_t>& counts,
-                     std::uint64_t& outliers, std::uint64_t& points,
-                     std::uint64_t& run_saved) {
+                     std::size_t ez, double eb, std::uint32_t radius, bool runs,
+                     std::vector<std::uint64_t>& counts, std::uint64_t& outliers,
+                     std::uint64_t& points, std::uint64_t& length_bits) {
   const std::size_t n = ex * ey * ez;
   std::vector<std::uint32_t> codes(n);
   std::vector<T> recon(n);
@@ -232,17 +240,24 @@ void reference_block(std::span<const T> data, const sz::Dims& dims, std::size_t 
     }
   }
   points += n;
+  if (!runs) return;
   std::size_t run_start = 0;
   for (std::size_t k = 1; k <= n; ++k) {
-    if (k == n || codes[k] != codes[run_start]) {
-      const std::size_t len = k - run_start;
-      if (len >= min_lz_run && len > 8) run_saved += len - 8;
-      run_start = k;
+    if (k < n && codes[k] == codes[run_start]) continue;
+    std::size_t len = k - run_start;
+    while (codes[run_start] == radius && len >= sz::kRunMin) {
+      const std::size_t piece = std::min<std::size_t>(len, sz::kRunMax);
+      const auto log2_piece = static_cast<std::size_t>(std::floor(std::log2(piece)));
+      counts[radius] -= piece;
+      ++counts[2ull * radius + log2_piece];
+      length_bits += log2_piece;
+      len -= piece;
     }
+    run_start = k;
   }
 }
 
-/// The estimator spelled out with the reference stencil: same block grid,
+/// The estimator spelled out with the reference stencil: same box grid,
 /// stride and cost model as estimate_ratio.
 template <typename T>
 RatioEstimate reference_estimate(std::span<const T> data, const sz::Dims& dims,
@@ -250,26 +265,28 @@ RatioEstimate reference_estimate(std::span<const T> data, const sz::Dims& dims,
   const double eb = sz::resolve_error_bound<T>(data, params);
   const std::size_t total = dims.count();
   const bool multi = dims.rank() >= 2;
-  const std::size_t bx = multi ? std::min(config.block_edge, dims.d0) : 1;
-  const std::size_t by = multi ? std::min(config.block_edge, dims.d1) : 1;
-  const std::size_t bz = std::min(multi ? config.block_edge : config.block_len_1d, dims.d2);
+  // 3-D boxes are as thick as the encoder's slab blocks (split_blocks).
+  const std::size_t bx = dims.d0 > 1 ? sz::split_blocks(dims).front().dims.d0 : 1;
+  const std::size_t by = multi ? std::min(kBoxRows, dims.d1) : 1;
+  const std::size_t bz = std::min(multi ? kBoxRowLen : kBoxLen1d, dims.d2);
   const std::size_t gx = (dims.d0 + bx - 1) / bx, gy = (dims.d1 + by - 1) / by,
                     gz = (dims.d2 + bz - 1) / bz;
   const std::size_t total_blocks = gx * gy * gz;
+  const double want_points = std::max(config.sample_fraction * static_cast<double>(total),
+                                      static_cast<double>(kMinSamplePoints));
   const auto want = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::ceil(config.sample_fraction * static_cast<double>(total) /
-                                         static_cast<double>(bx * by * bz))),
+      static_cast<std::size_t>(std::ceil(want_points / static_cast<double>(bx * by * bz))),
       1, total_blocks);
   const std::size_t stride = std::max<std::size_t>(1, total_blocks / want);
 
-  std::vector<std::uint64_t> counts(2ull * params.radius, 0);
-  std::uint64_t outliers = 0, points = 0, run_saved = 0;
+  const bool runs = sz::uses_run_tokens(params);
+  std::vector<std::uint64_t> counts(2ull * params.radius + sz::kRunMaxLog + 1, 0);
+  std::uint64_t outliers = 0, points = 0, length_bits = 0;
   for (std::size_t b = 0; b < total_blocks; b += stride) {
     const std::size_t x0 = b / (gy * gz) * bx, y0 = (b / gz) % gy * by, z0 = b % gz * bz;
     reference_block<T>(data, dims, x0, y0, z0, std::min(bx, dims.d0 - x0),
                        std::min(by, dims.d1 - y0), std::min(bz, dims.d2 - z0), eb,
-                       params.radius, config.min_lz_run, counts, outliers, points,
-                       run_saved);
+                       params.radius, runs, counts, outliers, points, length_bits);
   }
 
   RatioEstimate est;
@@ -280,25 +297,22 @@ RatioEstimate reference_estimate(std::span<const T> data, const sz::Dims& dims,
     if (counts[s] > 0) freqs.push_back({s, counts[s]});
   }
   const auto lengths = sz::huffman_code_lengths(freqs);
-  std::uint64_t huff_bits = 0;
-  std::uint8_t modal_len = 8;
-  std::uint64_t modal_count = 0;
-  for (std::size_t k = 0; k < freqs.size(); ++k) {
-    huff_bits += freqs[k].count * lengths[k];
-    if (freqs[k].count > modal_count) {
-      modal_count = freqs[k].count;
-      modal_len = lengths[k];
-    }
-  }
+  std::uint64_t huff_bits = length_bits;
+  for (std::size_t k = 0; k < freqs.size(); ++k) huff_bits += freqs[k].count * lengths[k];
   est.huffman_bit_rate = static_cast<double>(huff_bits) / static_cast<double>(points);
-  const double saved_bits = static_cast<double>(run_saved) * static_cast<double>(modal_len);
-  if (params.lossless && huff_bits > 0) {
-    est.lz_gain = std::clamp(1.0 - saved_bits / static_cast<double>(huff_bits), 0.02, 1.0);
+  // Codebook: count varint (budgeted at 5 bytes), then per symbol a
+  // 7-bit-group varint and a length byte; plus ~64 header bytes.
+  std::size_t codebook_bytes = 5;
+  for (const sz::SymbolCount& f : freqs) {
+    std::size_t varint = 1;
+    for (std::uint32_t v = f.symbol; v >= 0x80; v >>= 7) ++varint;
+    codebook_bytes += varint + 1;
   }
   const double overhead_bits =
-      (static_cast<double>(freqs.size()) * 24.0 + 64.0 * 8.0) / static_cast<double>(total);
-  est.bit_rate = std::max(est.huffman_bit_rate * est.lz_gain +
-                              est.outlier_fraction * 8.0 * sizeof(T) + overhead_bits,
+      8.0 * static_cast<double>(codebook_bytes + 64) /
+      static_cast<double>(total);
+  est.bit_rate = std::max(est.huffman_bit_rate + est.outlier_fraction * 8.0 * sizeof(T) +
+                              overhead_bits,
                           0.05);
   est.ratio = 8.0 * sizeof(T) / est.bit_rate;
   return est;
@@ -330,7 +344,6 @@ void expect_matches_reference(const std::vector<T>& data, const sz::Dims& dims,
       EXPECT_TRUE(same_bits(est.ratio, ref.ratio)) << at;
       EXPECT_TRUE(same_bits(est.outlier_fraction, ref.outlier_fraction)) << at;
       EXPECT_TRUE(same_bits(est.huffman_bit_rate, ref.huffman_bit_rate)) << at;
-      EXPECT_TRUE(same_bits(est.lz_gain, ref.lz_gain)) << at;
     }
   }
   util::simd_set_active(saved);
@@ -354,9 +367,10 @@ std::vector<T> smooth_field(const sz::Dims& dims, double noise) {
   return data;
 }
 
-// Ragged grids: edge blocks narrower than 8 (and than 512 in 1-D), so
-// samples mix lockstep lane groups, leftover equal-shape blocks and
-// one-off edge shapes.
+// Ragged grids: edge boxes narrower than 4 rows or 256 elements (1024 in
+// 1-D) and, on multi-block fields (40x44x70: five 8-plane slabs), boxes as
+// thick as the slabs, so samples mix lockstep lane groups, leftover
+// equal-shape boxes and one-off edge shapes.
 TEST(RatioModelOracle, MatchesReferenceOnRaggedShapes) {
   sz::Params p;
   p.error_bound = 1e-3;
@@ -367,6 +381,25 @@ TEST(RatioModelOracle, MatchesReferenceOnRaggedShapes) {
     const std::string what = std::to_string(dims.d0) + "x" + std::to_string(dims.d1) +
                              "x" + std::to_string(dims.d2);
     expect_matches_reference<float>(smooth_field<float>(dims, 0.01), dims, p, what);
+  }
+}
+
+// A loose bound on a noise-free field: most codes are zero residuals in
+// long runs, so the sample carries run tokens of every length class the
+// boxes allow; with tokens off the same sample costs plain codes.
+TEST(RatioModelOracle, MatchesReferenceWithRunTokens) {
+  sz::Params p;
+  p.error_bound = 0.1;
+  sz::Params no_runs = p;
+  no_runs.lossless = false;
+  for (const sz::Dims& dims : {sz::Dims::make_3d(13, 21, 300), sz::Dims::make_3d(40, 44, 70),
+                               sz::Dims::make_3d(1, 300, 203)}) {
+    const auto smooth = smooth_field<float>(dims, 0.0);
+    expect_matches_reference<float>(smooth, dims, p, "runs");
+    expect_matches_reference<float>(smooth, dims, no_runs, "no runs");
+    EXPECT_LT(estimate_ratio<float>(smooth, dims, p).bit_rate,
+              estimate_ratio<float>(smooth, dims, no_runs).bit_rate)
+        << dims.d0 << "x" << dims.d1 << "x" << dims.d2;
   }
 }
 

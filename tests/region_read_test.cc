@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/build_v1_blob.h"
+#include "support/legacy_fixtures.h"
 #include "support/simd_levels.h"
 #include "sz/blocks.h"
 #include "sz/compressor.h"
@@ -274,15 +275,15 @@ TEST(RegionRead, DecodesOnlyIntersectingBlocks) {
 }
 
 TEST(RegionRead, LzPayloadStillSupportsPartialDecode) {
-  // A near-constant field compresses far past the LZ-worthwhile gate.
-  const Dims dims = Dims::make_3d(128, 32, 32);
-  const std::vector<float> data = smooth_field(dims, 21, /*noise=*/0.0);
-  Params params;
-  params.error_bound = 0.05;
-  const auto blob = compress<float>(data, dims, params);
+  // Writers no longer emit LZ; the checked-in v4 + LZ blob keeps the
+  // legacy path honest: one whole-payload expansion, then only the
+  // blocks the request touches.
+  const auto blob = testsupport::load_fixture(testsupport::kV4Lz);
+  const Dims dims = testsupport::kV4Lz.dims;
   ASSERT_TRUE(inspect(blob).lz_applied);
 
   const auto full = decompress<float>(blob);
+  ASSERT_EQ(testsupport::fnv1a(full), testsupport::kV4Lz.decoded_fnv1a);
   const Region r{{40, 3, 0}, {71, 30, 32}};
   RegionDecodeStats stats;
   const auto got = decompress_region<float>(blob, r, 1, &stats);
@@ -291,6 +292,54 @@ TEST(RegionRead, LzPayloadStillSupportsPartialDecode) {
   const auto want = slice(full, r, dims);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)));
+}
+
+TEST(RegionRead, V5PlaneDecodesAndVerifiesOnlyItsBlock) {
+  // A near-constant field: the blob is v5 with run tokens, and an x-plane
+  // read touches one of its four 32-plane blocks. No whole-payload pass
+  // stands in the way, so kBlock decodes and CRC-checks that block alone.
+  const Dims dims = Dims::make_3d(128, 32, 32);
+  const std::vector<float> data = smooth_field(dims, 21, /*noise=*/0.0);
+  Params params;
+  params.error_bound = 0.05;
+  const auto blob = compress<float>(data, dims, params);
+  const HeaderInfo info = inspect(blob);
+  ASSERT_EQ(info.version, 5u);
+  ASSERT_TRUE(info.run_tokens);
+  ASSERT_EQ(info.block_count, 4u);
+
+  const auto full = decompress<float>(blob);
+  const Region plane{{40, 0, 0}, {41, 32, 32}};
+  RegionDecodeStats stats;
+  const auto got = decompress_region<float>(blob, plane, 1, &stats, VerifyMode::kBlock);
+  EXPECT_EQ(stats.blocks_total, 4u);
+  EXPECT_EQ(stats.blocks_decoded, 1u);
+  EXPECT_EQ(stats.blocks_verified, 1u);
+  const auto want = slice(full, plane, dims);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)));
+
+  // Damage in another block's substream is never read by the plane...
+  const std::vector<BlockInfo> index = inspect_blocks(blob);
+  std::uint64_t huff_total = 0, outliers = 0;
+  for (const BlockInfo& b : index) {
+    huff_total += b.huff_bytes;
+    outliers += b.outlier_count;
+  }
+  const std::uint64_t codebook = info.payload_raw_size - huff_total - outliers * sizeof(float);
+  const std::size_t block3 = static_cast<std::size_t>(
+      info.header_size + codebook + index[0].huff_bytes + index[1].huff_bytes +
+      index[2].huff_bytes);
+  auto bad = blob;
+  bad[block3 + index[3].huff_bytes / 2] ^= 0x10;
+  const auto again = decompress_region<float>(bad, plane, 1, &stats, VerifyMode::kBlock);
+  EXPECT_EQ(0, std::memcmp(again.data(), want.data(), want.size() * sizeof(float)));
+  // ...while any read of that block, and the blob-level check, refuse it.
+  const Region last{{100, 0, 0}, {101, 32, 32}};
+  EXPECT_THROW(decompress_region<float>(bad, last, 1, nullptr, VerifyMode::kBlock),
+               std::runtime_error);
+  EXPECT_THROW(decompress_region<float>(bad, plane, 1, nullptr, VerifyMode::kBlob),
+               std::runtime_error);
 }
 
 TEST(RegionRead, OutSpanFormAndForeignExtentsFallback) {

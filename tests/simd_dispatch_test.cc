@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sz/compressor.h"
@@ -130,6 +132,22 @@ TEST(SimdDispatch, SmallAndLowDims) {
   expect_level_invariant<float>(make_field<float>(d2, 0.2), d2, p);
   const Dims d1 = Dims::make_3d(1, 1, 524288);  // 16 slab blocks in 1-D
   expect_level_invariant<float>(make_field<float>(d1, 0.4), d1, p);
+}
+
+// Container v5 run tokens: a loose bound on a smooth field turns most
+// codes into long zero-residual runs. The tokenized blob must not depend
+// on the level or thread count either, in 3-D lane groups and in 1-D.
+TEST(SimdDispatch, RunTokenBlobs) {
+  Params p;
+  p.error_bound = 0.05;
+  const Dims d3 = Dims::make_3d(64, 128, 64);
+  const std::vector<float> f3 = make_field<float>(d3, 0.0, /*roughness=*/0.0);
+  ASSERT_TRUE(inspect(compress<float>(f3, d3, p)).run_tokens);
+  expect_level_invariant<float>(f3, d3, p);
+  const Dims d1 = Dims::make_3d(1, 1, 524288);
+  const std::vector<float> f1 = make_field<float>(d1, 0.4, /*roughness=*/0.0);
+  ASSERT_TRUE(inspect(compress<float>(f1, d1, p)).run_tokens);
+  expect_level_invariant<float>(f1, d1, p);
 }
 
 // Residuals that land exactly on half-multiples of 2*eb force the
@@ -379,6 +397,74 @@ TEST(SimdDispatch, HuffmanDecodeRunMatchesSingle) {
     EXPECT_EQ(a.bits, b.bits);
     if (!a.threw && !b.threw) {
       EXPECT_EQ(a.syms, b.syms);
+    }
+  }
+}
+
+// With run tokens the pack table must stop before every token (its length
+// bits follow the codeword), so decode_run at each vector level has to
+// match the scalar level's decode_run — symbols, bit position and
+// rejection — on whole, truncated and corrupt token streams, with the
+// tokens above the u16 pack slots (radius 32768) and inside them (100).
+TEST(SimdDispatch, HuffmanDecodeRunTokensMatchScalar) {
+  for (const std::uint32_t radius : {32768u, 100u}) {
+    util::Rng rng(radius);
+    std::vector<std::uint32_t> codes;
+    // Short tokens (k = 3..5) are frequent enough to get short codewords,
+    // so many fit the window with their length bits; long ones split.
+    for (int i = 0; i < 3000; ++i) {
+      const double u = rng.uniform();
+      const std::size_t run = u < 0.1   ? rng.uniform_index(9000)
+                              : u < 0.6 ? 8 + rng.uniform_index(40)
+                                        : rng.uniform_index(4);
+      codes.insert(codes.end(), run, radius);
+      codes.push_back(radius + 1 + static_cast<std::uint32_t>(rng.uniform_index(5)));
+    }
+    const std::size_t n = codes.size();
+    std::vector<std::uint64_t> hist(run_alphabet(radius), 0);
+    for (const auto c : codes) ++hist[c];
+    std::vector<std::uint32_t> tokens = codes;
+    tokenize_runs(tokens, radius).fold_into(std::span<std::uint64_t>(hist), radius);
+    std::vector<SymbolCount> freqs;
+    for (std::uint32_t s = 0; s < hist.size(); ++s) {
+      if (hist[s] > 0) freqs.push_back({s, hist[s]});
+    }
+    const HuffmanEncoder enc(freqs);
+    util::BitWriter writer;
+    enc.encode_all(tokens, writer, 2ull * radius);
+    const std::vector<std::uint8_t> stream = writer.finish();
+    const std::vector<std::uint8_t> codebook = enc.serialize_codebook();
+    std::vector<std::uint8_t> corrupt(stream);
+    corrupt[corrupt.size() / 3] ^= 0x5a;
+    const std::size_t cuts[] = {0, 1, 7, 8, 9, stream.size() / 2, stream.size() - 1,
+                                stream.size()};
+
+    ActiveGuard guard;
+    std::vector<DecodeTrace> scalar;
+    for (const util::Simd level : available_levels()) {
+      util::simd_set_active(level);
+      std::size_t consumed = 0;
+      const HuffmanDecoder dec(codebook, &consumed, radius);  // pack table per level
+      std::vector<DecodeTrace> traces;
+      for (const std::size_t cut : cuts) {
+        traces.push_back(trace_run(dec, std::span(stream.data(), cut), n));
+      }
+      traces.push_back(trace_run(dec, corrupt, n));
+      EXPECT_FALSE(traces[std::size(cuts) - 1].threw);
+      EXPECT_EQ(traces[std::size(cuts) - 1].syms, codes) << "at " << util::simd_name(level);
+      if (level == util::Simd::kScalar) {
+        scalar = traces;
+        continue;
+      }
+      for (std::size_t t = 0; t < traces.size(); ++t) {
+        EXPECT_EQ(traces[t].threw, scalar[t].threw) << "case " << t << " at "
+                                                    << util::simd_name(level);
+        EXPECT_EQ(traces[t].bits, scalar[t].bits) << "case " << t << " at "
+                                                  << util::simd_name(level);
+        if (!traces[t].threw) {
+          EXPECT_EQ(traces[t].syms, scalar[t].syms) << "case " << t;
+        }
+      }
     }
   }
 }

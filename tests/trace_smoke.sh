@@ -26,7 +26,7 @@ elif [[ ! -s "${trace}" ]]; then
   echo "FAIL: PCW_TRACE=${trace} produced no trace file"
   fails=$((fails + 1))
 elif ! "${python}" "${check_trace}" "${trace}" \
-    --require quantize huffman_encode lz compress step write_exposed \
+    --require quantize run_tokens huffman_encode compress step write_exposed \
               pwrite fsync enqueue async_write; then
   echo "FAIL: trace file did not validate"
   fails=$((fails + 1))

@@ -12,7 +12,8 @@ used to live in ci.yml):
     serial-throughput drop of more than RATCHET (3x) fails the job (for
     the read bench, restart throughput relative to the same run's
     in-memory decode);
-  * bench-specific invariants: sparse reads must decode strictly fewer
+  * bench-specific invariants: compress must scale with threads at least
+    COMPRESS_SCALING_SHARE as well as quantize, sparse reads must decode strictly fewer
     blocks than the container holds, the serial full restart must stay
     within RESTART_DECODE_FACTOR of decoding the same blobs from memory
     on the non-smoke baseline, the temporal predictor must keep its
@@ -51,6 +52,13 @@ TRACED_OVERHEAD = 1.10
 # per-block scalar path it replaced measured 2.48-2.96, so 1.8 leaves
 # room for host noise while a return of that gap fails.
 RESTART_DECODE_FACTOR = 1.8
+
+# Compress-scales-like-quantize gate (non-smoke baseline only): the
+# 4-thread/1-thread speedup of the `compress` row must reach this share
+# of the `quantize` row's. Every compress stage runs in the per-block
+# fan-out since container v5 retired the serial whole-payload LZ pass;
+# a serial stage creeping back in shows here first.
+COMPRESS_SCALING_SHARE = 0.8
 
 PROBLEMS = []
 
@@ -125,6 +133,26 @@ def check_kernels(doc, path, smoke):
             return
         ok(f"{path}: telemetry gates green (dormant within "
            f"{DORMANT_TOLERANCE:.2f}x floor, traced {dormant / traced:.3f}x)")
+        t4 = {r["stage"]: r["mb_per_s"]
+              for r in doc.get("results", []) if r.get("threads") == 4}
+        if any(t1.get(k, 0.0) <= 0 or t4.get(k, 0.0) <= 0
+               for k in ("compress", "quantize")):
+            problem(f"{path}: compress/quantize need 1- and 4-thread rows")
+            return
+        c_speedup = t4["compress"] / t1["compress"]
+        q_speedup = t4["quantize"] / t1["quantize"]
+        if c_speedup < COMPRESS_SCALING_SHARE * q_speedup:
+            problem(f"{path}: compress 4t/1t speedup {c_speedup:.2f}x < "
+                    f"{COMPRESS_SCALING_SHARE:.2f} x quantize's {q_speedup:.2f}x")
+            return
+        ok(f"{path}: compress scales {c_speedup:.2f}x at 4 threads vs quantize "
+           f"{q_speedup:.2f}x (>= {COMPRESS_SCALING_SHARE:.2f} share)")
+        # The stage rows time the calls compress makes; report how far
+        # their sum is from the end-to-end row (codebook + assembly).
+        stage_s = {r["stage"]: r["seconds"]
+                   for r in doc.get("results", []) if r.get("threads") == 1}
+        gap = 1.0 - (stage_s["quantize"] + stage_s["encode"]) / stage_s["compress"]
+        ok(f"{path}: t1 quantize + encode = {100 * (1 - gap):.1f}% of compress")
     ok(f"{path}: pcw.bench_kernels.v1, stages {sorted(stages)}")
 
 

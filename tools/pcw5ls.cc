@@ -44,20 +44,32 @@ std::string filter_name(std::uint32_t filter_id) {
   return info.ok() ? info->name : "?";
 }
 
+/// "run tokens 4/4", "lz 1/4", both comma-joined, or "none".
+std::string stage_summary(const std::map<std::string, std::size_t>& stages,
+                          std::size_t partitions) {
+  std::string out;
+  for (const auto& [stage, n] : stages) {
+    out += (out.empty() ? "" : ", ") + stage + " " + std::to_string(n) + "/" +
+           std::to_string(partitions);
+  }
+  return out.empty() ? "none" : out;
+}
+
 /// Per-dataset codec container summary: version(s), codec, and the
 /// compressed block-size distribution across every partition's block
 /// index — what a partial (region) read of this dataset will cost per
 /// decoded block.
 void print_block_summaries(const Reader& reader) {
   util::Table table({"dataset", "container", "codec", "blocks", "min blk",
-                     "median blk", "max blk", "lz"});
+                     "median blk", "max blk", "sub-1-bit"});
   bool any = false;
   for (const DatasetInfo& info : reader.datasets()) {
     if (info.layout != Layout::kPartitioned || info.filter_id != kCodecSz) continue;
     any = true;
     std::vector<std::uint64_t> block_bytes;
     std::uint32_t vmin = 0, vmax = 0;
-    int lz_parts = 0;
+    // Partitions per sub-1-bit stage ("run tokens", "lz"; "none" untallied).
+    std::map<std::string, std::size_t> stages;
     // The container header + block index live in the blob's first
     // kMaxBlobHeaderBytes, so summarizing costs header-sized reads, not
     // full payloads — the same economy partial reads themselves enjoy.
@@ -68,7 +80,7 @@ void print_block_summaries(const Reader& reader) {
       if (!blob.ok()) throw std::runtime_error(blob.status().message());
       vmin = vmin == 0 ? blob->version : std::min(vmin, blob->version);
       vmax = std::max(vmax, blob->version);
-      lz_parts += blob->lz_applied ? 1 : 0;
+      if (blob->run_tokens || blob->lz_applied) ++stages[sub_bit_stage(*blob)];
       const auto blocks = inspect_blob_blocks(*head);
       if (!blocks.ok()) throw std::runtime_error(blocks.status().message());
       for (const BlobBlockInfo& blk : *blocks) block_bytes.push_back(blk.stored_bytes);
@@ -83,7 +95,7 @@ void print_block_summaries(const Reader& reader) {
          util::Table::fmt_bytes(static_cast<double>(block_bytes.front())),
          util::Table::fmt_bytes(static_cast<double>(median)),
          util::Table::fmt_bytes(static_cast<double>(block_bytes.back())),
-         std::to_string(lz_parts) + "/" + std::to_string(info.partitions.size())});
+         stage_summary(stages, info.partitions.size())});
   }
   if (!any) {
     std::printf("no sz-filtered datasets\n");

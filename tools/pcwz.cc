@@ -162,7 +162,7 @@ int cmd_inspect(int argc, char** argv) {
               static_cast<unsigned long long>(info.outlier_count),
               100.0 * static_cast<double>(info.outlier_count) /
                   static_cast<double>(info.dims.count()));
-  std::printf("lossless stage: %s\n", info.lz_applied ? "applied" : "skipped");
+  std::printf("sub-1-bit stage: %s\n", sub_bit_stage(info));
   std::printf("bit-rate: %.2f bits/value\n", bit_rate(blob.size(), info.dims.count()));
   return 0;
 }
