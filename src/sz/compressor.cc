@@ -53,7 +53,6 @@ constexpr std::uint8_t kFlagRunTokens = 0x04;
 // payload_raw_size, and (kFlagRunTokens) Huffman substreams that may
 // carry run tokens. See docs/sz_container_v5.md.
 constexpr std::size_t kV2FixedHeaderBytes = 80;
-constexpr std::size_t kV2IndexEntryBytes = 24;
 constexpr std::size_t kV3IndexEntryBytes = 25;
 constexpr std::size_t kV4FixedHeaderBytes = 100;
 constexpr std::size_t kV4IndexEntryBytes = 29;
@@ -430,9 +429,7 @@ double block_cost_bits(const BlockSymbols& sym, std::size_t outliers) {
 }  // namespace
 
 bool uses_run_tokens(const Params& params) {
-  // Only container v5 (the checksummed writer) carries tokens; the legacy
-  // v2/v3 layouts keep plain codes.
-  return params.checksum && params.lossless && params.radius <= kMaxRunRadius;
+  return params.lossless && params.radius <= kMaxRunRadius;
 }
 
 template <typename T>
@@ -549,23 +546,13 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
     writer.reserve_bytes(quants[b].codes.size() / 2);
     encoder.encode_all(quants[b].codes, writer, runs ? 2ull * radius : kNoRunTokens);
     huffs[b] = writer.finish();
-    if (params.checksum) {
-      std::uint32_t c = util::crc32c(0, huffs[b].data(), huffs[b].size());
-      c = util::crc32c(c, quants[b].outliers.data(),
-                       quants[b].outliers.size() * sizeof(T));
-      block_crcs[b] = c;
-    }
+    block_crcs[b] = util::crc32c(util::crc32c(0, huffs[b].data(), huffs[b].size()),
+                                 quants[b].outliers.data(),
+                                 quants[b].outliers.size() * sizeof(T));
   });
 
-  // Stage 4: serial container assembly. With checksums off, a spatial
-  // compression keeps emitting the container v2 layout and a temporal
-  // one v3; with checksums on (the default) both emit v5, whose index
-  // entries always carry the predictor byte plus the block CRC.
-  const std::uint8_t version =
-      params.checksum ? kVersionV5 : (temporal ? kVersionV3 : kVersionV2);
-  const std::size_t entry_bytes =
-      params.checksum ? kV4IndexEntryBytes
-                      : (temporal ? kV3IndexEntryBytes : kV2IndexEntryBytes);
+  // Stage 4: serial container assembly of a v5 blob, whose index entries
+  // carry the predictor byte plus the block CRC.
   std::uint64_t huff_total = 0, outlier_total = 0;
   std::uint64_t temporal_blocks = 0;
   for (std::size_t b = 0; b < n_blocks; ++b) {
@@ -576,24 +563,21 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   const std::size_t payload_size = codebook.size() +
                                    static_cast<std::size_t>(huff_total) +
                                    static_cast<std::size_t>(outlier_total) * sizeof(T);
-  const std::size_t fixed_bytes =
-      params.checksum ? kV4FixedHeaderBytes : kV2FixedHeaderBytes;
-  const std::size_t header_size = fixed_bytes + n_blocks * entry_bytes;
+  const std::size_t header_size = kV4FixedHeaderBytes + n_blocks * kV4IndexEntryBytes;
   const std::uint8_t flags =
       static_cast<std::uint8_t>((temporal_blocks > 0 ? kFlagTemporal : 0) |
                                 (any_token ? kFlagRunTokens : 0));
 
   // Integrity fields: the stored payload is the raw payload, so its CRC is
   // chained over the sections without materializing the payload twice.
-  std::uint32_t codebook_crc = 0, stored_crc = 0;
-  if (params.checksum) {
-    codebook_crc = util::crc32c(0, codebook.data(), codebook.size());
-    std::uint32_t c = codebook_crc;
-    for (const auto& huff : huffs) c = util::crc32c(c, huff.data(), huff.size());
-    for (const auto& quant : quants) {
-      c = util::crc32c(c, quant.outliers.data(), quant.outliers.size() * sizeof(T));
-    }
-    stored_crc = c;
+  const std::uint32_t codebook_crc = util::crc32c(0, codebook.data(), codebook.size());
+  std::uint32_t stored_crc = codebook_crc;
+  for (const auto& huff : huffs) {
+    stored_crc = util::crc32c(stored_crc, huff.data(), huff.size());
+  }
+  for (const auto& quant : quants) {
+    stored_crc = util::crc32c(stored_crc, quant.outliers.data(),
+                              quant.outliers.size() * sizeof(T));
   }
 
   // Reserve the true final size up front; every append below lands in
@@ -601,7 +585,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   std::vector<std::uint8_t> blob;
   blob.reserve(header_size + payload_size);
   append_pod(blob, kMagic);
-  append_pod(blob, version);
+  append_pod(blob, kVersionV5);
   append_pod(blob, static_cast<std::uint8_t>(dtype_of<T>()));
   append_pod(blob, flags);
   append_pod(blob, std::uint8_t{0});  // reserved
@@ -614,26 +598,22 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   append_pod(blob, static_cast<std::uint64_t>(codebook.size()));
   append_pod(blob, huff_total);
   append_pod(blob, static_cast<std::uint64_t>(payload_size));
-  if (params.checksum) {
-    append_pod(blob, static_cast<std::uint64_t>(payload_size));  // stored_size
-    append_pod(blob, std::uint32_t{0});  // header_crc, patched below
-    append_pod(blob, codebook_crc);
-    append_pod(blob, stored_crc);
-  }
+  append_pod(blob, static_cast<std::uint64_t>(payload_size));  // stored_size
+  append_pod(blob, std::uint32_t{0});  // header_crc, patched below
+  append_pod(blob, codebook_crc);
+  append_pod(blob, stored_crc);
   append_pod(blob, static_cast<std::uint32_t>(n_blocks));
   for (std::size_t b = 0; b < n_blocks; ++b) {
     append_pod(blob, static_cast<std::uint64_t>(blocks[b].dims.count()));
     append_pod(blob, static_cast<std::uint64_t>(huffs[b].size()));
     append_pod(blob, static_cast<std::uint64_t>(quants[b].outliers.size()));
-    if (temporal || params.checksum) append_pod(blob, static_cast<std::uint8_t>(preds[b]));
-    if (params.checksum) append_pod(blob, block_crcs[b]);
+    append_pod(blob, static_cast<std::uint8_t>(preds[b]));
+    append_pod(blob, block_crcs[b]);
   }
-  if (params.checksum) {
-    // The header CRC is computed over the finished header with its own
-    // field zeroed (it still is — the placeholder), then patched in.
-    const std::uint32_t hcrc = header_crc_of(std::span(blob.data(), header_size));
-    std::memcpy(blob.data() + kV4HeaderCrcOffset, &hcrc, sizeof(hcrc));
-  }
+  // The header CRC is computed over the finished header with its own
+  // field zeroed (it still is — the placeholder), then patched in.
+  const std::uint32_t hcrc = header_crc_of(std::span(blob.data(), header_size));
+  std::memcpy(blob.data() + kV4HeaderCrcOffset, &hcrc, sizeof(hcrc));
   blob.insert(blob.end(), codebook.begin(), codebook.end());
   for (const auto& huff : huffs) blob.insert(blob.end(), huff.begin(), huff.end());
   for (const auto& quant : quants) {
@@ -788,45 +768,19 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
   }
   const HuffmanDecoder decoder = make_decoder(h, payload);
 
-  // Mirror of the quantize-side partition (lorenzo_quantize_blocks):
-  // runs of consecutive spatial blocks with identical extents, contiguous
-  // data and the same placement — rounded down to the lane granularity,
-  // up to lane_width() lanes — dequantize in SIMD lockstep; everything
-  // else — singles, temporal blocks, the non-uniform tail — takes the
-  // per-block path and all of its error semantics.
-  struct Task {
-    std::size_t first = 0;  // index into `needed`
-    int count = 1;
-  };
-  std::vector<Task> tasks;
-  tasks.reserve(needed.size());
-  const int w = kern::lane_width();
-  const int g = kern::lane_granularity();
-  std::size_t scan = 0;
-  while (scan < needed.size()) {
-    const Needed& lead = needed[scan];
-    const BlockRange& first = blocks[lead.b];
-    const std::size_t bc = first.dims.count();
-    int run = 0;
-    if (w > 1 && h.radius <= kern::kLaneMaxRadius) {
-      const int cap = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(w), needed.size() - scan));
-      while (run < cap) {
-        const Needed& nb = needed[scan + static_cast<std::size_t>(run)];
-        const bool lockstep =
-            h.blocks[nb.b].predictor == Predictor::kSpatial &&
-            nb.in_place == lead.in_place && blocks[nb.b].dims == first.dims &&
-            blocks[nb.b].elem_offset ==
-                first.elem_offset + static_cast<std::size_t>(run) * bc;
-        if (!lockstep) break;
-        ++run;
-      }
-      run = (run / g) * g;
-    }
-    const int count = run >= g && run > 1 ? run : 1;
-    tasks.push_back({scan, count});
-    scan += static_cast<std::size_t>(count);
-  }
+  // The quantize side's lane grouping (lorenzo_quantize_blocks), plus
+  // "spatial" and "same placement": runs of such blocks dequantize in SIMD
+  // lockstep; everything else — singles, temporal blocks, the non-uniform
+  // tail — takes the per-block path and all of its error semantics.
+  const std::vector<kern::LaneGroup> tasks =
+      kern::lane_groups(needed.size(), h.radius, [&](std::size_t lead, std::size_t k) {
+        const Needed& first = needed[lead];
+        const Needed& nb = needed[lead + k];
+        const BlockRange& fb = blocks[first.b];
+        return h.blocks[nb.b].predictor == Predictor::kSpatial &&
+               nb.in_place == first.in_place && blocks[nb.b].dims == fb.dims &&
+               blocks[nb.b].elem_offset == fb.elem_offset + k * fb.dims.count();
+      });
 
   // Calls fn(block_offset, out_offset, len) for each contiguous stretch
   // of a block's share of the region, in ascending block order; a block
@@ -853,7 +807,7 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
   };
 
   util::parallel_for(tasks.size(), threads, [&](std::size_t t) {
-    const Task& task = tasks[t];
+    const kern::LaneGroup& task = tasks[t];
     const Needed& lead = needed[task.first];
     const BlockRange& blk = blocks[lead.b];
     const std::size_t bc = blk.dims.count();

@@ -12,21 +12,21 @@
 // predictor for time series: blocks quantize x_t[i] - x̂_{t-1}[i] against
 // the reconstructed previous step, falling back to the spatial stencil
 // per block when the delta histogram costs more, with the choice recorded
-// in the block index. With Params::checksum = false, spatial compressions
-// keep emitting the v2 layout and temporal ones v3.
+// in the block index.
 //
-// Container v4 (Params::checksum, the default) added CRC32C integrity
-// data: a header checksum, a checksum of the stored (post-LZ) payload, a
-// checksum of the codebook section, and one per block (its Huffman
-// substream + outlier run). decompress()/decompress_region() verify per
-// the VerifyMode knob; verify_blob() checks a blob without decoding it.
+// Container v4 added CRC32C integrity data: a header checksum, a
+// checksum of the stored (post-LZ) payload, a checksum of the codebook
+// section, and one per block (its Huffman substream + outlier run).
+// decompress()/decompress_region() verify per the VerifyMode knob;
+// verify_blob() checks a blob without decoding it.
 // See docs/integrity.md for the byte layout.
 //
-// Container v5 (what the checksummed writer emits) is v4's layout without
+// Container v5, the only layout compress() writes, is v4's layout without
 // the whole-payload LZ pass: each block codes runs of zero-residual codes
 // as Huffman run tokens inside its own substream, so region reads and
 // kBlock verification touch only the blocks they need. Readers keep
-// v1–v4, LZ included. See docs/sz_container_v5.md.
+// v1–v4, LZ included; the legacy layouts are pinned by checked-in
+// fixtures (tests/fixtures/). See docs/sz_container_v5.md.
 #pragma once
 
 #include <cstdint>
@@ -89,21 +89,14 @@ struct Params {
   /// Half-width of the quantization codebook; alphabet is 2*radius codes.
   /// SZ's default. Larger radius = fewer outliers, bigger codebook.
   std::uint32_t radius = 32768;
-  /// Code runs of zero-residual codes as Huffman run tokens (container
-  /// v5 only; the legacy checksum = false layouts never carry them).
+  /// Code runs of zero-residual codes as Huffman run tokens.
   bool lossless = true;
   /// Worker threads for the block-parallel pipeline: 1 = serial (default),
   /// 0 = all hardware threads, N = exactly N. The blob is byte-identical
   /// for every value — blocks are a pure function of the extents.
   unsigned threads = 1;
-  /// kTemporal requires the prev-step overload of compress(); kSpatial
-  /// with checksum = false keeps emitting the container v2 layout.
+  /// kTemporal requires the prev-step overload of compress().
   Predictor predictor = Predictor::kSpatial;
-  /// Emit container v5 with CRC32C checksums (header, stored payload,
-  /// codebook, and per block). false emits the legacy v2/v3 layouts
-  /// (without run tokens or the retired LZ pass). Checksums are computed
-  /// inside the parallel encode stages, off the serial assembly path.
-  bool checksum = true;
   /// Verification depth applied by the decompress entry points when this
   /// Params is used on the read side (h5::SzFilter threads it through).
   VerifyMode verify = VerifyMode::kBlock;
@@ -232,8 +225,8 @@ std::vector<T> decompress_region(std::span<const std::uint8_t> blob, const Regio
                                  VerifyMode verify = VerifyMode::kBlock);
 
 /// Whether compress() codes zero-residual runs as run tokens under
-/// `params`: container v5 with Params::lossless (and a radius whose token
-/// symbols fit a u32). The ratio model costs the same choice.
+/// `params`: Params::lossless and a radius whose token symbols fit a u32.
+/// The ratio model costs the same choice.
 bool uses_run_tokens(const Params& params);
 
 /// Parses the container header without touching the payload.

@@ -118,24 +118,26 @@ void dequantize_lanes(const DequantizeBatch<T>& batch) {
 }
 
 template <typename T>
-bool try_temporal_quantize(const T* data, const T* prev, std::size_t n, double eb,
-                           std::uint32_t radius, std::uint32_t* codes,
-                           std::vector<T>& outliers, T* recon) {
-  if (radius > kLaneMaxRadius) return false;
-  switch (util::simd_active()) {
+void temporal_quantize(const T* data, const T* prev, std::size_t n, double eb,
+                       std::uint32_t radius, std::uint32_t* codes, std::vector<T>& outliers,
+                       T* recon) {
+  if (radius <= kLaneMaxRadius) {
+    switch (util::simd_active()) {
 #if PCW_HAVE_AVX512
-    case util::Simd::kAvx512:
-      avx512::temporal_quantize<T>(data, prev, n, eb, radius, codes, outliers, recon);
-      return true;
+      case util::Simd::kAvx512:
+        avx512::temporal_quantize<T>(data, prev, n, eb, radius, codes, outliers, recon);
+        return;
 #endif
 #if PCW_HAVE_AVX2
-    case util::Simd::kAvx2:
-      avx2::temporal_quantize<T>(data, prev, n, eb, radius, codes, outliers, recon);
-      return true;
+      case util::Simd::kAvx2:
+        avx2::temporal_quantize<T>(data, prev, n, eb, radius, codes, outliers, recon);
+        return;
 #endif
-    default:
-      return false;
+      default:
+        break;
+    }
   }
+  temporal_quantize_points<T>(data, prev, n, eb, radius, codes, outliers, recon);
 }
 
 template <typename T>
@@ -158,32 +160,19 @@ bool temporal_dequant_range(const std::uint32_t* codes, const T* prev, T* out,
         break;
     }
   }
-  // Scalar reference: the per-point loop from temporal.cc.
-  const double twice_eb = 2.0 * eb;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t code = codes[i];
-    if (code == 0) {
-      if (k >= outliers.size()) return false;
-      out[i] = outliers[k++];
-    } else {
-      const auto q = static_cast<long long>(code) - static_cast<long long>(radius);
-      out[i] = static_cast<T>(static_cast<double>(prev[i]) +
-                              static_cast<double>(q) * twice_eb);
-    }
-  }
-  return true;
+  return temporal_dequant_points<T>(codes, prev, out, n, outliers, k, eb, radius);
 }
 
 template void quantize_lanes<float>(const QuantizeBatch<float>&);
 template void quantize_lanes<double>(const QuantizeBatch<double>&);
 template void dequantize_lanes<float>(const DequantizeBatch<float>&);
 template void dequantize_lanes<double>(const DequantizeBatch<double>&);
-template bool try_temporal_quantize<float>(const float*, const float*, std::size_t,
-                                           double, std::uint32_t, std::uint32_t*,
-                                           std::vector<float>&, float*);
-template bool try_temporal_quantize<double>(const double*, const double*, std::size_t,
-                                            double, std::uint32_t, std::uint32_t*,
-                                            std::vector<double>&, double*);
+template void temporal_quantize<float>(const float*, const float*, std::size_t, double,
+                                       std::uint32_t, std::uint32_t*, std::vector<float>&,
+                                       float*);
+template void temporal_quantize<double>(const double*, const double*, std::size_t,
+                                        double, std::uint32_t, std::uint32_t*,
+                                        std::vector<double>&, double*);
 template bool temporal_dequant_range<float>(const std::uint32_t*, const float*, float*,
                                             std::size_t, std::span<const float>,
                                             std::size_t&, double, std::uint32_t);

@@ -13,11 +13,13 @@
 //    point-wise, so it vectorizes directly along the element axis.
 //
 // The contract for every kernel here: results are byte-identical to the
-// scalar reference in lorenzo.cc / temporal.cc, for all inputs. SIMD
-// changes speed, never bytes — the per-block outlier and quantization
-// semantics are the container format.
+// scalar reference (lorenzo.cc; the temporal point loops below), for all
+// inputs. SIMD changes speed, never bytes — the per-block outlier and
+// quantization semantics are the container format.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -47,6 +49,44 @@ int lane_width();
 /// width in doubles; 1 when scalar). A batch's `lanes` must be a
 /// multiple of this, between lane_granularity() and lane_width().
 int lane_granularity();
+
+/// One task of a lane-grouped walk over consecutive blocks: `count`
+/// blocks from `first`, a lockstep lane batch when count > 1.
+struct LaneGroup {
+  std::size_t first = 0;
+  int count = 1;
+};
+
+/// Splits `n` consecutive blocks into lockstep lane groups and singles;
+/// the one grouping rule of the block quantizer and decoder. From
+/// each leading block `lead` the run takes blocks lead, lead + 1, ...
+/// while `joins(lead, k)` accepts block lead + k as lane k (k = 0 asks
+/// whether `lead` can lead a group at all), up to lane_width() lanes and
+/// the blocks left. The run is rounded down to lane_granularity(), and
+/// becomes a group when that leaves at least one granule and more than
+/// one lane; otherwise `lead` runs alone. With no lane kernel at the
+/// active level, or radius > kLaneMaxRadius, every block runs alone.
+template <typename Joins>
+std::vector<LaneGroup> lane_groups(std::size_t n, std::uint32_t radius, Joins&& joins) {
+  std::vector<LaneGroup> groups;
+  groups.reserve(n);
+  const int w = lane_width();
+  const int g = lane_granularity();
+  std::size_t lead = 0;
+  while (lead < n) {
+    int run = 0;
+    if (w > 1 && radius <= kLaneMaxRadius) {
+      const int cap =
+          static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(w), n - lead));
+      while (run < cap && joins(lead, static_cast<std::size_t>(run))) ++run;
+      run = (run / g) * g;
+    }
+    const int count = run >= g && run > 1 ? run : 1;
+    groups.push_back({lead, count});
+    lead += static_cast<std::size_t>(count);
+  }
+  return groups;
+}
 
 /// One lockstep quantize batch: `lanes` equal-shape blocks stored
 /// consecutively (block l spans data[l*bc, (l+1)*bc)).
@@ -91,14 +131,15 @@ void quantize_lanes(const QuantizeBatch<T>& batch);
 template <typename T>
 void dequantize_lanes(const DequantizeBatch<T>& batch);
 
-/// Vectorized temporal (point-wise) quantize of the whole range. Returns
-/// false — leaving all outputs untouched — when the active level is
-/// scalar or radius exceeds the lane cap; the caller then runs its
-/// scalar loop.
+/// Temporal (point-wise) quantize of the whole range: x - prev quantized
+/// to an integer multiple of 2 * eb, with the lorenzo_quantize code and
+/// outlier conventions; `recon` receives what the decoder reproduces.
+/// Always available (internally SIMD or scalar — identical bytes either
+/// way).
 template <typename T>
-bool try_temporal_quantize(const T* data, const T* prev, std::size_t n, double eb,
-                           std::uint32_t radius, std::uint32_t* codes,
-                           std::vector<T>& outliers, T* recon);
+void temporal_quantize(const T* data, const T* prev, std::size_t n, double eb,
+                       std::uint32_t radius, std::uint32_t* codes,
+                       std::vector<T>& outliers, T* recon);
 
 /// Temporal (point-wise) dequantize of one code range against its
 /// reference slice, consuming outliers from position `k` onward. Always
@@ -109,5 +150,68 @@ template <typename T>
 bool temporal_dequant_range(const std::uint32_t* codes, const T* prev, T* out,
                             std::size_t n, std::span<const T> outliers,
                             std::size_t& k, double eb, std::uint32_t radius);
+
+// ---- the scalar temporal point loops ----------------------------------------
+//
+// Written once: they are the scalar path of the two kernels above, the
+// tails of their SIMD versions and the SIMD dequantize's outlier-bearing
+// chunks. `static`, so every TU — each ISA TU compiled with its own
+// flags — keeps its own copy, and the linker can never hand one ISA's
+// code to another's call path.
+
+/// Scalar body of temporal_quantize over [0, n).
+template <typename T>
+static inline void temporal_quantize_points(const T* data, const T* prev, std::size_t n,
+                                            double eb, std::uint32_t radius,
+                                            std::uint32_t* codes, std::vector<T>& outliers,
+                                            T* recon) {
+  const double twice_eb = 2.0 * eb;
+  const auto r = static_cast<long long>(radius);
+  const auto max_q = static_cast<double>(r - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double orig = static_cast<double>(data[i]);
+    const double pred = static_cast<double>(prev[i]);
+    const double scaled = (orig - pred) / twice_eb;
+    bool predictable = std::abs(scaled) <= max_q;
+    long long q = 0;
+    double rec = 0.0;
+    if (predictable) {
+      q = std::llround(scaled);
+      rec = pred + static_cast<double>(q) * twice_eb;
+      // Same storage-precision check as the Lorenzo quantizer: the decoder
+      // reproduces T(rec), so the bound must survive the narrowing.
+      predictable = std::abs(static_cast<double>(static_cast<T>(rec)) - orig) <= eb;
+    }
+    if (predictable) {
+      codes[i] = static_cast<std::uint32_t>(q + r);
+      recon[i] = static_cast<T>(rec);
+    } else {
+      codes[i] = 0;
+      outliers.push_back(data[i]);
+      recon[i] = data[i];
+    }
+  }
+}
+
+/// Scalar body of temporal_dequant_range over [0, n).
+template <typename T>
+static inline bool temporal_dequant_points(const std::uint32_t* codes, const T* prev,
+                                           T* out, std::size_t n,
+                                           std::span<const T> outliers, std::size_t& k,
+                                           double eb, std::uint32_t radius) {
+  const double twice_eb = 2.0 * eb;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t code = codes[i];
+    if (code == 0) {
+      if (k >= outliers.size()) return false;
+      out[i] = outliers[k++];
+    } else {
+      const auto q = static_cast<long long>(code) - static_cast<long long>(radius);
+      out[i] = static_cast<T>(static_cast<double>(prev[i]) +
+                              static_cast<double>(q) * twice_eb);
+    }
+  }
+  return true;
+}
 
 }  // namespace pcw::sz::kern

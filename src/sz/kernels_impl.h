@@ -23,7 +23,7 @@
 // Every vector operation is the element-wise single-rounded IEEE
 // operation (converts, + - * /, compares, selects), i.e. exactly the
 // scalar instruction each lane would have executed, so byte-identity with
-// the scalar kernels in lorenzo.cc / temporal.cc holds by construction.
+// the scalar kernels (lorenzo.cc, kernels.h) holds by construction.
 // The two places the op sequence differs from the scalar source are
 // exact-by-proof rewrites, both gated by radius <= kLaneMaxRadius = 2^30:
 //   * std::llround(x) (libm; no vector form) becomes floor plus a
@@ -464,7 +464,6 @@ void temporal_quantize_impl(const T* data, const T* prev, std::size_t n, double 
   const double twice_eb = 2.0 * eb;
   const double max_qd = static_cast<double>(static_cast<long long>(radius) - 1);
   const auto radius_i = static_cast<std::int32_t>(radius);
-  const auto radius_ll = static_cast<long long>(radius);
   std::size_t i = 0;
   for (; i + W <= n; i += W) {
     nvi zero = {};
@@ -487,28 +486,8 @@ void temporal_quantize_impl(const T* data, const T* prev, std::size_t n, double 
       }
     }
   }
-  // Scalar tail: literally the per-point loop from temporal.cc.
-  for (; i < n; ++i) {
-    const double orig = static_cast<double>(data[i]);
-    const double pred = static_cast<double>(prev[i]);
-    const double scaled = (orig - pred) / twice_eb;
-    bool predictable = std::abs(scaled) <= max_qd;
-    long long q = 0;
-    double rec = 0.0;
-    if (predictable) {
-      q = std::llround(scaled);
-      rec = pred + static_cast<double>(q) * twice_eb;
-      predictable = std::abs(static_cast<double>(static_cast<T>(rec)) - orig) <= eb;
-    }
-    if (predictable) {
-      codes[i] = static_cast<std::uint32_t>(q + radius_ll);
-      recon[i] = static_cast<T>(rec);
-    } else {
-      codes[i] = 0;
-      outliers.push_back(data[i]);
-      recon[i] = data[i];
-    }
-  }
+  temporal_quantize_points<T>(data + i, prev + i, n - i, eb, radius, codes + i, outliers,
+                              recon + i);
 }
 
 template <typename T>
@@ -528,16 +507,9 @@ bool temporal_dequant_range_impl(const std::uint32_t* codes, const T* prev, T* o
     }
     if (hor_or(zero)) {
       // Chunks holding an outlier run scalar to keep consumption in order.
-      for (int l = 0; l < W; ++l) {
-        const std::uint32_t c = codes[i + l];
-        if (c == 0) {
-          if (k >= outliers.size()) return false;
-          out[i + l] = outliers[k++];
-        } else {
-          const auto q = static_cast<long long>(c) - static_cast<long long>(radius);
-          out[i + l] = static_cast<T>(static_cast<double>(prev[i + l]) +
-                                      static_cast<double>(q) * twice_eb);
-        }
+      if (!temporal_dequant_points<T>(codes + i, prev + i, out + i, W, outliers, k, eb,
+                                      radius)) {
+        return false;
       }
       continue;
     }
@@ -548,18 +520,8 @@ bool temporal_dequant_range_impl(const std::uint32_t* codes, const T* prev, T* o
       vstore(out + i + p * NV, to_T<T>(pred + q * twice_eb));
     }
   }
-  for (; i < n; ++i) {
-    const std::uint32_t code = codes[i];
-    if (code == 0) {
-      if (k >= outliers.size()) return false;
-      out[i] = outliers[k++];
-    } else {
-      const auto q = static_cast<long long>(code) - static_cast<long long>(radius);
-      out[i] = static_cast<T>(static_cast<double>(prev[i]) +
-                              static_cast<double>(q) * twice_eb);
-    }
-  }
-  return true;
+  return temporal_dequant_points<T>(codes + i, prev + i, out + i, n - i, outliers, k, eb,
+                                    radius);
 }
 
 }  // namespace

@@ -198,48 +198,18 @@ std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
     throw std::invalid_argument("lorenzo_quantize: counts size != 2 * radius");
   }
 
-  // Partition into lockstep groups — runs of consecutive blocks with
-  // identical extents and contiguous data, rounded down to the lane
-  // granularity (up to lane_width() lanes per group) — and scalar
-  // singles. The partition depends on the dispatch level, but both
-  // kernels produce identical bytes, so blobs do not.
-  struct Task {
-    std::size_t first = 0;
-    int count = 1;  // lanes for a lockstep group, 1 for a single
-  };
-  std::vector<Task> tasks;
-  tasks.reserve(blocks.size());
-  const int w = kern::lane_width();
-  const int g = kern::lane_granularity();
-  std::size_t b = 0;
-  while (b < blocks.size()) {
-    int run = 0;
-    if (w > 1 && radius <= kern::kLaneMaxRadius) {
-      const std::size_t bc = blocks[b].dims.count();
-      if (bc > 0) {
-        const int cap = static_cast<int>(
-            std::min<std::size_t>(static_cast<std::size_t>(w), blocks.size() - b));
-        run = 1;
-        while (run < cap) {
-          const BlockRange& cur = blocks[b + static_cast<std::size_t>(run)];
-          const bool contiguous =
-              cur.dims.d0 == blocks[b].dims.d0 && cur.dims.d1 == blocks[b].dims.d1 &&
-              cur.dims.d2 == blocks[b].dims.d2 &&
-              cur.elem_offset ==
-                  blocks[b].elem_offset + static_cast<std::size_t>(run) * bc;
-          if (!contiguous) break;
-          ++run;
-        }
-        run = (run / g) * g;
-        if (blocks[b].elem_offset + static_cast<std::size_t>(run) * bc > data.size()) {
-          run = 0;
-        }
-      }
-    }
-    const bool group = run >= g && run > 1;
-    tasks.push_back({b, group ? run : 1});
-    b += group ? static_cast<std::size_t>(run) : 1;
-  }
+  // Lockstep groups: runs of consecutive blocks with identical extents
+  // and contiguous data. The grouping depends on the dispatch level, but
+  // both kernels produce identical bytes, so blobs do not.
+  const std::vector<kern::LaneGroup> tasks =
+      kern::lane_groups(blocks.size(), radius, [&](std::size_t lead, std::size_t k) {
+        const BlockRange& first = blocks[lead];
+        const BlockRange& cur = blocks[lead + k];
+        const std::size_t bc = first.dims.count();
+        return bc > 0 && cur.dims == first.dims &&
+               cur.elem_offset == first.elem_offset + k * bc &&
+               cur.elem_offset + bc <= data.size();
+      });
 
   // Each task counts codes into its own histogram, added into `counts`
   // when the task ends, so at most one histogram per worker is live. A
@@ -251,7 +221,7 @@ std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
 
   std::vector<QuantizeResult<T>> quants(blocks.size());
   util::parallel_for(tasks.size(), threads, [&](std::size_t t) {
-    const Task& task = tasks[t];
+    const kern::LaneGroup& task = tasks[t];
     util::trace::Span span("quantize", "sz", "block", task.first);
     std::vector<std::uint64_t> own;
     std::uint64_t* hist = nullptr;

@@ -1,6 +1,5 @@
 #include "sz/temporal.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "sz/kernels.h"
@@ -19,42 +18,8 @@ QuantizeResult<T> temporal_quantize(std::span<const T> data, std::span<const T> 
   QuantizeResult<T> result;
   result.codes.resize(data.size());
   result.recon.resize(data.size());
-
-  // The point-wise loop vectorizes directly; the kernel layer owns the
-  // dispatched variants and produces bytes identical to the loop below,
-  // which stays as the scalar reference (and the PCW_SIMD=off path).
-  if (kern::try_temporal_quantize<T>(data.data(), prev.data(), data.size(), eb, radius,
-                                     result.codes.data(), result.outliers,
-                                     result.recon.data())) {
-    return result;
-  }
-
-  const double twice_eb = 2.0 * eb;
-  const auto r = static_cast<long long>(radius);
-  const auto max_q = static_cast<long long>(radius) - 1;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const double orig = static_cast<double>(data[i]);
-    const double pred = static_cast<double>(prev[i]);
-    const double scaled = (orig - pred) / twice_eb;
-    bool predictable = std::abs(scaled) <= static_cast<double>(max_q);
-    long long q = 0;
-    double rec = 0.0;
-    if (predictable) {
-      q = std::llround(scaled);
-      rec = pred + static_cast<double>(q) * twice_eb;
-      // Same storage-precision check as the Lorenzo quantizer: the decoder
-      // reproduces T(rec), so the bound must survive the narrowing.
-      predictable = std::abs(static_cast<double>(static_cast<T>(rec)) - orig) <= eb;
-    }
-    if (predictable) {
-      result.codes[i] = static_cast<std::uint32_t>(q + r);
-      result.recon[i] = static_cast<T>(rec);
-    } else {
-      result.codes[i] = 0;
-      result.outliers.push_back(data[i]);
-      result.recon[i] = data[i];
-    }
-  }
+  kern::temporal_quantize<T>(data.data(), prev.data(), data.size(), eb, radius,
+                             result.codes.data(), result.outliers, result.recon.data());
   return result;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "sz/blocks.h"
@@ -10,6 +12,7 @@
 #include "sz/lorenzo.h"
 #include "support/build_v1_blob.h"
 #include "support/legacy_fixtures.h"
+#include "support/simd_levels.h"
 #include "util/bitstream.h"
 #include "util/pod_io.h"
 #include "util/rng.h"
@@ -196,6 +199,86 @@ TEST(Compressor, LegacyLzFixtureDecodesBitExactly) {
   }
 }
 
+TEST(Compressor, LegacyBlobsDecodeBitExactlyAtEveryLevel) {
+  // Every reader path for a writer that is gone, pinned by the hash of
+  // its decoded output: the checked-in v2/v3 (plain and LZ) and v4 + LZ
+  // fixtures, and a v1 blob built by the reference writer. Whole-field
+  // decodes run at every SIMD level and two thread counts; region reads
+  // of the plain fixtures must equal the matching slice of the full one.
+  using testsupport::fnv1a;
+  using testsupport::LegacyFixture;
+  struct Case {
+    std::vector<std::uint8_t> blob;
+    Dims dims;
+    std::uint32_t version;
+    std::uint64_t decoded_fnv1a;
+    std::vector<float> prev;  // reference step for temporal blocks
+  };
+  auto from = [](const LegacyFixture& f, std::vector<float> prev = {}) {
+    return Case{testsupport::load_fixture(f), f.dims, f.version, f.decoded_fnv1a,
+                std::move(prev)};
+  };
+  const auto v2_lz = testsupport::load_fixture(testsupport::kV2Lz);
+  const auto v2_plain = testsupport::load_fixture(testsupport::kV2Plain);
+  const Dims v1_dims = Dims::make_3d(40, 48, 48);
+  std::vector<Case> cases;
+  cases.push_back({testsupport::build_v1_blob(testsupport::golden_field<float>(v1_dims, 18),
+                                              v1_dims, 1e-1, 32768),
+                   v1_dims, 1, 0x8b288f137d4a968aull, {}});
+  cases.push_back(from(testsupport::kV2Lz));
+  cases.push_back(from(testsupport::kV3Lz, decompress<float>(v2_lz)));
+  cases.push_back(from(testsupport::kV4Lz));
+  cases.push_back(from(testsupport::kV2Plain));
+  cases.push_back(from(testsupport::kV3Plain, decompress<float>(v2_plain)));
+
+  // The v3 fixture keeps both predictors: slabs 0-1 temporal, 2-3 spatial.
+  const auto v3_blocks = inspect_blocks(cases.back().blob);
+  ASSERT_EQ(v3_blocks.size(), 4u);
+  EXPECT_EQ(v3_blocks[0].predictor, Predictor::kTemporal);
+  EXPECT_EQ(v3_blocks[1].predictor, Predictor::kTemporal);
+  EXPECT_EQ(v3_blocks[2].predictor, Predictor::kSpatial);
+  EXPECT_EQ(v3_blocks[3].predictor, Predictor::kSpatial);
+
+  // Boxes inside one slab, across all four, and a single plane.
+  const Region regions[] = {{{1, 5, 3}, {7, 60, 61}},
+                            {{3, 0, 10}, {29, 64, 20}},
+                            {{17, 0, 0}, {18, 64, 64}}};
+  auto slice = [](const std::vector<float>& v, const Region& r, const Dims& d) {
+    std::vector<float> out(r.count());
+    for_each_region_row(r, d, [&](std::size_t g, std::size_t len, std::size_t o) {
+      std::memcpy(out.data() + o, v.data() + g, len * sizeof(float));
+    });
+    return out;
+  };
+
+  testsupport::ActiveGuard guard;
+  for (const util::Simd level : testsupport::available_levels()) {
+    util::simd_set_active(level);
+    for (const Case& c : cases) {
+      ASSERT_EQ(inspect(c.blob).version, c.version);
+      const std::span<const float> prev(c.prev);
+      for (const unsigned threads : {1u, 3u}) {
+        Dims dims;
+        const auto full = decompress<float>(c.blob, prev, &dims, threads);
+        EXPECT_EQ(dims, c.dims);
+        EXPECT_EQ(fnv1a(full), c.decoded_fnv1a)
+            << "v" << c.version << " at " << util::simd_name(level) << ", threads="
+            << threads;
+        if (c.dims != testsupport::kV2Plain.dims) continue;
+        for (const Region& r : regions) {
+          const auto prev_region =
+              c.prev.empty() ? std::vector<float>{} : slice(c.prev, r, c.dims);
+          const auto got = decompress_region<float>(
+              c.blob, r, std::span<const float>(prev_region), threads);
+          EXPECT_EQ(got, slice(full, r, c.dims))
+              << "v" << c.version << " region at " << util::simd_name(level)
+              << ", threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
 TEST(Compressor, OneDimensionalData) {
   util::Rng rng(8);
   std::vector<float> data(100000);
@@ -332,10 +415,9 @@ TEST(CompressorV2, MultiBlockRoundTripRespectsBound) {
     Params p;
     p.error_bound = eb;
     p.threads = 0;  // all hardware threads
-    p.checksum = false;  // this suite pins the v2 container
     const auto blob = compress<float>(data, kMultiBlockDims, p);
     const HeaderInfo info = inspect(blob);
-    EXPECT_EQ(info.version, 2u);
+    EXPECT_EQ(info.version, 5u);
     EXPECT_GT(info.block_count, 1u);
     Dims dims_out;
     const auto rec = decompress<float>(blob, &dims_out, 0);
@@ -344,88 +426,116 @@ TEST(CompressorV2, MultiBlockRoundTripRespectsBound) {
   }
 }
 
-// Byte offsets in the v2 fixed header (see docs/sz_container_v2.md).
+// Where each layout keeps its block count and block index, and the size
+// of one index entry (docs/sz_container_v2.md, docs/integrity.md).
+struct Layout {
+  const char* name;
+  std::size_t block_count_offset;
+  std::size_t index_offset;
+  std::size_t entry_bytes;
+};
 constexpr std::size_t kVersionOffset = 4;
-constexpr std::size_t kBlockCountOffset = 76;
-constexpr std::size_t kIndexOffset = 80;
 
-// A small deterministic v2 blob with LZ disabled so payload offsets are
-// header-predictable.
-std::vector<std::uint8_t> sample_v2_blob() {
-  const auto data = multi_block_field(23);
+// One multi-block blob per header layout the reader parses: the plain v2
+// fixture, and a v5 blob without run tokens.
+struct LayoutSample {
+  Layout layout;
+  std::vector<std::uint8_t> blob;
+};
+std::vector<LayoutSample> multi_block_samples() {
   Params p;
   p.error_bound = 1e-2;
   p.lossless = false;
-  return compress<float>(data, kMultiBlockDims, p);
+  return {{{"v2", 76, 80, 24}, testsupport::load_fixture(testsupport::kV2Plain)},
+          {{"v5", 96, 100, 29}, compress<float>(multi_block_field(23), kMultiBlockDims, p)}};
+}
+
+// Decoding `blob` must throw exactly `what`. No checksum verification,
+// so a header or block CRC cannot answer before the check under test.
+void expect_rejected(std::span<const std::uint8_t> blob, const std::string& what,
+                     const char* layout) {
+  try {
+    decompress<float>(blob, nullptr, 1, VerifyMode::kOff);
+    ADD_FAILURE() << layout << ": accepted, expected \"" << what << "\"";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), what) << layout;
+  }
 }
 
 TEST(CompressorV2, RejectsTruncatedFixedHeader) {
-  auto blob = sample_v2_blob();
-  for (const std::size_t keep : {0u, 3u, 10u, 50u, 75u, 79u}) {
-    auto cut = blob;
-    cut.resize(keep);
-    EXPECT_THROW(decompress<float>(cut), std::runtime_error) << "keep=" << keep;
+  for (const LayoutSample& s : multi_block_samples()) {
+    for (std::size_t keep = 0; keep < s.layout.index_offset; keep += 5) {
+      expect_rejected(std::span(s.blob).first(keep), "sz: truncated header", s.layout.name);
+    }
   }
 }
 
 TEST(CompressorV2, RejectsTruncatedBlockIndex) {
-  auto blob = sample_v2_blob();
-  const std::uint32_t blocks = inspect(blob).block_count;
-  ASSERT_GT(blocks, 1u);
-  // Cut inside the index: the fixed header parses, the index must throw.
-  auto cut = blob;
-  cut.resize(kIndexOffset + 12);
-  EXPECT_THROW(decompress<float>(cut), std::runtime_error);
+  for (const LayoutSample& s : multi_block_samples()) {
+    ASSERT_GT(inspect(s.blob).block_count, 1u) << s.layout.name;
+    // Cut inside the index: the fixed header parses, the index must throw.
+    for (const std::size_t in_index : {std::size_t{0}, std::size_t{12},
+                                       s.layout.entry_bytes + 3}) {
+      expect_rejected(std::span(s.blob).first(s.layout.index_offset + in_index),
+                      "sz: truncated header", s.layout.name);
+    }
+  }
 }
 
 TEST(CompressorV2, RejectsWrappingBlockIndexSums) {
   // Adding 2^63 to two entries leaves the (wrapping) sum equal to the
   // header total; the overflow-checked accumulation must still reject it,
   // or the per-block offsets would index far outside the payload.
-  auto blob = sample_v2_blob();
-  ASSERT_GE(inspect(blob).block_count, 2u);
-  for (const std::size_t entry : {0u, 1u}) {
-    const std::size_t off = kIndexOffset + entry * 24 + 8;  // huff_bytes field
-    std::uint64_t v;
-    std::memcpy(&v, blob.data() + off, sizeof v);
-    v += 1ull << 63;
-    std::memcpy(blob.data() + off, &v, sizeof v);
+  for (LayoutSample& s : multi_block_samples()) {
+    ASSERT_GE(inspect(s.blob).block_count, 2u) << s.layout.name;
+    for (const std::size_t entry : {0u, 1u}) {
+      const std::size_t off =
+          s.layout.index_offset + entry * s.layout.entry_bytes + 8;  // huff_bytes
+      std::uint64_t v;
+      std::memcpy(&v, s.blob.data() + off, sizeof v);
+      v += 1ull << 63;
+      std::memcpy(s.blob.data() + off, &v, sizeof v);
+    }
+    expect_rejected(s.blob, "sz: block index overflow", s.layout.name);
   }
-  EXPECT_THROW(decompress<float>(blob), std::runtime_error);
 }
 
 TEST(CompressorV2, RejectsZeroBlockCount) {
-  auto blob = sample_v2_blob();
-  const std::uint32_t zero = 0;
-  std::memcpy(blob.data() + kBlockCountOffset, &zero, sizeof zero);
-  EXPECT_THROW(decompress<float>(blob), std::runtime_error);
-  EXPECT_THROW(inspect(blob), std::runtime_error);
+  for (LayoutSample& s : multi_block_samples()) {
+    const std::uint32_t zero = 0;
+    std::memcpy(s.blob.data() + s.layout.block_count_offset, &zero, sizeof zero);
+    expect_rejected(s.blob, "sz: zero block count", s.layout.name);
+    EXPECT_THROW(inspect(s.blob), std::runtime_error) << s.layout.name;
+  }
 }
 
 TEST(CompressorV2, RejectsCorruptCodebook) {
-  auto blob = sample_v2_blob();
-  const std::size_t payload_start =
-      kIndexOffset + inspect(blob).block_count * 24;
-  ASSERT_LT(payload_start + 5, blob.size());
-  // An endless varint at the codebook head: must throw, not scan away.
-  for (std::size_t i = 0; i < 5; ++i) blob[payload_start + i] = 0xff;
-  EXPECT_THROW(decompress<float>(blob), std::runtime_error);
+  for (LayoutSample& s : multi_block_samples()) {
+    const std::size_t payload_start =
+        s.layout.index_offset + inspect(s.blob).block_count * s.layout.entry_bytes;
+    ASSERT_EQ(payload_start, inspect(s.blob).header_size) << s.layout.name;
+    // An endless varint at the codebook head: must throw, not scan away.
+    for (std::size_t i = 0; i < 5; ++i) s.blob[payload_start + i] = 0xff;
+    expect_rejected(s.blob, "huffman: varint overflow", s.layout.name);
+  }
 }
 
 TEST(CompressorV2, RejectsUnknownVersion) {
-  auto blob = sample_v2_blob();
-  blob[kVersionOffset] = 3;
-  EXPECT_THROW(decompress<float>(blob), std::runtime_error);
-  blob[kVersionOffset] = 0;
-  EXPECT_THROW(decompress<float>(blob), std::runtime_error);
+  for (LayoutSample& s : multi_block_samples()) {
+    for (const int version : {0, 6, 255}) {
+      s.blob[kVersionOffset] = static_cast<std::uint8_t>(version);
+      expect_rejected(s.blob, "sz: unsupported version", s.layout.name);
+    }
+  }
 }
 
 TEST(CompressorV2, CrossVersionPatchingThrowsCleanly) {
-  // A v2 blob re-labelled v1 makes the decoder read the block index as a
+  // A blob re-labelled v1 makes the decoder read the block index as a
   // codebook; it must fail validation, never crash (tier-1 runs ASan).
-  auto v2_as_v1 = sample_v2_blob();
-  v2_as_v1[kVersionOffset] = 1;
-  EXPECT_THROW(decompress<float>(v2_as_v1), std::runtime_error);
+  for (LayoutSample& s : multi_block_samples()) {
+    s.blob[kVersionOffset] = 1;
+    EXPECT_THROW(decompress<float>(s.blob), std::runtime_error) << s.layout.name;
+  }
 }
 
 // The reference v1 writer lives in tests/support/build_v1_blob.h, shared

@@ -250,17 +250,14 @@ TEST(IntegritySz, DeepVerifyLocalizesDamageToBlocks) {
 }
 
 TEST(IntegritySz, LegacyContainersStillDecodeAndVerifyModesAreNoOps) {
-  const sz::Dims dims = sz::Dims::make_3d(2, 32, 64);
-  const auto data = smooth_field(dims);
-  sz::Params legacy;
-  legacy.checksum = false;
-  const auto blob = sz::compress<float>(data, dims, legacy);
+  const auto blob = testsupport::load_fixture(testsupport::kV2Plain);
   ASSERT_EQ(sz::inspect(blob).version, 2u);
   EXPECT_FALSE(sz::inspect(blob).checksummed);
 
   // Verification is a structural no-op below v4 — same output either way.
   const auto off = sz::decompress<float>(blob, nullptr, 1, sz::VerifyMode::kOff);
   const auto deep = sz::decompress<float>(blob, nullptr, 1, sz::VerifyMode::kBlock);
+  EXPECT_EQ(testsupport::fnv1a(off), testsupport::kV2Plain.decoded_fnv1a);
   EXPECT_EQ(off, deep);
   const sz::BlobVerifyReport rep = sz::verify_blob(blob, true);
   EXPECT_TRUE(rep.parsed);
@@ -278,16 +275,13 @@ TEST(IntegritySz, TruncationSweepNeverAcceptsAPrefix) {
   std::vector<Case> cases;
   cases.push_back({sz::compress<float>(data, dims, sz::Params{}), {}});  // v5
   cases.push_back({token_blob(dims), {}});                               // v5, run tokens
-  sz::Params legacy;
-  legacy.checksum = false;
-  cases.push_back({sz::compress<float>(data, dims, legacy), {}});  // v2
-  sz::Params temporal = legacy;
-  temporal.predictor = sz::Predictor::kTemporal;
-  std::vector<float> recon;
-  sz::compress<float>(data, dims, legacy, {}, &recon);
-  cases.push_back({sz::compress<float>(data, dims, temporal, recon), recon});  // v3
-  // Legacy LZ blobs, whose writer is gone: the empty trailing literal
-  // token is the one prefix a legacy reader may accept.
+  // Legacy blobs, whose writers are gone: plain v2/v3, and LZ ones, whose
+  // empty trailing literal token is the one prefix a legacy reader may
+  // accept.
+  const auto v2_plain = testsupport::load_fixture(testsupport::kV2Plain);
+  cases.push_back({v2_plain, {}});
+  cases.push_back({testsupport::load_fixture(testsupport::kV3Plain),
+                   sz::decompress<float>(v2_plain)});
   const auto v2_lz = testsupport::load_fixture(testsupport::kV2Lz);
   cases.push_back({v2_lz, {}});
   cases.push_back({testsupport::load_fixture(testsupport::kV3Lz), sz::decompress<float>(v2_lz)});

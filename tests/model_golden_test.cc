@@ -12,37 +12,18 @@
 #include <span>
 #include <vector>
 
-#include "data/noise.h"
 #include "model/extra_space.h"
 #include "model/ratio_model.h"
+#include "support/golden.h"
 #include "sz/compressor.h"
 #include "sz/dims.h"
-#include "util/rng.h"
 
 namespace pcw {
 namespace {
 
 constexpr double kTol = 1e-9;
 
-// Deterministic smooth field from the fixed seed; identical on every
-// platform because ValueNoise3D and Rng are integer-seeded and portable.
-std::vector<float> golden_field(const sz::Dims& dims, std::uint64_t seed) {
-  const data::ValueNoise3D noise(seed);
-  util::Rng rng(seed * 2654435761u);
-  std::vector<float> out(dims.count());
-  std::size_t i = 0;
-  for (std::size_t x = 0; x < dims.d0; ++x) {
-    for (std::size_t y = 0; y < dims.d1; ++y) {
-      for (std::size_t z = 0; z < dims.d2; ++z) {
-        const double v = noise.fbm(0.11 * static_cast<double>(x),
-                                   0.11 * static_cast<double>(y),
-                                   0.11 * static_cast<double>(z), 3);
-        out[i++] = static_cast<float>(40.0 * v + 0.5 * rng.normal());
-      }
-    }
-  }
-  return out;
-}
+using testsupport::golden_field;
 
 struct RatioGolden {
   std::uint64_t seed;
@@ -53,7 +34,7 @@ struct RatioGolden {
   std::size_t sampled_points;
 };
 
-// Captured with the generator above on dims 32x32x32, default model config
+// Captured with golden_field (support/golden.h) on dims 32x32x32, default model config
 // (32x4x32 sample boxes as thick as the field's one slab block, the
 // 2048-point sample floor, exact codebook bytes; recaptured when run
 // tokens replaced the LZ heuristic).

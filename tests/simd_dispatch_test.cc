@@ -476,7 +476,6 @@ TEST(SimdDispatch, TruncatedBlobRejectedAtEveryLevel) {
   const Dims dims = Dims::make_3d(64, 128, 64);
   Params p;
   p.error_bound = 1e-3;
-  p.checksum = false;  // no CRC layer: the decode path itself must object
   const std::vector<float> data = make_field<float>(dims, 0.0);
   const std::vector<std::uint8_t> blob = compress<float>(data, dims, p);
 
@@ -486,7 +485,8 @@ TEST(SimdDispatch, TruncatedBlobRejectedAtEveryLevel) {
     for (const double frac : {0.35, 0.75, 0.98}) {
       const std::span<const std::uint8_t> trunc(
           blob.data(), static_cast<std::size_t>(static_cast<double>(blob.size()) * frac));
-      EXPECT_THROW(decompress<float>(trunc), std::runtime_error)
+      // No CRC layer: the decode path itself must object.
+      EXPECT_THROW(decompress<float>(trunc, nullptr, 1, VerifyMode::kOff), std::runtime_error)
           << "at level " << util::simd_name(level);
     }
   }

@@ -1,6 +1,7 @@
 // Temporal-predictor coverage at the sz layer: kernel bound preservation,
-// per-block spatial fallback, container v3 round trips, v2 compat, thread
-// determinism, partial (region) chain decode, and malformed-v3 parsing.
+// per-block spatial fallback, temporal round trips, thread determinism,
+// partial (region) chain decode, and malformed-v3 parsing of the
+// checked-in legacy fixture.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include "sz/blocks.h"
 #include "sz/compressor.h"
 #include "sz/temporal.h"
+#include "support/legacy_fixtures.h"
 #include "util/rng.h"
 
 namespace pcw::sz {
@@ -55,8 +57,6 @@ Params temporal_params(double eb = 1e-3) {
   Params p;
   p.error_bound = eb;
   p.predictor = Predictor::kTemporal;
-  p.checksum = false;  // this suite pins the v3 container bytes;
-                       // integrity_test covers the checksummed v4 layer
   return p;
 }
 
@@ -126,7 +126,6 @@ TEST(Temporal, SmoothSeriesCompressesSmallerThanSpatial) {
   const auto curr = series_step(kSeriesDims, 0.02);
   Params spatial;
   spatial.error_bound = 1e-3;
-  spatial.checksum = false;
   std::vector<float> prev_recon;
   compress<float>(prev_orig, kSeriesDims, spatial, {}, &prev_recon);
 
@@ -134,14 +133,14 @@ TEST(Temporal, SmoothSeriesCompressesSmallerThanSpatial) {
   const auto blob_t =
       compress<float>(curr, kSeriesDims, temporal_params(), prev_recon);
   const auto info = inspect(blob_t);
-  EXPECT_EQ(info.version, 3u);
+  EXPECT_EQ(info.version, 5u);
   EXPECT_GT(info.temporal_blocks, 0u);
   EXPECT_LT(blob_t.size(), blob_s.size());
 }
 
 TEST(Temporal, DecorrelatedReferenceFallsBackToSpatialPerBlock) {
   // A garbage reference must cost nothing: every block should fall back
-  // to the spatial stencil, and the resulting v3 blob decodes standalone.
+  // to the spatial stencil, and the resulting blob decodes standalone.
   const auto curr = series_step(kSeriesDims, 0.5);
   std::vector<float> garbage(curr.size());
   util::Rng rng(99);
@@ -149,16 +148,14 @@ TEST(Temporal, DecorrelatedReferenceFallsBackToSpatialPerBlock) {
 
   const auto blob = compress<float>(curr, kSeriesDims, temporal_params(), garbage);
   const auto info = inspect(blob);
-  EXPECT_EQ(info.version, 3u);
   EXPECT_EQ(info.temporal_blocks, 0u);
   const auto rec = decompress<float>(blob);  // no reference needed
   EXPECT_LE(max_abs_err(curr, rec), 1e-3);
 
-  Params legacy;
-  legacy.checksum = false;
-  const auto blob_s = compress<float>(curr, kSeriesDims, legacy);
-  // All-spatial v3 payload matches the v2 payload; only the header grew.
-  EXPECT_EQ(blob.size() - blob_s.size(), info.block_count);
+  // Every block spatial: the very bytes of a spatial compression.
+  Params spatial;
+  spatial.error_bound = 1e-3;
+  EXPECT_EQ(blob, compress<float>(curr, kSeriesDims, spatial));
 }
 
 TEST(Temporal, MixedPredictorBlocks) {
@@ -211,22 +208,22 @@ TEST(Temporal, BlobsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Temporal, SpatialBlobsStayContainerV2) {
-  // Backwards compat: the default predictor with checksums disabled must
-  // keep emitting v2 bytes, so every pre-temporal reader keeps working.
+TEST(Temporal, SpatialBlobsDecodeWithOrWithoutAReference) {
+  // The prev-taking overloads accept a reference for spatial blobs (it is
+  // simply unused) — what a chain decode hands every link. Both today's
+  // container and the legacy v2 layout (checked-in fixture).
   const auto data = series_step(kSeriesDims, 0.1);
   Params p;
   p.error_bound = 1e-3;
-  p.checksum = false;
-  const auto blob = compress<float>(data, kSeriesDims, p);
-  EXPECT_EQ(inspect(blob).version, 2u);
-  EXPECT_EQ(inspect(blob).temporal_blocks, 0u);
-  // The prev-taking overloads accept a reference for spatial blobs (it is
-  // simply unused) — what a chain decode hands every link.
-  const auto with_ref = decompress<float>(blob, std::span<const float>(data));
-  const auto without = decompress<float>(blob);
-  EXPECT_EQ(0, std::memcmp(with_ref.data(), without.data(),
-                           without.size() * sizeof(float)));
+  for (const auto& blob : {compress<float>(data, kSeriesDims, p),
+                           testsupport::load_fixture(testsupport::kV2Plain)}) {
+    const HeaderInfo info = inspect(blob);
+    EXPECT_EQ(info.temporal_blocks, 0u) << "v" << info.version;
+    const std::vector<float> ref(info.dims.count(), 1.0f);
+    const auto with_ref = decompress<float>(blob, std::span<const float>(ref));
+    const auto without = decompress<float>(blob);
+    EXPECT_EQ(with_ref, without) << "v" << info.version;
+  }
 }
 
 TEST(Temporal, RegionChainDecodeMatchesFullChain) {
@@ -348,15 +345,8 @@ TEST(Temporal, ErrorPaths) {
 }
 
 TEST(Temporal, MalformedV3Rejected) {
-  const auto prev_orig = series_step(kSeriesDims, 0.0);
-  const auto curr = series_step(kSeriesDims, 0.02);
-  std::vector<float> prev_recon;
-  Params p0;
-  p0.error_bound = 1e-3;
-  compress<float>(prev_orig, kSeriesDims, p0, {}, &prev_recon);
-  const auto blob = compress<float>(curr, kSeriesDims, temporal_params(), prev_recon);
-  const auto info = inspect(blob);
-  ASSERT_EQ(info.version, 3u);
+  const auto blob = testsupport::load_fixture(testsupport::kV3Plain);
+  ASSERT_EQ(inspect(blob).version, 3u);
 
   // Predictor byte of the first index entry: fixed header (80 bytes) +
   // the three u64 fields.
@@ -365,7 +355,7 @@ TEST(Temporal, MalformedV3Rejected) {
   EXPECT_THROW(inspect(bad), std::runtime_error);
 
   // Truncation anywhere inside the (bigger) v3 index still throws.
-  for (const std::size_t keep : {81u, 100u, 104u}) {
+  for (const std::size_t keep : {81u, 100u, 104u, 130u}) {
     std::vector<std::uint8_t> cut(blob.begin(),
                                   blob.begin() + static_cast<std::ptrdiff_t>(keep));
     EXPECT_THROW(inspect(cut), std::runtime_error) << "keep=" << keep;
