@@ -4,9 +4,8 @@
 // public pcw:: façade (Writer/Reader/run).
 //
 // Scenarios:
-//   * full_restart  — N ranks read every field whole, across a thread
-//                     sweep and with the read/decode pipeline on/off
-//                     (threads=1 + pipeline=off is the serial baseline).
+//   * full_restart  — N ranks read every field whole: the serial
+//                     (1-thread) baseline, then the decode thread sweep.
 //                     serial_noverify/serial_verify rows isolate the cost
 //                     of checksum verification (off vs blob-level CRC);
 //                     check_bench.py gates the overhead at < 5%. The
@@ -61,7 +60,6 @@ struct BenchResult {
   std::string label;
   int ranks = 0;
   unsigned threads = 0;
-  bool pipeline = true;
   double seconds = 0.0;
   double mb_per_s = 0.0;
   std::uint64_t bytes_read = 0;
@@ -210,11 +208,11 @@ void emit_json(const Options& opt, const std::vector<BenchResult>& results,
     char line[320];
     std::snprintf(line, sizeof line,
                   "    {\"scenario\": \"%s\", \"label\": \"%s\", \"ranks\": %d, "
-                  "\"threads\": %u, \"pipeline\": %s, \"seconds\": %.6f, "
+                  "\"threads\": %u, \"seconds\": %.6f, "
                   "\"mb_per_s\": %.1f, \"bytes_read\": %llu, "
                   "\"blocks_decoded\": %llu, \"blocks_total\": %llu}%s\n",
-                  r.scenario.c_str(), r.label.c_str(), r.ranks, r.threads,
-                  r.pipeline ? "true" : "false", r.seconds, r.mb_per_s,
+                  r.scenario.c_str(), r.label.c_str(), r.ranks, r.threads, r.seconds,
+                  r.mb_per_s,
                   static_cast<unsigned long long>(r.bytes_read),
                   static_cast<unsigned long long>(r.blocks_decoded),
                   static_cast<unsigned long long>(r.blocks_total),
@@ -298,10 +296,10 @@ int main(int argc, char** argv) {
 
   std::vector<BenchResult> results;
   auto record = [&](BenchResult r) {
-    std::printf("  %-14s %-10s ranks=%d threads=%u pipeline=%d  %8.4f s  %9.1f MB/s"
+    std::printf("  %-14s %-10s ranks=%d threads=%u  %8.4f s  %9.1f MB/s"
                 "  (%llu/%llu blocks)\n",
                 r.scenario.c_str(), r.label.empty() ? "-" : r.label.c_str(), r.ranks,
-                r.threads, r.pipeline ? 1 : 0, r.seconds, r.mb_per_s,
+                r.threads, r.seconds, r.mb_per_s,
                 static_cast<unsigned long long>(r.blocks_decoded),
                 static_cast<unsigned long long>(r.blocks_total));
     results.push_back(std::move(r));
@@ -311,19 +309,15 @@ int main(int argc, char** argv) {
   /// everything when it returns nullopt) for every field. The Reader is
   /// opened per configuration (untimed); only the reads are measured.
   auto timed_restart = [&](const char* scenario, const char* label, int ranks,
-                           unsigned threads, bool pipeline, auto&& region_of,
+                           unsigned threads, auto&& region_of,
                            VerifyMode verify = VerifyMode::kBlock) {
     BenchResult res;
     res.scenario = scenario;
     res.label = label;
     res.ranks = ranks;
     res.threads = threads;
-    res.pipeline = pipeline;
     const Result<Reader> reader = Reader::open(
-        path, ReaderOptions()
-                  .with_decompress_threads(threads)
-                  .with_pipeline(pipeline)
-                  .with_verify(verify));
+        path, ReaderOptions().with_decompress_threads(threads).with_verify(verify));
     if (!reader.ok()) die(reader.status());
     std::vector<ReadReport> reports(static_cast<std::size_t>(ranks));
     res.seconds = best_seconds(opt.reps, [&] {
@@ -358,17 +352,17 @@ int main(int argc, char** argv) {
 
   // ---- scenario 1: full restart, thread sweep + serial baseline ----------
   std::printf("full restart (%d ranks, every field whole):\n", opt.write_ranks);
-  timed_restart("full_restart", "serial", opt.write_ranks, 1, /*pipeline=*/false,
-                whole_field);
+  timed_restart("full_restart", "serial", opt.write_ranks, 1, whole_field);
   // Verification cost, isolated on the serial path: no checks vs the
   // blob-level CRC pass (one sequential CRC32C over every stored byte).
-  timed_restart("full_restart", "serial_noverify", opt.write_ranks, 1,
-                /*pipeline=*/false, whole_field, VerifyMode::kOff);
-  timed_restart("full_restart", "serial_verify", opt.write_ranks, 1,
-                /*pipeline=*/false, whole_field, VerifyMode::kBlob);
+  timed_restart("full_restart", "serial_noverify", opt.write_ranks, 1, whole_field,
+                VerifyMode::kOff);
+  timed_restart("full_restart", "serial_verify", opt.write_ranks, 1, whole_field,
+                VerifyMode::kBlob);
+  // The sweep skips 1 thread: that row is `serial`.
   for (const unsigned threads : opt.threads) {
-    timed_restart("full_restart", "", opt.write_ranks, threads, /*pipeline=*/true,
-                  whole_field);
+    if (threads == 1) continue;
+    timed_restart("full_restart", "", opt.write_ranks, threads, whole_field);
   }
   // The decode floor under the serial row: the same partition blobs,
   // encoded here with the writer's codec options, decoded from memory by
@@ -380,7 +374,6 @@ int main(int argc, char** argv) {
     res.label = "decode_ref";
     res.ranks = opt.write_ranks;
     res.threads = 1;
-    res.pipeline = false;
     for (int f = 0; f < opt.fields; ++f) {
       const auto info = data::nyx_field_info(static_cast<data::NyxField>(f));
       for (const auto& vec : blocks[static_cast<std::size_t>(f)]) {
@@ -416,7 +409,7 @@ int main(int argc, char** argv) {
   read_rank_counts.push_back(opt.write_ranks * 2);
   for (const int ranks : read_rank_counts) {
     std::printf("repartitioned restart (%d -> %d ranks):\n", opt.write_ranks, ranks);
-    timed_restart("repartition", "", ranks, 1, /*pipeline=*/true, [&](int rank) {
+    timed_restart("repartition", "", ranks, 1, [&](int rank) {
       return std::optional<Region>(restart_region(opt.dims, rank, ranks));
     });
   }
@@ -442,7 +435,6 @@ int main(int argc, char** argv) {
     res.label = s.label;
     res.ranks = 1;
     res.threads = 1;
-    res.pipeline = false;
     ReadReport stats;
     res.seconds = best_seconds(opt.reps, [&] {
       stats = ReadReport{};
@@ -469,8 +461,8 @@ int main(int argc, char** argv) {
     results.push_back(std::move(res));
   }
 
-  // The acceptance gate this bench exists for: a multi-threaded pipelined
-  // full restart must not lose to the serial baseline.
+  // The acceptance gate this bench exists for: a multi-threaded full
+  // restart must not lose to the serial baseline.
   double serial = 0.0, best_mt = 1e300;
   for (const BenchResult& r : results) {
     if (r.scenario != "full_restart") continue;

@@ -41,7 +41,7 @@
   COUNTER(io_read_bytes, "bytes those reads carried")                              \
   COUNTER(io_syncs, "fsync calls")                                                 \
   COUNTER(io_write_retries, "transient-failure retries on the async queue")        \
-  COUNTER(io_async_enqueues, "async_write and async_read submissions")             \
+  COUNTER(io_async_enqueues, "async_write submissions")                            \
   GAUGE(io_queue_depth, io_queue_depth, io_queue_hiwater,                          \
         "in-flight async I/O operations, and their peak")                          \
   HISTOGRAM(io_write_ns, io_write_p50_ns, io_write_p99_ns,                         \

@@ -1,9 +1,11 @@
 // pcw public API — the read/restart path.
 //
 // A Reader opens one shared file and exposes the dataset table, whole-
-// and region reads, and the pipelined multi-field restart engine. The
-// type-erased `*_bytes` methods carry an expected DType tag and return
-// raw element bytes; the template wrappers deliver typed vectors.
+// and region reads, and the multi-field restart engine. Every read plans
+// its selection, preads each partition payload on the calling thread and
+// decodes it in place; opening a file starts no thread. The type-erased
+// `*_bytes` methods carry an expected DType tag and return raw element
+// bytes; the template wrappers deliver typed vectors.
 #pragma once
 
 #include <cstdint>
@@ -30,20 +32,13 @@ enum class VerifyMode : std::uint8_t {
 };
 
 struct ReaderOptions {
-  /// Background I/O threads serving async payload prefetch.
-  unsigned async_threads = 1;
   /// Worker threads per partition block decode (0 = all hardware threads).
   unsigned decompress_threads = 1;
-  /// true: multi-field reads prefetch payloads on the async queue so
-  /// field k+1's I/O overlaps field k's decode.
-  bool pipeline = true;
   /// Checksum verification applied to every decoded container. Corruption
   /// surfaces as kCorruptData naming dataset/partition/block.
   VerifyMode verify = VerifyMode::kBlock;
 
-  ReaderOptions& with_async_threads(unsigned n) { async_threads = n; return *this; }
   ReaderOptions& with_decompress_threads(unsigned n) { decompress_threads = n; return *this; }
-  ReaderOptions& with_pipeline(bool on) { pipeline = on; return *this; }
   ReaderOptions& with_verify(VerifyMode mode) { verify = mode; return *this; }
 };
 
@@ -162,7 +157,7 @@ class Reader {
                                                       const Region& region, DType expected,
                                                       ReadReport* report = nullptr) const;
 
-  /// Collective pipelined multi-field read (the parallel restart engine):
+  /// Collective multi-field read (the parallel restart engine):
   /// result i holds requests[i]'s selection in its own row-major order.
   Result<std::vector<std::vector<std::uint8_t>>> read_fields_bytes(
       Rank& rank, std::span<const ReadRequest> requests, DType expected,

@@ -8,7 +8,7 @@
 namespace pcw::core {
 
 template <typename T>
-std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
+std::vector<std::vector<T>> read_fields(mpi::Comm& comm, const h5::File& file,
                                         std::span<const ReadSpec> specs,
                                         const ReadEngineConfig& config,
                                         ReadReport* report_out) {
@@ -28,53 +28,21 @@ std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
     report.plan_seconds = stage.seconds();
   }
 
-  const std::size_t nfields = plans.size();
-  std::vector<std::vector<h5::PayloadTicket>> inflight(nfields);
-  std::vector<bool> issued(nfields, false);
-  auto issue = [&](std::size_t f) {
-    if (issued[f]) return;
-    issued[f] = true;
-    inflight[f] = h5::async_read_selection(file, *plans[f].desc, plans[f].selection);
-  };
-
   h5::RegionReadStats stats;
-  std::vector<std::vector<T>> results(nfields);
-  for (std::size_t f = 0; f < nfields; ++f) {
-    // The reverse-Fig.-3 overlap: the next field's payloads are already
-    // streaming off disk while this field entropy-decodes. pipeline=false
-    // touches the async queue not at all — every payload is fetched on
-    // this thread right before its decode, a genuinely serial baseline.
-    if (config.pipeline) {
-      issue(f);
-      if (f + 1 < nfields) issue(f + 1);
-    }
-
+  std::vector<std::vector<T>> results(plans.size());
+  for (std::size_t f = 0; f < plans.size(); ++f) {
     const FieldReadPlan& plan = plans[f];
     results[f].resize(plan.selection.elements);
     report.elements_out += plan.selection.elements;
-    report.partitions_total += plan.selection.partitions_total;
-    report.partitions_read += plan.selection.parts.size();
-    for (std::size_t p = 0; p < plan.selection.parts.size(); ++p) {
-      std::vector<std::uint8_t> payload;
-      {
-        util::trace::StageTimer stage("payload_wait", "read", "part", p);
-        payload =
-            config.pipeline
-                ? inflight[f][p].join()
-                : h5::read_selection_payload(file, *plan.desc, plan.selection.parts[p]);
-        report.read_seconds += stage.seconds();
-      }
-      util::trace::StageTimer stage("decode", "read", "part", p);
-      h5::scatter_selection_part<T>(*plan.desc, plan.selection,
-                                    plan.selection.parts[p], payload,
-                                    config.decompress_threads, results[f], &stats,
-                                    config.verify);
-      report.decompress_seconds += stage.seconds();
-    }
-    inflight[f].clear();
+    h5::read_selection<T>(file, *plan.desc, plan.selection, config.decompress_threads,
+                          config.verify, results[f], &stats);
   }
 
+  report.read_seconds = stats.read_seconds;
+  report.decompress_seconds = stats.decode_seconds;
   report.bytes_read = stats.payload_bytes;
+  report.partitions_total = stats.partitions_total;
+  report.partitions_read = stats.partitions_read;
   report.blocks_total = stats.blocks_total;
   report.blocks_decoded = stats.blocks_decoded;
   comm.barrier();
@@ -83,11 +51,11 @@ std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
   return results;
 }
 
-template std::vector<std::vector<float>> read_fields<float>(mpi::Comm&, h5::File&,
+template std::vector<std::vector<float>> read_fields<float>(mpi::Comm&, const h5::File&,
                                                             std::span<const ReadSpec>,
                                                             const ReadEngineConfig&,
                                                             ReadReport*);
-template std::vector<std::vector<double>> read_fields<double>(mpi::Comm&, h5::File&,
+template std::vector<std::vector<double>> read_fields<double>(mpi::Comm&, const h5::File&,
                                                               std::span<const ReadSpec>,
                                                               const ReadEngineConfig&,
                                                               ReadReport*);

@@ -1,14 +1,12 @@
-// pcw::core::read_fields — the parallel restart/read engine: the write
-// engine's Fig.-3 pipeline run in reverse.
+// pcw::core::read_fields — the parallel restart/read engine.
 //
-// Each simulated-MPI rank issues its hyperslabs (full fields for a
+// Each simulated-MPI rank reads its hyperslabs (full fields for a
 // same-shape restart, restart_region() slabs for a repartitioned one,
-// thin slices for analysis). Per field, every overlapping partition
-// payload is issued on the file's asynchronous read queue up front; the
-// payloads of field k+1 stream in from disk while field k is still being
-// entropy-decoded — and within one sz partition only the container-v2
-// blocks intersecting the request are decoded, fanned out across the
-// shared thread pool.
+// thin slices for analysis). Every request is planned before the first
+// byte moves; then each field runs h5::read_selection, the one read path:
+// per overlapping partition, pread the payload on this rank's thread and
+// decode it in place — within one sz partition only the blocks
+// intersecting the request, fanned out across the shared thread pool.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +24,6 @@ struct ReadEngineConfig {
   /// 0 = all hardware threads, N = exactly N (sz::Params::threads
   /// semantics). The output is identical for every value.
   unsigned decompress_threads = 1;
-  /// true: payloads land on the file's async read queue, a whole field at
-  /// a time, and field k+1's reads overlap field k's decode. false: every
-  /// payload is fetched synchronously right before its decode (no async
-  /// queue at all) — the strictly serial baseline bench_read compares
-  /// against.
-  bool pipeline = true;
   /// Checksum depth applied to every v4 container decoded (no-op on
   /// v1–v3 blobs). kBlock verifies exactly the blocks a partial read
   /// touches; kBlob is one whole-payload CRC pass before any decode.
@@ -60,7 +52,7 @@ struct ReadReport {
 /// Throws std::invalid_argument on unknown datasets/bad regions and
 /// std::runtime_error on type mismatch or corruption.
 template <typename T>
-std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
+std::vector<std::vector<T>> read_fields(mpi::Comm& comm, const h5::File& file,
                                         std::span<const ReadSpec> specs,
                                         const ReadEngineConfig& config,
                                         ReadReport* report = nullptr);

@@ -4,7 +4,7 @@
 // Planning is pure metadata work over the parsed dataset table, so every
 // rank plans independently with no communication — the read-side mirror
 // of the write planner's "identical offsets from identical predictions"
-// property. The plans drive core::read_fields' read/decompress pipeline.
+// property. The plans drive core::read_fields' per-field read loop.
 #pragma once
 
 #include <optional>

@@ -51,7 +51,7 @@ void scrub_partitioned(const h5::File& file, const h5::DatasetDesc& d, bool deep
   for (std::size_t p = 0; p < d.partitions.size(); ++p) {
     std::vector<std::uint8_t> payload;
     try {
-      payload = h5::read_partition_payload(file, d, d.partitions[p]);
+      payload = h5::read_partition_payload(file, d.partitions[p]);
     } catch (const std::exception& e) {
       ++read_failures;
       note_damage(out, p, e.what());

@@ -1,7 +1,6 @@
 #include "core/series.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "util/metrics.h"
@@ -93,32 +92,24 @@ class ChainLinkError : public std::runtime_error {
 };
 
 /// Chain-decodes one field's selection into `out` (sel.elements
-/// elements). `tickets`, when non-null, holds the prefetched payloads as
-/// [link][part]; otherwise payloads are fetched synchronously.
+/// elements), fetching each link's payload as it decodes.
 template <typename T>
-void decode_chain(const h5::File& file, const ChainPlan& plan,
-                  std::vector<std::vector<h5::PayloadTicket>>* tickets,
-                  unsigned threads, sz::VerifyMode verify, std::span<T> out,
-                  SeriesReadReport& report) {
+void decode_chain(const h5::File& file, const ChainPlan& plan, unsigned threads,
+                  sz::VerifyMode verify, std::span<T> out, SeriesReadReport& report) {
   const h5::RegionSelection& sel = plan.sel;
   const std::size_t n_links = plan.chain.size();
   report.steps_chained = std::max<std::uint64_t>(report.steps_chained, n_links);
 
-  for (std::size_t p = 0; p < sel.parts.size(); ++p) {
-    const h5::PartitionSelection& ps = sel.parts[p];
+  for (const h5::PartitionSelection& ps : sel.parts) {
     const h5::PartitionRecord& part = plan.chain.back()->partitions[ps.part_index];
 
-    sz::Dims local_dims;
-    sz::Region cover;
-    std::size_t cover_lo = 0;
-    std::vector<T> buf;  // the chain's running reconstruction over `cover`
+    h5::DecodeBox box;
+    std::vector<T> buf;  // the chain's running reconstruction over box.cover
     for (std::size_t s = 0; s < n_links; ++s) {
       std::vector<std::uint8_t> payload;
       {
         util::trace::StageTimer stage("read", "series", "link", s);
-        payload = tickets != nullptr
-                      ? (*tickets)[s][p].join()
-                      : h5::read_selection_payload(file, *plan.chain[s], ps);
+        payload = h5::read_selection_payload(file, *plan.chain[s], ps);
         report.read_seconds += stage.seconds();
       }
       report.bytes_read += payload.size();
@@ -133,19 +124,17 @@ void decode_chain(const h5::File& file, const ChainPlan& plan,
         throw ChainLinkError(s, ps.part_index, where + e.what());
       }
       if (s == 0) {
-        if (sz::element_count(stored) != part.elem_count) {
+        const std::optional<h5::DecodeBox> found = h5::decode_box(part, ps, stored);
+        if (!found) {
           throw std::runtime_error(where + "partition extents disagree with blob");
         }
-        local_dims = stored;
-        cover = sz::covering_region(local_dims, ps.flat_lo - part.elem_offset,
-                                    ps.flat_hi - part.elem_offset);
-        cover_lo = sz::region_flat_lo(cover, local_dims);
-      } else if (!(stored == local_dims)) {
+        box = *found;
+      } else if (!(stored == box.local_dims)) {
         throw std::runtime_error(where + "partition extents changed along the chain");
       }
       sz::RegionDecodeStats dstats;
       try {
-        buf = sz::decompress_region<T>(payload, cover, std::span<const T>(buf), threads,
+        buf = sz::decompress_region<T>(payload, box.cover, std::span<const T>(buf), threads,
                                        &dstats, verify);
       } catch (const std::exception& e) {
         // Chain decode failures name the failing link, not just "series".
@@ -156,18 +145,13 @@ void decode_chain(const h5::File& file, const ChainPlan& plan,
       report.decompress_seconds += decode_stage.seconds();
       util::metrics::Registry::get().chain_links_decoded.add();
     }
-
-    for (const h5::RowSegment& seg : ps.segments) {
-      const std::size_t src = (seg.flat_lo - part.elem_offset) - cover_lo;
-      std::memcpy(out.data() + seg.out_offset, buf.data() + src, seg.len * sizeof(T));
-    }
+    h5::scatter_rows<T>(ps, box, buf, out);
   }
   report.elements_out += sel.elements;
 }
 
 /// Degraded fallback: re-decodes the *whole field* at the chain's
-/// keyframe step (chain length 1, synchronous fetches — the prefetched
-/// tickets belong to the broken chain) and records the downgrade. The
+/// keyframe step (chain length 1) and records the downgrade. The
 /// selection re-uses the broken chain's plan, valid because plan_chain
 /// verified the layout identical along the chain.
 template <typename T>
@@ -181,7 +165,7 @@ void decode_keyframe_fallback(const h5::File& file, const ChainPlan& plan,
   ChainPlan kplan;
   kplan.chain = {keyframe};
   kplan.sel = plan.sel;
-  decode_chain<T>(file, kplan, nullptr, threads, verify, out, report);
+  decode_chain<T>(file, kplan, threads, verify, out, report);
   DegradedRead d;
   d.dataset = plan.chain[err.link()]->name;
   d.partition = err.partition();
@@ -189,6 +173,28 @@ void decode_keyframe_fallback(const h5::File& file, const ChainPlan& plan,
   d.step_recovered = keyframe->series_step;
   d.detail = err.what();
   report.degraded.push_back(std::move(d));
+}
+
+/// One field of a series read: plans its chain, then decodes it, falling
+/// back to the keyframe when `config.degraded` allows.
+template <typename T>
+std::vector<T> read_series_field(const h5::File& file, const std::string& base,
+                                 std::uint32_t step, const std::optional<sz::Region>& region,
+                                 const SeriesReadConfig& config, SeriesReadReport& report) {
+  const ChainPlan plan = plan_chain(file, base, step, region);
+  if (plan.chain.back()->dtype != h5::dtype_of<T>()) {
+    throw std::runtime_error("series: dtype mismatch for " + base);
+  }
+  std::vector<T> out(plan.sel.elements);
+  try {
+    decode_chain<T>(file, plan, config.decompress_threads, config.verify, out, report);
+  } catch (const ChainLinkError& e) {
+    // A corrupt keyframe (link 0) has nothing older to fall back to.
+    if (!config.degraded || e.link() == 0) throw;
+    decode_keyframe_fallback<T>(file, plan, e, step, config.decompress_threads,
+                                config.verify, out, report);
+  }
+  return out;
 }
 
 }  // namespace
@@ -269,11 +275,7 @@ SeriesStepReport SeriesWriter<T>::write_step(mpi::Comm& comm,
     my[f].elem_count = field.local.size();
     my[f].bytes = blob.size();
     my[f].file_offset = file_->alloc(blob.size());
-    if (config_.pipeline) {
-      tickets.push_back(file_->async_write(my[f].file_offset, std::move(blob)));
-    } else {
-      file_->pwrite(my[f].file_offset, blob);
-    }
+    tickets.push_back(file_->async_write(my[f].file_offset, std::move(blob)));
   }
   report.compress_seconds = compress_accum;
 
@@ -333,7 +335,7 @@ SeriesStepReport SeriesWriter<T>::write_step(mpi::Comm& comm,
 }
 
 template <typename T>
-std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
+std::vector<std::vector<T>> read_series(mpi::Comm& comm, const h5::File& file,
                                         std::span<const ReadSpec> specs,
                                         std::uint32_t step,
                                         const SeriesReadConfig& config,
@@ -341,49 +343,12 @@ std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
   if (specs.empty()) throw std::invalid_argument("series: no fields");
   SeriesReadReport report;
   util::Timer total;
-
-  std::vector<ChainPlan> plans;
-  plans.reserve(specs.size());
+  std::vector<std::vector<T>> results;
+  results.reserve(specs.size());
   for (const ReadSpec& spec : specs) {
-    plans.push_back(plan_chain(file, spec.name, step, spec.region));
-    if (plans.back().chain.back()->dtype != h5::dtype_of<T>()) {
-      throw std::runtime_error("series: dtype mismatch for " + spec.name);
-    }
+    results.push_back(
+        read_series_field<T>(file, spec.name, step, spec.region, config, report));
   }
-
-  // Reverse-Fig.-3 overlap, chained: the payloads of every link of field
-  // f+1's chain stream off disk while field f decodes.
-  const std::size_t nfields = plans.size();
-  std::vector<std::vector<std::vector<h5::PayloadTicket>>> inflight(nfields);
-  std::vector<bool> issued(nfields, false);
-  auto issue = [&](std::size_t f) {
-    if (issued[f]) return;
-    issued[f] = true;
-    inflight[f].reserve(plans[f].chain.size());
-    for (const h5::DatasetDesc* d : plans[f].chain) {
-      inflight[f].push_back(h5::async_read_selection(file, *d, plans[f].sel));
-    }
-  };
-
-  std::vector<std::vector<T>> results(nfields);
-  for (std::size_t f = 0; f < nfields; ++f) {
-    if (config.pipeline) {
-      issue(f);
-      if (f + 1 < nfields) issue(f + 1);
-    }
-    results[f].resize(plans[f].sel.elements);
-    try {
-      decode_chain<T>(file, plans[f], config.pipeline ? &inflight[f] : nullptr,
-                      config.decompress_threads, config.verify, results[f], report);
-    } catch (const ChainLinkError& e) {
-      // A corrupt keyframe (link 0) has nothing older to fall back to.
-      if (!config.degraded || e.link() == 0) throw;
-      decode_keyframe_fallback<T>(file, plans[f], e, step, config.decompress_threads,
-                                  config.verify, results[f], report);
-    }
-    inflight[f].clear();
-  }
-
   comm.barrier();
   report.total_seconds = total.seconds();
   if (report_out != nullptr) *report_out = report;
@@ -391,33 +356,14 @@ std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
 }
 
 template <typename T>
-std::vector<T> restart_at_step(h5::File& file, const std::string& field,
+std::vector<T> restart_at_step(const h5::File& file, const std::string& field,
                                std::uint32_t step,
                                const std::optional<sz::Region>& region,
                                const SeriesReadConfig& config,
                                SeriesReadReport* report_out) {
   SeriesReadReport report;
   util::Timer total;
-  ChainPlan plan = plan_chain(file, field, step, region);
-  if (plan.chain.back()->dtype != h5::dtype_of<T>()) {
-    throw std::runtime_error("series: dtype mismatch for " + field);
-  }
-  std::vector<std::vector<h5::PayloadTicket>> inflight;
-  if (config.pipeline) {
-    inflight.reserve(plan.chain.size());
-    for (const h5::DatasetDesc* d : plan.chain) {
-      inflight.push_back(h5::async_read_selection(file, *d, plan.sel));
-    }
-  }
-  std::vector<T> out(plan.sel.elements);
-  try {
-    decode_chain<T>(file, plan, config.pipeline ? &inflight : nullptr,
-                    config.decompress_threads, config.verify, out, report);
-  } catch (const ChainLinkError& e) {
-    if (!config.degraded || e.link() == 0) throw;
-    decode_keyframe_fallback<T>(file, plan, e, step, config.decompress_threads,
-                                config.verify, out, report);
-  }
+  std::vector<T> out = read_series_field<T>(file, field, step, region, config, report);
   report.total_seconds = total.seconds();
   if (report_out != nullptr) *report_out = report;
   return out;
@@ -426,17 +372,17 @@ std::vector<T> restart_at_step(h5::File& file, const std::string& field,
 template class SeriesWriter<float>;
 template class SeriesWriter<double>;
 template std::vector<std::vector<float>> read_series<float>(
-    mpi::Comm&, h5::File&, std::span<const ReadSpec>, std::uint32_t,
+    mpi::Comm&, const h5::File&, std::span<const ReadSpec>, std::uint32_t,
     const SeriesReadConfig&, SeriesReadReport*);
 template std::vector<std::vector<double>> read_series<double>(
-    mpi::Comm&, h5::File&, std::span<const ReadSpec>, std::uint32_t,
+    mpi::Comm&, const h5::File&, std::span<const ReadSpec>, std::uint32_t,
     const SeriesReadConfig&, SeriesReadReport*);
-template std::vector<float> restart_at_step<float>(h5::File&, const std::string&,
+template std::vector<float> restart_at_step<float>(const h5::File&, const std::string&,
                                                    std::uint32_t,
                                                    const std::optional<sz::Region>&,
                                                    const SeriesReadConfig&,
                                                    SeriesReadReport*);
-template std::vector<double> restart_at_step<double>(h5::File&, const std::string&,
+template std::vector<double> restart_at_step<double>(const h5::File&, const std::string&,
                                                      std::uint32_t,
                                                      const std::optional<sz::Region>&,
                                                      const SeriesReadConfig&,

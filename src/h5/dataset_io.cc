@@ -7,6 +7,7 @@
 
 #include "sz/compressor.h"
 #include "util/timer.h"
+#include "util/trace.h"
 
 namespace pcw::h5 {
 namespace {
@@ -141,54 +142,19 @@ FilterWriteStats write_filtered_collective(mpi::Comm& comm, File& file,
 }
 
 std::vector<std::uint8_t> read_partition_payload(const File& file,
-                                                 const DatasetDesc& desc,
-                                                 const PartitionRecord& part) {
-  (void)desc;
+                                                 const PartitionRecord& part,
+                                                 std::uint64_t max_bytes) {
   const std::uint64_t in_slot = std::min(part.actual_bytes, part.reserved_bytes);
-  std::vector<std::uint8_t> payload = file.pread(part.file_offset, in_slot);
-  if (part.overflow_bytes > 0) {
-    const auto tail = file.pread(part.overflow_offset, part.overflow_bytes);
-    payload.insert(payload.end(), tail.begin(), tail.end());
-  }
-  if (payload.size() != part.actual_bytes) {
+  if (part.overflow_bytes != part.actual_bytes - in_slot) {
     throw std::runtime_error("h5: partition payload size mismatch");
   }
+  const std::uint64_t want = std::min(part.actual_bytes, max_bytes);
+  std::vector<std::uint8_t> payload = file.pread(part.file_offset, std::min(want, in_slot));
+  if (want > in_slot) {
+    const auto tail = file.pread(part.overflow_offset, want - in_slot);
+    payload.insert(payload.end(), tail.begin(), tail.end());
+  }
   return payload;
-}
-
-template <typename T>
-std::vector<T> read_dataset(const File& file, const std::string& name,
-                            const sz::Params& sz_params) {
-  const DatasetDesc* desc = file.find_dataset(name);
-  if (desc == nullptr) throw std::invalid_argument("h5: no dataset named " + name);
-  if (desc->dtype != dtype_of<T>()) throw std::runtime_error("h5: dtype mismatch");
-
-  const std::uint64_t total = sz::element_count(desc->global_dims);
-  std::vector<T> out(total);
-
-  if (desc->layout == Layout::kContiguous) {
-    if (desc->nbytes != total * sizeof(T)) throw std::runtime_error("h5: extent mismatch");
-    const auto bytes = file.pread(desc->file_offset, desc->nbytes);
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
-
-  const auto filter = make_filter(desc->filter, sz_params);
-  for (std::size_t p = 0; p < desc->partitions.size(); ++p) {
-    const auto& part = desc->partitions[p];
-    const auto payload = read_partition_payload(file, *desc, part);
-    std::vector<std::uint8_t> raw;
-    try {
-      raw = filter->decode(payload, desc->dtype, part.elem_count);
-    } catch (const std::exception&) {
-      rethrow_with_location(desc->name, p);
-    }
-    if (part.elem_offset + part.elem_count > total) {
-      throw std::runtime_error("h5: partition exceeds dataset extent");
-    }
-    std::memcpy(out.data() + part.elem_offset, raw.data(), raw.size());
-  }
-  return out;
 }
 
 template void write_contiguous<float>(mpi::Comm&, File&, const std::string&,
@@ -205,10 +171,6 @@ template FilterWriteStats write_filtered_collective<double>(mpi::Comm&, File&,
                                                             std::span<const double>,
                                                             const sz::Dims&, const sz::Dims&,
                                                             const Filter&);
-template std::vector<float> read_dataset<float>(const File&, const std::string&,
-                                                const sz::Params&);
-template std::vector<double> read_dataset<double>(const File&, const std::string&,
-                                                  const sz::Params&);
 
 // ---- region (hyperslab) reads ---------------------------------------------
 
@@ -278,48 +240,6 @@ std::uint64_t selection_payload_bytes(const DatasetDesc& desc,
   return total;
 }
 
-std::vector<std::uint8_t> PayloadTicket::join() {
-  std::vector<std::uint8_t> payload = slot.take();
-  if (overflow.valid()) {
-    const std::vector<std::uint8_t> tail = overflow.take();
-    payload.insert(payload.end(), tail.begin(), tail.end());
-  }
-  if (payload.size() != expect_bytes) {
-    throw std::runtime_error("h5: partition payload size mismatch");
-  }
-  return payload;
-}
-
-std::vector<PayloadTicket> async_read_selection(File& file, const DatasetDesc& desc,
-                                                const RegionSelection& sel) {
-  std::vector<PayloadTicket> tickets;
-  tickets.reserve(sel.parts.size());
-  for (const PartitionSelection& ps : sel.parts) {
-    PayloadTicket t;
-    if (ps.part_index == kContiguousSelection) {
-      // Same metadata consistency gate as the synchronous path, so
-      // corrupt footers throw here instead of reading a neighbour's bytes.
-      if (desc.nbytes != sz::element_count(desc.global_dims) * element_size(desc.dtype)) {
-        throw std::runtime_error("h5: extent mismatch");
-      }
-      const std::uint64_t bytes = (ps.flat_hi - ps.flat_lo) * element_size(desc.dtype);
-      t.slot = file.async_read(desc.file_offset + ps.flat_lo * element_size(desc.dtype),
-                               bytes);
-      t.expect_bytes = bytes;
-    } else {
-      const PartitionRecord& part = desc.partitions[ps.part_index];
-      t.slot = file.async_read(part.file_offset,
-                               std::min(part.actual_bytes, part.reserved_bytes));
-      if (part.overflow_bytes > 0) {
-        t.overflow = file.async_read(part.overflow_offset, part.overflow_bytes);
-      }
-      t.expect_bytes = part.actual_bytes;
-    }
-    tickets.push_back(std::move(t));
-  }
-  return tickets;
-}
-
 std::vector<std::uint8_t> read_selection_payload(const File& file,
                                                  const DatasetDesc& desc,
                                                  const PartitionSelection& ps) {
@@ -331,18 +251,28 @@ std::vector<std::uint8_t> read_selection_payload(const File& file,
     return file.pread(desc.file_offset + ps.flat_lo * esize,
                       (ps.flat_hi - ps.flat_lo) * esize);
   }
-  return read_partition_payload(file, desc, desc.partitions[ps.part_index]);
+  return read_partition_payload(file, desc.partitions[ps.part_index]);
 }
 
+std::optional<DecodeBox> decode_box(const PartitionRecord& part,
+                                    const PartitionSelection& ps,
+                                    const std::optional<sz::Dims>& stored) {
+  DecodeBox box;
+  box.local_dims = stored.value_or(sz::Dims::make_1d(part.elem_count));
+  if (sz::element_count(box.local_dims) != part.elem_count) return std::nullopt;
+  box.cover = sz::covering_region(box.local_dims, ps.flat_lo - part.elem_offset,
+                                  ps.flat_hi - part.elem_offset);
+  box.flat_lo = part.elem_offset + sz::region_flat_lo(box.cover, box.local_dims);
+  return box;
+}
+
+namespace {
+
+/// Decodes one planned partition from its payload into the region buffer.
 template <typename T>
-void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
-                            const PartitionSelection& ps,
-                            std::span<const std::uint8_t> payload, unsigned threads,
-                            std::span<T> out, RegionReadStats* stats,
-                            sz::VerifyMode verify) {
-  if (out.size() != sel.elements) {
-    throw std::invalid_argument("h5: region buffer size mismatch");
-  }
+void decode_part(const DatasetDesc& desc, const PartitionSelection& ps,
+                 std::span<const std::uint8_t> payload, unsigned threads,
+                 sz::VerifyMode verify, std::span<T> out, RegionReadStats* stats) {
   if (stats != nullptr) stats->payload_bytes += payload.size();
 
   // Contiguous pseudo-partition: the payload is exactly the raw hull
@@ -365,34 +295,23 @@ void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
   const auto filter = make_filter(desc.filter, filter_params);
   // Decode coordinate system: self-describing blobs carry their true
   // local extents (which is what unlocks the block-indexed partial
-  // decode); codecs without stored extents are sliced in flat {1,1,n}
-  // order. The registry-made filter answers for itself — no per-id
+  // decode). The registry-made filter answers for itself — no per-id
   // switch here.
-  sz::Dims local_dims = sz::Dims::make_1d(part.elem_count);
+  DecodeBox box;
   try {
-    if (const auto stored = filter->stored_dims(payload)) {
-      if (sz::element_count(*stored) != part.elem_count) {
-        throw std::runtime_error("h5: partition extents disagree with blob");
-      }
-      local_dims = *stored;
-    }
+    const std::optional<DecodeBox> found = decode_box(part, ps, filter->stored_dims(payload));
+    if (!found) throw std::runtime_error("h5: partition extents disagree with blob");
+    box = *found;
   } catch (const std::exception&) {
     rethrow_with_location(desc.name, ps.part_index);
   }
 
-  // The needed flat interval, as the smallest covering box of the
-  // partition's extents. The covering box is itself one contiguous flat
-  // range, so segments index the decoded buffer by offset subtraction.
-  const sz::Region cover = sz::covering_region(local_dims, ps.flat_lo - part.elem_offset,
-                                               ps.flat_hi - part.elem_offset);
-  const std::size_t cover_lo = sz::region_flat_lo(cover, local_dims);
-
   // When the segments tile one contiguous run of `out` in cover order —
   // restart slabs and whole-field reads — the partition decodes straight
   // into that run; any other selection decodes into scratch and scatters.
-  const std::size_t cover_count = cover.count();
+  const std::size_t cover_count = box.cover.count();
   const RowSegment& head = ps.segments.front();
-  bool tiles = head.flat_lo - part.elem_offset == cover_lo;
+  bool tiles = head.flat_lo == box.flat_lo;
   std::size_t tiled = 0;
   for (const RowSegment& seg : ps.segments) {
     tiles = tiles && seg.flat_lo == head.flat_lo + tiled &&
@@ -406,7 +325,7 @@ void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
 
   sz::RegionDecodeStats dstats;
   try {
-    filter->decode_region(payload, desc.dtype, local_dims, cover, threads, &dstats,
+    filter->decode_region(payload, desc.dtype, box.local_dims, box.cover, threads, &dstats,
                           {reinterpret_cast<std::uint8_t*>(dest.data()), dest.size_bytes()});
   } catch (const std::exception&) {
     rethrow_with_location(desc.name, ps.part_index);
@@ -415,11 +334,32 @@ void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
     stats->blocks_total += dstats.blocks_total;
     stats->blocks_decoded += dstats.blocks_decoded;
   }
-  if (tiles) return;
+  if (!tiles) scatter_rows<T>(ps, box, scratch, out);
+}
 
-  for (const RowSegment& seg : ps.segments) {
-    const std::size_t src = (seg.flat_lo - part.elem_offset) - cover_lo;
-    std::memcpy(out.data() + seg.out_offset, scratch.data() + src, seg.len * sizeof(T));
+}  // namespace
+
+template <typename T>
+void read_selection(const File& file, const DatasetDesc& desc, const RegionSelection& sel,
+                    unsigned threads, sz::VerifyMode verify, std::span<T> out,
+                    RegionReadStats* stats) {
+  if (out.size() != sel.elements) {
+    throw std::invalid_argument("h5: region buffer size mismatch");
+  }
+  RegionReadStats local;
+  RegionReadStats& acc = stats != nullptr ? *stats : local;
+  acc.partitions_total += sel.partitions_total;
+  acc.partitions_read += sel.parts.size();
+  for (std::size_t p = 0; p < sel.parts.size(); ++p) {
+    std::vector<std::uint8_t> payload;
+    {
+      util::trace::StageTimer stage("payload_wait", "read", "part", p);
+      payload = read_selection_payload(file, desc, sel.parts[p]);
+      acc.read_seconds += stage.seconds();
+    }
+    util::trace::StageTimer stage("decode", "read", "part", p);
+    decode_part<T>(desc, sel.parts[p], payload, threads, verify, out, &acc);
+    acc.decode_seconds += stage.seconds();
   }
 }
 
@@ -432,29 +372,17 @@ std::vector<T> read_region(const File& file, const std::string& name,
   if (desc->dtype != dtype_of<T>()) throw std::runtime_error("h5: dtype mismatch");
 
   const RegionSelection sel = plan_region_selection(*desc, region);
-  if (stats != nullptr) {
-    stats->partitions_total += sel.partitions_total;
-    stats->partitions_read += sel.parts.size();
-  }
   std::vector<T> out(sel.elements);
-  for (const PartitionSelection& ps : sel.parts) {
-    const std::vector<std::uint8_t> payload = read_selection_payload(file, *desc, ps);
-    scatter_selection_part<T>(*desc, sel, ps, payload, sz_params.threads, out, stats,
-                              sz_params.verify);
-  }
+  read_selection<T>(file, *desc, sel, sz_params.threads, sz_params.verify, out, stats);
   return out;
 }
 
-template void scatter_selection_part<float>(const DatasetDesc&, const RegionSelection&,
-                                            const PartitionSelection&,
-                                            std::span<const std::uint8_t>, unsigned,
-                                            std::span<float>, RegionReadStats*,
-                                            sz::VerifyMode);
-template void scatter_selection_part<double>(const DatasetDesc&, const RegionSelection&,
-                                             const PartitionSelection&,
-                                             std::span<const std::uint8_t>, unsigned,
-                                             std::span<double>, RegionReadStats*,
-                                             sz::VerifyMode);
+template void read_selection<float>(const File&, const DatasetDesc&, const RegionSelection&,
+                                    unsigned, sz::VerifyMode, std::span<float>,
+                                    RegionReadStats*);
+template void read_selection<double>(const File&, const DatasetDesc&,
+                                     const RegionSelection&, unsigned, sz::VerifyMode,
+                                     std::span<double>, RegionReadStats*);
 template std::vector<float> read_region<float>(const File&, const std::string&,
                                                const sz::Region&, const sz::Params&,
                                                RegionReadStats*);

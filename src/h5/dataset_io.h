@@ -1,5 +1,5 @@
 // High-level dataset I/O: the two *baseline* write paths the paper
-// compares against, plus the shared-file reader.
+// compares against, plus the one read path every reader uses.
 //
 //   * write_contiguous     — "original non-compression solution": every
 //     rank writes its slice independently at a statically computable
@@ -12,9 +12,18 @@
 //
 // The paper's own predictive/overlapped path lives in pcw::core; it uses
 // the File primitives directly.
+//
+// Reads plan first (plan_region_selection: metadata only), then run
+// read_selection: per partition, pread the payload on the calling thread
+// and decode it straight into the caller's buffer. A whole-dataset read
+// is the region Region::of(global_dims).
 #pragma once
 
+#include <cstring>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "h5/file.h"
 #include "h5/filter.h"
@@ -51,25 +60,25 @@ FilterWriteStats write_filtered_collective(mpi::Comm& comm, File& file,
                                            const sz::Dims& global_dims,
                                            const Filter& filter);
 
-/// Reads a whole dataset back as the flattened global array, reassembling
-/// partitions and undoing any filter (overflow segments included).
-template <typename T>
-std::vector<T> read_dataset(const File& file, const std::string& name,
-                            const sz::Params& sz_params = {});
+/// No bound on read_partition_payload: the whole stored payload.
+inline constexpr std::uint64_t kWholePayload = ~std::uint64_t{0};
 
-/// Reads one partition's stored payload (slot + overflow concatenated).
+/// Reads the leading min(max_bytes, actual_bytes) bytes of one partition's
+/// stored payload: the slot, then the overflow tail when the payload
+/// spills past it. Throws "h5: partition payload size mismatch" when
+/// slot and overflow do not add up to the partition's actual size.
 std::vector<std::uint8_t> read_partition_payload(const File& file,
-                                                 const DatasetDesc& desc,
-                                                 const PartitionRecord& part);
+                                                 const PartitionRecord& part,
+                                                 std::uint64_t max_bytes = kWholePayload);
 
 // ---- region (hyperslab) reads ---------------------------------------------
 //
 // A Region selects a half-open box of the dataset's global extents,
 // interpreted over the flattened global element order (partitions
 // concatenated by elem_offset) — i.e. a region read is always byte-
-// identical to slicing read_dataset()'s result. For slab-decomposed
-// writes that order coincides with the spatial row-major global box; see
-// docs/read_path.md for the non-slab caveat.
+// identical to slicing the whole dataset, each partition decoded whole.
+// For slab-decomposed writes that order coincides with the spatial
+// row-major global box; see docs/read_path.md for the non-slab caveat.
 
 /// One contiguous run of selected elements, already clipped to its
 /// partition: a global-flat interval plus where it lands in the region's
@@ -92,9 +101,8 @@ struct PartitionSelection {
 };
 
 /// A planned region read: which partitions contribute which element runs.
-/// Pure metadata work — planning never touches payload bytes, which is
-/// what lets the read engine issue all of a field's payload reads
-/// asynchronously before any decode starts.
+/// Pure metadata work — planning never touches payload bytes, so every
+/// request is validated before the first pread.
 struct RegionSelection {
   sz::Region region;           // the validated request
   std::uint64_t elements = 0;  // region.count()
@@ -109,6 +117,8 @@ struct RegionReadStats {
   std::uint64_t partitions_read = 0;   // partitions that overlapped
   std::uint64_t blocks_total = 0;      // sz blocks in the read partitions
   std::uint64_t blocks_decoded = 0;    // sz blocks actually decoded
+  double read_seconds = 0.0;           // blocked in payload preads
+  double decode_seconds = 0.0;         // decode + scatter
 };
 
 /// Plans `region` against a dataset: validates the request and clips the
@@ -119,43 +129,54 @@ RegionSelection plan_region_selection(const DatasetDesc& desc, const sz::Region&
 /// Stored payload bytes executing `sel` will fetch.
 std::uint64_t selection_payload_bytes(const DatasetDesc& desc, const RegionSelection& sel);
 
-/// In-flight partition payload: slot plus optional overflow tail on the
-/// file's async queue; join() assembles and validates the payload,
-/// moving the bytes out of the tickets (one-shot).
-struct PayloadTicket {
-  ReadTicket slot;
-  ReadTicket overflow;  // invalid when the partition has no overflow
-  std::uint64_t expect_bytes = 0;
-  std::vector<std::uint8_t> join();
-};
-
-/// Issues the async payload reads one planned selection needs, in
-/// sel.parts order (a contiguous pseudo-partition reads only its hull).
-std::vector<PayloadTicket> async_read_selection(File& file, const DatasetDesc& desc,
-                                                const RegionSelection& sel);
-
-/// Synchronous counterpart: fetches one planned partition's payload on
-/// the calling thread (no async queue) — the read engine's strictly
-/// serial baseline and read_region's fetch path.
+/// Fetches one planned partition's stored payload with pread on the
+/// calling thread (a contiguous pseudo-partition reads only its hull).
+/// The one fetch every read path uses.
 std::vector<std::uint8_t> read_selection_payload(const File& file,
                                                  const DatasetDesc& desc,
                                                  const PartitionSelection& ps);
 
-/// Decodes one planned partition from its payload into the region output
-/// buffer (`out` has sel.elements elements). For sz partitions only the
-/// blocks overlapping the selection are decoded, fanned out across
-/// `threads`; `verify` sets the checksum depth applied to v4 containers.
-/// `stats`, when non-null, is accumulated into.
-template <typename T>
-void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
-                            const PartitionSelection& part_sel,
-                            std::span<const std::uint8_t> payload, unsigned threads,
-                            std::span<T> out, RegionReadStats* stats,
-                            sz::VerifyMode verify = sz::VerifyMode::kBlock);
+/// The box one partition's selection decodes over: the partition's local
+/// extents, the smallest box of them covering the selected hull (itself
+/// one contiguous flat range), and the global flat index of its first
+/// element.
+struct DecodeBox {
+  sz::Dims local_dims;
+  sz::Region cover;
+  std::uint64_t flat_lo = 0;
+};
 
-/// Reads one hyperslab of a dataset, decoding only what the selection
-/// needs (synchronous; the pipelined multi-field version is
-/// core::read_fields). `sz_params.threads` fans the block decode out.
+/// Derives `ps`'s decode box from the extents the partition's blob stores
+/// (nullopt: the codec stores none, and the partition is sliced in flat
+/// {1,1,n} order). Returns nullopt when the stored extents disagree with
+/// the partition's element count.
+std::optional<DecodeBox> decode_box(const PartitionRecord& part,
+                                    const PartitionSelection& ps,
+                                    const std::optional<sz::Dims>& stored);
+
+/// Copies `ps`'s segments out of `decoded`, the values of `box.cover`,
+/// into their places in the region buffer `out`.
+template <typename T>
+void scatter_rows(const PartitionSelection& ps, const DecodeBox& box,
+                  std::span<const T> decoded, std::span<T> out) {
+  for (const RowSegment& seg : ps.segments) {
+    std::memcpy(out.data() + seg.out_offset, decoded.data() + (seg.flat_lo - box.flat_lo),
+                seg.len * sizeof(T));
+  }
+}
+
+/// Executes a planned selection into `out` (sel.elements elements): per
+/// partition, fetch its payload (read_selection_payload), then decode it.
+/// For sz partitions only the blocks overlapping the selection are
+/// decoded, fanned out across `threads`; `verify` sets the checksum depth
+/// applied to v4 containers. `stats`, when non-null, is accumulated into.
+template <typename T>
+void read_selection(const File& file, const DatasetDesc& desc, const RegionSelection& sel,
+                    unsigned threads, sz::VerifyMode verify, std::span<T> out,
+                    RegionReadStats* stats);
+
+/// Reads one hyperslab of a dataset: plan_region_selection, then
+/// read_selection. `sz_params.threads` fans the block decode out.
 template <typename T>
 std::vector<T> read_region(const File& file, const std::string& name,
                            const sz::Region& region, const sz::Params& sz_params = {},

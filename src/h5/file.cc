@@ -125,15 +125,13 @@ std::shared_ptr<File> File::create(const std::string& path, FileOptions opts) {
   return file;
 }
 
-std::shared_ptr<File> File::open(const std::string& path, FileOptions opts) {
+std::shared_ptr<File> File::open(const std::string& path) {
   auto file = std::shared_ptr<File>(new File());
   file->path_ = path;
   file->write_path_ = path;
-  file->opts_ = opts;
   file->writable_ = false;
   file->fd_ = ::open(path.c_str(), O_RDONLY);
   if (file->fd_ < 0) throw_errno("open for read");
-  file->async_pool_ = std::make_unique<util::ThreadPool>(opts.async_threads);
 
   struct stat st {};
   if (::fstat(file->fd_, &st) < 0) throw_errno("fstat");
@@ -278,28 +276,6 @@ WriteTicket File::async_write(std::uint64_t offset, std::vector<std::uint8_t> da
     }
   });
   return WriteTicket(fut.share());
-}
-
-ReadTicket File::async_read(std::uint64_t offset, std::uint64_t size) {
-  // submit() futures carry void, so the bytes travel through an explicit
-  // promise; exceptions (short read, I/O error) surface at get().
-  auto promise = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
-  ReadTicket ticket(promise->get_future());
-  {
-    auto& reg = util::metrics::Registry::get();
-    reg.io_async_enqueues.add();
-    reg.io_queue_depth.add(1);
-  }
-  async_pool_->submit([this, offset, size, promise] {
-    DepthDrop drop;
-    util::trace::Span span("async_read", "h5", "bytes", size);
-    try {
-      promise->set_value(pread(offset, size));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return ticket;
 }
 
 void File::flush_async() {

@@ -9,7 +9,8 @@
 //   * the async queue is a background-thread writer emulating HDF5's
 //     asynchronous VOL connector [Tang et al., TPDS'22]: async_write()
 //     enqueues and returns immediately; WriteTicket::wait() (or flush())
-//     observes durability and any I/O error.
+//     observes durability and any I/O error. Only created files have
+//     one; an opened file reads with pread on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -18,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,28 +46,10 @@ class WriteTicket {
   std::shared_future<void> fut_;
 };
 
-/// Completion handle for an asynchronous read; take() blocks until the
-/// bytes are in memory and rethrows any I/O error. The buffer moves out
-/// of the ticket (one-shot, move-only) so the hot read path never copies
-/// a payload it already owns.
-class ReadTicket {
- public:
-  ReadTicket() = default;
-  explicit ReadTicket(std::future<std::vector<std::uint8_t>> f) : fut_(std::move(f)) {}
-  std::vector<std::uint8_t> take() {
-    if (!fut_.valid()) throw std::runtime_error("h5: empty read ticket");
-    return fut_.get();
-  }
-  bool valid() const { return fut_.valid(); }
-
- private:
-  std::future<std::vector<std::uint8_t>> fut_;
-};
-
 struct FileOptions {
-  /// Background I/O threads for the async queue (writes on the write
-  /// path, payload prefetch on the read path). The paper's async VOL uses
-  /// one background thread; more can be useful on real parallel FS.
+  /// Background I/O threads for a created file's async write queue. The
+  /// paper's async VOL uses one background thread; more can be useful on
+  /// real parallel FS. Opened (read-only) files start no thread.
   unsigned async_threads = 1;
   /// Create via a temp file ("<path>.tmp") promoted by an atomic rename
   /// at the first commit, so a crash before any commit leaves nothing at
@@ -86,9 +68,9 @@ class File {
   /// the superblock.
   static std::shared_ptr<File> create(const std::string& path, FileOptions opts = {});
 
-  /// Opens an existing file read-only and parses the dataset table. The
-  /// async queue serves read prefetch (async_read) on opened files.
-  static std::shared_ptr<File> open(const std::string& path, FileOptions opts = {});
+  /// Opens an existing file read-only and parses the dataset table. Every
+  /// read is a pread on the calling thread: opening starts no thread.
+  static std::shared_ptr<File> open(const std::string& path);
 
   ~File();
   File(const File&) = delete;
@@ -109,12 +91,6 @@ class File {
 
   /// Asynchronous positioned write: the buffer is moved into the queue.
   WriteTicket async_write(std::uint64_t offset, std::vector<std::uint8_t> data);
-
-  /// Asynchronous positioned read: the request lands on the background
-  /// I/O queue immediately; ReadTicket::take() yields the bytes. This is
-  /// what lets the read engine overlap field k's decompression with the
-  /// payload reads of field k+1 (the write pipeline run in reverse).
-  ReadTicket async_read(std::uint64_t offset, std::uint64_t size);
 
   /// Waits until every queued async write has completed, then rethrows
   /// the first write error whose WriteTicket nobody waited on. The error

@@ -69,6 +69,13 @@ const h5::DatasetDesc& resolve(const h5::File& file, const std::string& name,
   return *desc;
 }
 
+sz::Params read_params(const ReaderOptions& options) {
+  sz::Params params;
+  params.threads = options.decompress_threads;
+  params.verify = to_sz_verify(options.verify);
+  return params;
+}
+
 void merge_read_report(const core::ReadReport& r, ReadReport& out) {
   out.plan_seconds += r.plan_seconds;
   out.read_seconds += r.read_seconds;
@@ -86,11 +93,9 @@ void merge_read_report(const core::ReadReport& r, ReadReport& out) {
 
 Result<Reader> Reader::open(const std::string& path, ReaderOptions options) {
   return detail::guarded([&] {
-    h5::FileOptions fopts;
-    fopts.async_threads = options.async_threads;
     Reader reader;
     reader.impl_ = std::make_shared<Impl>();
-    reader.impl_->file = h5::File::open(path, fopts);
+    reader.impl_->file = h5::File::open(path);
     reader.impl_->options = options;
     reader.impl_->telemetry_base = metrics_snapshot();
     return reader;
@@ -140,11 +145,9 @@ template <typename T>
 Result<std::vector<T>> Reader::read(const std::string& name) const {
   if (!impl_) return Status(StatusCode::kFailedPrecondition, "reader: invalid handle");
   return detail::guarded([&] {
-    resolve(*impl_->file, name, dtype_of<T>());
-    sz::Params params;
-    params.threads = impl_->options.decompress_threads;
-    params.verify = to_sz_verify(impl_->options.verify);
-    return h5::read_dataset<T>(*impl_->file, name, params);
+    const h5::DatasetDesc& desc = resolve(*impl_->file, name, dtype_of<T>());
+    return h5::read_region<T>(*impl_->file, name, sz::Region::of(desc.global_dims),
+                              read_params(impl_->options));
   });
 }
 
@@ -164,14 +167,13 @@ Result<std::vector<T>> Reader::read_region(const std::string& name, const Region
   if (!impl_) return Status(StatusCode::kFailedPrecondition, "reader: invalid handle");
   return detail::guarded([&] {
     resolve(*impl_->file, name, dtype_of<T>());
-    sz::Params params;
-    params.threads = impl_->options.decompress_threads;
-    params.verify = to_sz_verify(impl_->options.verify);
     util::Timer total;
     h5::RegionReadStats stats;
-    std::vector<T> out =
-        h5::read_region<T>(*impl_->file, name, detail::to_sz(region), params, &stats);
+    std::vector<T> out = h5::read_region<T>(*impl_->file, name, detail::to_sz(region),
+                                            read_params(impl_->options), &stats);
     if (report != nullptr) {
+      report->read_seconds += stats.read_seconds;
+      report->decompress_seconds += stats.decode_seconds;
       report->total_seconds += total.seconds();
       report->bytes_read += stats.payload_bytes;
       report->elements_out += region.count();
@@ -216,7 +218,6 @@ Result<std::vector<std::vector<T>>> Reader::read_fields(
     }
     core::ReadEngineConfig config;
     config.decompress_threads = impl_->options.decompress_threads;
-    config.pipeline = impl_->options.pipeline;
     config.verify = to_sz_verify(impl_->options.verify);
     core::ReadReport core_report;
     std::vector<std::vector<T>> out =
@@ -241,16 +242,7 @@ Result<std::vector<std::vector<std::uint8_t>>> Reader::read_fields_bytes(
 
 Result<std::vector<std::uint8_t>> Reader::partition_payload(const std::string& name,
                                                             std::size_t part_index) const {
-  if (!impl_) return Status(StatusCode::kFailedPrecondition, "reader: invalid handle");
-  return detail::guarded([&] {
-    const h5::DatasetDesc* desc = impl_->file->find_dataset(name);
-    if (desc == nullptr) throw std::invalid_argument("h5: no dataset named " + name);
-    if (part_index >= desc->partitions.size()) {
-      throw std::invalid_argument("reader: partition index out of range for " + name);
-    }
-    return h5::read_partition_payload(*impl_->file, *desc,
-                                      desc->partitions[part_index]);
-  });
+  return partition_prefix(name, part_index, h5::kWholePayload);
 }
 
 Result<std::vector<std::uint8_t>> Reader::partition_prefix(const std::string& name,
@@ -263,17 +255,8 @@ Result<std::vector<std::uint8_t>> Reader::partition_prefix(const std::string& na
     if (part_index >= desc->partitions.size()) {
       throw std::invalid_argument("reader: partition index out of range for " + name);
     }
-    const h5::PartitionRecord& part = desc->partitions[part_index];
-    // The prefix may straddle slot and overflow segment.
-    const std::uint64_t want = std::min(part.actual_bytes, max_bytes);
-    const std::uint64_t in_slot =
-        std::min(want, std::min(part.actual_bytes, part.reserved_bytes));
-    std::vector<std::uint8_t> payload = impl_->file->pread(part.file_offset, in_slot);
-    if (want > in_slot) {
-      const auto tail = impl_->file->pread(part.overflow_offset, want - in_slot);
-      payload.insert(payload.end(), tail.begin(), tail.end());
-    }
-    return payload;
+    return h5::read_partition_payload(*impl_->file, desc->partitions[part_index],
+                                      max_bytes);
   });
 }
 

@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -152,8 +153,16 @@ bool read_frame(int fd, std::uint8_t* tag, std::vector<std::uint8_t>* payload) {
                              " bytes");
   }
   *tag = head[4];
-  payload->resize(len);
-  if (len != 0) read_exact(fd, payload->data(), len, /*eof_ok=*/false);
+  // The buffer grows as bytes arrive, one bounded chunk at a time: a
+  // header alone never commits memory for the length it claims. A frame
+  // under one chunk is still a single read.
+  payload->clear();
+  for (std::size_t got = 0; got < len;) {
+    const std::size_t n = std::min<std::size_t>(kFrameChunkBytes, len - got);
+    payload->resize(got + n);
+    read_exact(fd, payload->data() + got, n, /*eof_ok=*/false);
+    got += n;
+  }
   return true;
 }
 

@@ -34,6 +34,9 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 /// metadata must fit (1 GiB covers every in-tree workload many times
 /// over while still bounding a hostile length prefix).
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+/// read_frame grows a payload buffer by at most this much per read, so a
+/// length prefix alone commits no more than one chunk of memory.
+inline constexpr std::size_t kFrameChunkBytes = std::size_t{1} << 20;
 
 /// Request opcodes. The response tag is a StatusCode, not an Op.
 enum class Op : std::uint8_t {

@@ -15,54 +15,17 @@
 #include "h5/codec_registry.h"
 #include "h5/file.h"
 #include "pcw/pcw.h"
+#include "support/toy_codec.h"
 
 namespace {
 
 using namespace pcw;
+using testsupport::kToyId;
+using testsupport::ToyXorCodec;
 
-constexpr std::uint32_t kToyId = 77;
-
-/// Lossless toy codec: element bytes XOR'd with a constant, plus an
-/// 8-byte element-count trailer so decode can sanity-check. Deliberately
-/// not self-describing beyond that — it exercises the generic (flat,
-/// full-decode) paths of the h5 layer.
-class ToyXorCodec final : public Codec {
- public:
-  static constexpr std::uint8_t kMask = 0xA5;
-
-  std::vector<std::uint8_t> encode(const FieldView& field) const override {
-    std::vector<std::uint8_t> out(field.bytes.size() + 8);
-    for (std::size_t i = 0; i < field.bytes.size(); ++i) {
-      out[i] = field.bytes[i] ^ kMask;
-    }
-    const std::uint64_t elems = field.elements();
-    std::memcpy(out.data() + field.bytes.size(), &elems, 8);
-    return out;
-  }
-
-  std::vector<std::uint8_t> decode(std::span<const std::uint8_t> blob, DType dtype,
-                                   std::uint64_t expect_elems) const override {
-    const std::size_t esize = element_size(dtype);
-    if (blob.size() != expect_elems * esize + 8) {
-      throw std::runtime_error("toy: blob size mismatch");
-    }
-    std::uint64_t elems = 0;
-    std::memcpy(&elems, blob.data() + blob.size() - 8, 8);
-    if (elems != expect_elems) throw std::runtime_error("toy: element count mismatch");
-    std::vector<std::uint8_t> out(blob.size() - 8);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = blob[i] ^ kMask;
-    return out;
-  }
-};
-
-/// Registers the toy codec exactly once per process; later calls observe
-/// the kAlreadyExists path, which is itself part of the contract.
-void ensure_toy_registered() {
-  static const Status status = register_codec(
-      kToyId, "toy-xor", CodecCaps{},
-      [] { return std::make_unique<ToyXorCodec>(); });
-  ASSERT_TRUE(status.ok());
-}
+/// Later registrations of the same id observe kAlreadyExists, which is
+/// itself part of the contract.
+void ensure_toy_registered() { ASSERT_TRUE(testsupport::register_toy_codec().ok()); }
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();

@@ -11,6 +11,7 @@
 #include "core/timing_engine.h"
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
+#include "support/read_oracle.h"
 
 namespace pcw::core {
 namespace {
@@ -84,7 +85,7 @@ class EngineTest : public ::testing::Test {
     auto rf = h5::File::open(path());
     for (int f = 0; f < kFields; ++f) {
       const auto info = data::nyx_field_info(static_cast<data::NyxField>(f));
-      const auto full = h5::read_dataset<float>(*rf, info.name);
+      const auto full = testsupport::read_dataset<float>(*rf, info.name);
       ASSERT_EQ(full.size(), global_.count());
       for (int r = 0; r < kRanks; ++r) {
         const auto& orig =
@@ -230,7 +231,7 @@ TEST_F(EngineTest, AllModesProduceIdenticalDecompressedDatasets) {
     auto rf = h5::File::open(path());
     for (int f = 0; f < kFields; ++f) {
       const auto info = data::nyx_field_info(static_cast<data::NyxField>(f));
-      recon[m].push_back(h5::read_dataset<float>(*rf, info.name));
+      recon[m].push_back(testsupport::read_dataset<float>(*rf, info.name));
     }
   }
   for (std::size_t m = 1; m < std::size(compressed_modes); ++m) {
@@ -250,7 +251,7 @@ TEST_F(EngineTest, AllModesProduceIdenticalDecompressedDatasets) {
   auto rf = h5::File::open(path());
   for (int f = 0; f < kFields; ++f) {
     const auto info = data::nyx_field_info(static_cast<data::NyxField>(f));
-    const auto full = h5::read_dataset<float>(*rf, info.name);
+    const auto full = testsupport::read_dataset<float>(*rf, info.name);
     ASSERT_EQ(full.size(), global_.count());
     for (int r = 0; r < kRanks; ++r) {
       const auto& orig =
@@ -293,7 +294,7 @@ TEST_F(EngineTest, SingleRankDegenerateCase) {
     file->close_collective(comm);
   });
   auto rf = h5::File::open(path());
-  const auto full = h5::read_dataset<float>(*rf, "baryon_density");
+  const auto full = testsupport::read_dataset<float>(*rf, "baryon_density");
   for (std::size_t i = 0; i < full.size(); ++i) {
     ASSERT_NEAR(full[i], ranks_[0].fields[0][i], 0.2);
   }

@@ -10,6 +10,7 @@
 #include "h5/filter.h"
 #include "mpi/comm.h"
 #include "util/rng.h"
+#include "support/read_oracle.h"
 
 namespace pcw::h5 {
 namespace {
@@ -216,7 +217,7 @@ TEST_F(H5ParallelTest, ContiguousWriteReadAcrossRanks) {
   });
 
   auto rf = File::open(path());
-  const auto full = read_dataset<float>(*rf, "ranked");
+  const auto full = testsupport::read_dataset<float>(*rf, "ranked");
   ASSERT_EQ(full.size(), per_rank * P);
   for (int r = 0; r < P; ++r) {
     for (std::size_t i = 0; i < per_rank; ++i) {
@@ -254,7 +255,7 @@ TEST_F(H5ParallelTest, FilteredCollectiveWriteReadAcrossRanks) {
   ASSERT_NE(desc, nullptr);
   EXPECT_EQ(desc->filter, FilterId::kSz);
   ASSERT_EQ(desc->partitions.size(), static_cast<std::size_t>(P));
-  const auto full = read_dataset<float>(*rf, "density");
+  const auto full = testsupport::read_dataset<float>(*rf, "density");
   for (int r = 0; r < P; ++r) {
     const auto& orig = rank_data[static_cast<std::size_t>(r)];
     const std::size_t off = static_cast<std::size_t>(r) * local.count();
@@ -294,7 +295,7 @@ TEST_F(H5ParallelTest, ReadUnknownDatasetThrows) {
     file->close_single();
   }
   auto rf = File::open(path());
-  EXPECT_THROW(read_dataset<float>(*rf, "nope"), std::invalid_argument);
+  EXPECT_THROW(testsupport::read_dataset<float>(*rf, "nope"), std::invalid_argument);
 }
 
 TEST_F(H5ParallelTest, PartitionPayloadWithSyntheticOverflow) {
@@ -331,7 +332,7 @@ TEST_F(H5ParallelTest, PartitionPayloadWithSyntheticOverflow) {
   auto rf = File::open(path());
   const auto* d = rf->find_dataset("ovf");
   ASSERT_NE(d, nullptr);
-  EXPECT_EQ(read_partition_payload(*rf, *d, d->partitions[0]), payload);
+  EXPECT_EQ(read_partition_payload(*rf, d->partitions[0]), payload);
 }
 
 }  // namespace

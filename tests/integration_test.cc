@@ -13,6 +13,7 @@
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
 #include "model/ratio_model.h"
+#include "support/read_oracle.h"
 
 namespace pcw {
 namespace {
@@ -82,7 +83,7 @@ TEST(Integration, NyxSixFieldsTwentySevenRanks) {
   EXPECT_EQ(rf->datasets().size(), static_cast<std::size_t>(data::kNyxPrimaryFields));
   for (int f = 0; f < data::kNyxPrimaryFields; ++f) {
     const auto info = data::nyx_field_info(static_cast<data::NyxField>(f));
-    const auto full = h5::read_dataset<float>(*rf, info.name);
+    const auto full = testsupport::read_dataset<float>(*rf, info.name);
     for (int r = 0; r < P; ++r) {
       const auto& orig =
           rank_fields[static_cast<std::size_t>(r)][static_cast<std::size_t>(f)];
@@ -131,7 +132,7 @@ TEST(Integration, VpicParticleFieldsOneDimensional) {
   auto rf = h5::File::open(cleanup.path());
   for (int f = 0; f < data::kVpicAllFields; ++f) {
     const auto info = data::vpic_field_info(static_cast<data::VpicField>(f));
-    const auto full = h5::read_dataset<float>(*rf, info.name);
+    const auto full = testsupport::read_dataset<float>(*rf, info.name);
     const auto truth = data::make_vpic_field(total, static_cast<data::VpicField>(f), 808);
     ASSERT_EQ(full.size(), truth.size());
     double max_err = 0.0;
@@ -223,7 +224,7 @@ TEST(Integration, MixedModesIntoSeparateFilesAgree) {
       file->close_collective(comm);
     });
     auto rf = h5::File::open(cleanup.path());
-    auto rec = h5::read_dataset<float>(*rf, "temperature");
+    auto rec = testsupport::read_dataset<float>(*rf, "temperature");
     if (mode == core::WriteMode::kFilterCollective) {
       rec_filter = std::move(rec);
     } else {

@@ -1,8 +1,9 @@
 // The parallel restart/read engine end-to-end: write with the predictive
 // overlap engine, read back through core::read_fields / h5::read_region,
 // and pin that every path — full restart, repartitioned restart, sparse
-// slices, v1-era files, contiguous datasets — returns exactly what
-// read_dataset would, while decoding only what the selection needs.
+// slices, v1-era files, contiguous datasets — returns exactly what the
+// whole-partition oracle (support/read_oracle.h) does, while decoding
+// only what the selection needs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
 #include "sz/compressor.h"
+#include "support/read_oracle.h"
 
 namespace pcw::core {
 namespace {
@@ -112,7 +114,7 @@ TEST_F(ReadEngineTest, FullRestartMatchesReadDataset) {
   });
 
   for (int f = 0; f < kFields; ++f) {
-    const auto want = h5::read_dataset<float>(*file, field_name(f));
+    const auto want = testsupport::read_dataset<float>(*file, field_name(f));
     for (int r = 0; r < kWriteRanks; ++r) {
       const auto& got =
           per_rank[static_cast<std::size_t>(r)][static_cast<std::size_t>(f)];
@@ -145,7 +147,7 @@ TEST_F(ReadEngineTest, RepartitionedRestartCoversTheField) {
     });
 
     // The slabs concatenate back to the whole field exactly.
-    const auto want = h5::read_dataset<float>(*file, field_name(0));
+    const auto want = testsupport::read_dataset<float>(*file, field_name(0));
     std::vector<float> merged;
     for (const auto& part : got) merged.insert(merged.end(), part.begin(), part.end());
     ASSERT_EQ(merged.size(), want.size()) << read_ranks << " read ranks";
@@ -178,39 +180,10 @@ TEST_F(ReadEngineTest, RestartStaysWithinErrorBound) {
   }
 }
 
-TEST_F(ReadEngineTest, PipelineAndThreadKnobsDoNotChangeBytes) {
-  write_file();
-  auto file = h5::File::open(path());
-  std::vector<std::vector<float>> reference;
-  mpi::Runtime::run(1, [&](mpi::Comm& comm) {
-    ReadEngineConfig cfg;
-    cfg.pipeline = false;
-    cfg.decompress_threads = 1;
-    reference = read_fields<float>(comm, *file, full_specs(), cfg);
-  });
-  for (const bool pipeline : {true, false}) {
-    for (const unsigned threads : {1u, 2u, 0u}) {
-      std::vector<std::vector<float>> got;
-      mpi::Runtime::run(1, [&](mpi::Comm& comm) {
-        ReadEngineConfig cfg;
-        cfg.pipeline = pipeline;
-        cfg.decompress_threads = threads;
-        got = read_fields<float>(comm, *file, full_specs(), cfg);
-      });
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t f = 0; f < got.size(); ++f) {
-        ASSERT_EQ(got[f].size(), reference[f].size());
-        EXPECT_EQ(0, std::memcmp(got[f].data(), reference[f].data(),
-                                 got[f].size() * sizeof(float)));
-      }
-    }
-  }
-}
-
 TEST_F(ReadEngineTest, RegionReadMatchesSliceAcrossPartitions) {
   write_file();
   auto file = h5::File::open(path());
-  const auto full = h5::read_dataset<float>(*file, field_name(0));
+  const auto full = testsupport::read_dataset<float>(*file, field_name(0));
 
   const sz::Region regions[] = {
       {{0, 0, 0}, {64, 64, 64}},    // everything
@@ -249,7 +222,7 @@ TEST_F(ReadEngineTest, RegionReadMatchesSliceAcrossPartitions) {
 TEST_F(ReadEngineTest, ContiguousDatasetsSupportRegionReads) {
   write_file(WriteMode::kNoCompression);
   auto file = h5::File::open(path());
-  const auto full = h5::read_dataset<float>(*file, field_name(0));
+  const auto full = testsupport::read_dataset<float>(*file, field_name(0));
   const sz::Region r{{10, 3, 7}, {30, 60, 50}};
   h5::RegionReadStats stats;
   const auto got = h5::read_region<float>(*file, field_name(0), r, {}, &stats);

@@ -1,6 +1,5 @@
 // Series-engine coverage: write_step/read_series/restart_at_step across
-// rank counts, keyframe intervals, pipeline modes, regions, and error
-// paths. The load-bearing properties: every step honours the error bound
+// rank counts, keyframe intervals, regions, and error paths. The load-bearing properties: every step honours the error bound
 // (no accumulation along chains), restart_at_step is bit-identical to a
 // from-scratch chain of full decodes, and sparse region reads chain-
 // decode only the touched blocks.
@@ -18,6 +17,7 @@
 #include "core/series.h"
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
+#include "support/read_oracle.h"
 
 namespace pcw::core {
 namespace {
@@ -86,31 +86,6 @@ std::vector<SeriesStepReport> write_series_file(const std::string& path,
   return reports;
 }
 
-/// From-scratch reference: chain full partition decodes from the nearest
-/// keyframe, independently of the engine under test.
-std::vector<float> reference_at_step(const h5::File& file, const std::string& base,
-                                     std::uint32_t step, std::uint32_t interval) {
-  const std::uint32_t key = step - step % interval;
-  std::vector<float> full;
-  for (std::uint32_t s = key; s <= step; ++s) {
-    const h5::DatasetDesc* desc = file.find_series(base, s);
-    if (desc == nullptr) throw std::runtime_error("reference: missing step");
-    std::vector<float> out(sz::element_count(desc->global_dims));
-    for (const auto& part : desc->partitions) {
-      const auto payload = h5::read_partition_payload(file, *desc, part);
-      const std::span<const float> prev =
-          full.empty() ? std::span<const float>{}
-                       : std::span<const float>(full.data() + part.elem_offset,
-                                                part.elem_count);
-      const auto vals = sz::decompress<float>(payload, prev);
-      std::memcpy(out.data() + part.elem_offset, vals.data(),
-                  vals.size() * sizeof(float));
-    }
-    full = std::move(out);
-  }
-  return full;
-}
-
 TEST(Series, WriteStepReportsAndBoundAtEveryStep) {
   TempFile tmp("bound");
   const sz::Dims global = sz::Dims::make_3d(32, 32, 32);
@@ -154,7 +129,7 @@ TEST(Series, RestartMatchesFromScratchChainBitForBit) {
   auto file = h5::File::open(tmp.path);
 
   for (const std::uint32_t t : {0u, 3u, 4u, 9u}) {
-    const auto want = reference_at_step(*file, "baryon_density", t, 4);
+    const auto want = testsupport::read_series_step<float>(*file, "baryon_density", t);
     SeriesReadReport rep;
     const auto got = restart_at_step<float>(*file, "baryon_density", t, std::nullopt,
                                             {}, &rep);
@@ -183,7 +158,7 @@ TEST(Series, KeyframeBoundaryRestartDecodesSingleLink) {
   // And it equals the plain dataset decode of that step (a keyframe is a
   // self-contained spatial checkpoint).
   const auto direct =
-      h5::read_dataset<float>(*file, h5::series_dataset_name("baryon_density", 6));
+      testsupport::read_dataset<float>(*file, h5::series_dataset_name("baryon_density", 6));
   EXPECT_EQ(0, std::memcmp(got.data(), direct.data(), got.size() * sizeof(float)));
 }
 
@@ -194,7 +169,7 @@ TEST(Series, ReadSeriesCollectiveAndRepartitioned) {
   cfg.keyframe_interval = 4;
   write_series_file(tmp.path, global, 4, 6, cfg);
   auto file = h5::File::open(tmp.path);
-  const auto want = reference_at_step(*file, "baryon_density", 5, 4);
+  const auto want = testsupport::read_series_step<float>(*file, "baryon_density", 5);
 
   for (const int nranks : {1, 2, 4, 8}) {
     std::vector<std::vector<float>> got(static_cast<std::size_t>(nranks));
@@ -211,30 +186,6 @@ TEST(Series, ReadSeriesCollectiveAndRepartitioned) {
     ASSERT_EQ(all.size(), want.size()) << "nranks=" << nranks;
     EXPECT_EQ(0, std::memcmp(all.data(), want.data(), all.size() * sizeof(float)))
         << "nranks=" << nranks;
-  }
-}
-
-TEST(Series, PipelineOffAndThreadsNeverChangeBytes) {
-  TempFile tmp("pipe");
-  const sz::Dims global = sz::Dims::make_3d(32, 32, 32);
-  SeriesConfig cfg;
-  cfg.keyframe_interval = 4;
-  write_series_file(tmp.path, global, 2, 6, cfg);
-  auto file = h5::File::open(tmp.path);
-
-  SeriesReadConfig base_cfg;
-  const auto want = restart_at_step<float>(*file, "baryon_density", 5, std::nullopt,
-                                           base_cfg);
-  for (const bool pipeline : {false, true}) {
-    for (const unsigned threads : {1u, 4u}) {
-      SeriesReadConfig rc;
-      rc.pipeline = pipeline;
-      rc.decompress_threads = threads;
-      const auto got =
-          restart_at_step<float>(*file, "baryon_density", 5, std::nullopt, rc);
-      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
-          << "pipeline=" << pipeline << " threads=" << threads;
-    }
   }
 }
 
@@ -259,7 +210,7 @@ TEST(Series, SparseRegionReadChainsOnlyTouchedBlocks) {
   EXPECT_EQ(rep.blocks_decoded, 2u);
 
   // Equality against the sliced reference.
-  const auto full = reference_at_step(*file, "baryon_density", 5, 4);
+  const auto full = testsupport::read_series_step<float>(*file, "baryon_density", 5);
   std::vector<float> want;
   sz::for_each_region_row(plane, global,
                           [&](std::size_t g, std::size_t len, std::size_t) {

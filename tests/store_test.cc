@@ -8,6 +8,8 @@
 // committed state, every get_or_fill accounts exactly one of
 // {hit, miss, coalesced}, and a hot cached read beats a cold chain
 // decode by >= 2x (the reason the cache exists).
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -335,6 +337,39 @@ TEST(StoreProtocol, TruncatedPayloadThrows) {
   // Reading past the end of an empty payload throws too.
   store::WireReader empty{std::span<const std::uint8_t>()};
   EXPECT_THROW((void)empty.u32(), std::runtime_error);
+}
+
+TEST(StoreProtocol, FrameHeaderAloneCommitsNoPayloadMemory) {
+  // A header claiming the largest legal frame, 16 payload bytes, then
+  // EOF: read_frame fails as a truncated frame without ever holding the
+  // claimed gigabyte.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint32_t len = store::kMaxFrameBytes;
+  std::vector<std::uint8_t> wire{static_cast<std::uint8_t>(len),
+                                 static_cast<std::uint8_t>(len >> 8),
+                                 static_cast<std::uint8_t>(len >> 16),
+                                 static_cast<std::uint8_t>(len >> 24), 1};
+  wire.resize(wire.size() + 16, 0x5A);
+  ASSERT_EQ(::send(fds[1], wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  ::close(fds[1]);
+
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  std::uint8_t tag = 0;
+  std::vector<std::uint8_t> payload;
+  std::string error;
+  try {
+    (void)store::read_frame(fds[0], &tag, &payload);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  ::close(fds[0]);
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_NE(error.find("connection closed mid-frame"), std::string::npos) << error;
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);  // KiB: under 64 MB
 }
 
 TEST(StoreProtocol, AddressGrammar) {

@@ -10,6 +10,7 @@
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
 #include "zfp/zfp.h"
+#include "support/read_oracle.h"
 
 namespace pcw {
 namespace {
@@ -107,7 +108,7 @@ TEST(ZfpFilter, ParallelFilteredCollectiveWriteReadsBack) {
   const auto* desc = rf->find_dataset("density");
   ASSERT_NE(desc, nullptr);
   EXPECT_EQ(desc->filter, h5::FilterId::kZfp);
-  const auto full = h5::read_dataset<float>(*rf, "density");
+  const auto full = testsupport::read_dataset<float>(*rf, "density");
   for (int r = 0; r < P; ++r) {
     const auto& orig = blocks[static_cast<std::size_t>(r)];
     float lo = orig[0], hi = orig[0];
@@ -152,7 +153,7 @@ TEST(EngineF64, DoublePrecisionFieldsRoundTrip) {
     file->close_collective(comm);
   });
   auto rf = h5::File::open(cleanup.path());
-  const auto full = h5::read_dataset<double>(*rf, "temperature64");
+  const auto full = testsupport::read_dataset<double>(*rf, "temperature64");
   for (int r = 0; r < P; ++r) {
     const std::size_t off = static_cast<std::size_t>(r) * dec.local.count();
     for (std::size_t i = 0; i < dec.local.count(); ++i) {
@@ -187,9 +188,9 @@ TEST(EngineF64, MixedPrecisionDatasetsCoexistInOneFile) {
   });
   auto rf = h5::File::open(cleanup.path());
   EXPECT_EQ(rf->datasets().size(), 2u);
-  EXPECT_THROW(h5::read_dataset<double>(*rf, "rho32"), std::runtime_error);
-  const auto back32 = h5::read_dataset<float>(*rf, "rho32");
-  const auto back64 = h5::read_dataset<double>(*rf, "rho64");
+  EXPECT_THROW(testsupport::read_dataset<double>(*rf, "rho32"), std::runtime_error);
+  const auto back32 = testsupport::read_dataset<float>(*rf, "rho32");
+  const auto back64 = testsupport::read_dataset<double>(*rf, "rho64");
   for (std::size_t i = 0; i < f32.size(); ++i) {
     ASSERT_NEAR(back32[i], f32[i], 0.2);
     ASSERT_NEAR(back64[i], f64[i], 0.2);
