@@ -1,11 +1,15 @@
 // Engineering microbenchmarks: per-stage throughput of the pcw::sz
 // pipeline at 1..N threads. The stage rows time the calls compress()
-// itself makes — `quantize` is lorenzo_quantize_blocks, `encode` is the
-// per-block run tokenization + Huffman encode + block CRC — so they add
-// up to the end-to-end `compress` row (the codebook build and container
-// assembly are the small remainder); `decompress` is the full decode. Not a paper figure; this is the measured perf baseline
-// every perf PR must beat, emitted as machine-readable JSON with
-// `--json` (schema pcw.bench_kernels.v1 -> BENCH_kernels.json).
+// and decompress() themselves make. `quantize` is lattice_quantize_blocks
+// (the lattice kernel plus its code histogram) and `encode` the per-block
+// run tokenization + Huffman encode + block CRC, so they add up to the
+// end-to-end `compress` row (the codebook build and container assembly
+// are the small remainder). `huffman_decode` is the per-block entropy
+// decode and `dequantize` the per-block lattice decode, which add up to
+// the `decompress` row less its block CRC checks. Not a paper figure;
+// this is the measured perf baseline every perf PR must beat, emitted as
+// machine-readable JSON with `--json` (schema pcw.bench_kernels.v1 ->
+// BENCH_kernels.json).
 //
 // Standalone on purpose (no google-benchmark): CI runs
 // `bench_kernels --json --smoke` so the perf path can never silently
@@ -212,24 +216,34 @@ int main(int argc, char** argv) {
 
   // Shared fixtures for the stage-level measurements: the quantized codes
   // and the shared codebook (plain codes plus run tokens) that compress
-  // builds from them, which the encode stage re-times.
+  // builds from them, which the encode stage re-times, and each block's
+  // Huffman substream, which the huffman_decode stage re-times.
   const std::vector<sz::BlockRange> blocks = sz::split_blocks(opt.dims);
   const std::uint32_t radius = params.radius;
   std::vector<std::uint64_t> counts(sz::run_alphabet(radius), 0);
-  const std::vector<sz::QuantizeResult<float>> quants = sz::lorenzo_quantize_blocks<float>(
+  const std::vector<sz::QuantizeResult<float>> quants = sz::lattice_quantize_blocks<float>(
       field, blocks, opt.eb, radius, 1, nullptr,
       std::span<std::uint64_t>(counts).first(2ull * radius));
-  for (const auto& q : quants) {
-    std::vector<std::uint32_t> codes = q.codes;
-    sz::tokenize_runs(codes, radius).fold_into(std::span<std::uint64_t>(counts), radius);
+  std::vector<std::vector<std::uint32_t>> codes(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    codes[b] = quants[b].codes;
+    sz::tokenize_runs(codes[b], radius).fold_into(std::span<std::uint64_t>(counts), radius);
   }
   std::vector<sz::SymbolCount> freqs;
   for (std::uint32_t s = 0; s < counts.size(); ++s) {
     if (counts[s] > 0) freqs.push_back({s, counts[s]});
   }
   const sz::HuffmanEncoder encoder(freqs);
+  const std::vector<std::uint8_t> codebook = encoder.serialize_codebook();
+  const sz::HuffmanDecoder decoder(codebook, nullptr, radius);
+  std::vector<std::vector<std::uint8_t>> substreams(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    util::BitWriter writer;
+    encoder.encode_all(codes[b], writer, 2ull * radius);
+    substreams[b] = writer.finish();
+  }
   const std::vector<std::uint8_t> blob = sz::compress<float>(field, opt.dims, params);
-  std::vector<std::vector<std::uint32_t>> codes(blocks.size());
+  std::vector<float> decoded(field.size());
 
   std::vector<Result> results;
   auto record = [&](const char* stage, unsigned threads, double seconds) {
@@ -246,11 +260,11 @@ int main(int argc, char** argv) {
   for (const unsigned threads : opt.threads) {
     std::printf("threads=%u (%u blocks)\n", threads,
                 static_cast<unsigned>(blocks.size()));
-    // Stage: Lorenzo quantization of the block decomposition, with the
+    // Stage: lattice quantization of the block decomposition, with the
     // code histogram, as compress runs it.
     record("quantize", threads, best_seconds(opt.reps, [&] {
              std::vector<std::uint64_t> hist(2ull * radius, 0);
-             const auto out = sz::lorenzo_quantize_blocks<float>(
+             const auto out = sz::lattice_quantize_blocks<float>(
                  field, blocks, opt.eb, radius, threads, nullptr, hist);
              if (out.size() != blocks.size()) std::exit(1);
            }));
@@ -292,6 +306,24 @@ int main(int argc, char** argv) {
                std::fprintf(stderr, "error: decompress element count\n");
                std::exit(1);
              }
+           }));
+    // Decode stages: per-block entropy decode of the substreams, then the
+    // per-block lattice decode of the codes, as decompress runs them.
+    record("huffman_decode", threads, best_seconds(opt.reps, [&] {
+             util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
+               thread_local std::vector<std::uint32_t> out;
+               out.resize(blocks[b].dims.count());
+               util::BitReader reader(substreams[b]);
+               decoder.decode_run(reader, out.data(), out.size());
+             });
+           }));
+    record("dequantize", threads, best_seconds(opt.reps, [&] {
+             util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
+               const sz::BlockRange& blk = blocks[b];
+               sz::lattice_dequantize<float>(
+                   quants[b].codes, quants[b].outliers, blk.dims, opt.eb, radius,
+                   std::span<float>(decoded).subspan(blk.elem_offset, blk.dims.count()));
+             });
            }));
     // Same serial compress with tracing armed (buffered, no export):
     // the enabled-telemetry overhead surface check_bench.py gates at

@@ -139,6 +139,10 @@ struct BlobInfo {
   bool run_tokens = false;
   std::uint32_t version = 0;
   std::uint32_t block_count = 0;
+  /// Blocks per predictor: lattice (the current writer's spatial
+  /// predictor) and temporal; the rest of block_count are classic stencil
+  /// blocks from earlier writers.
+  std::uint32_t lattice_blocks = 0;
   std::uint32_t temporal_blocks = 0;
   /// True for sz container v4 and later: the blob carries CRC32C checksums.
   bool checksummed = false;
@@ -156,6 +160,7 @@ struct BlobBlockInfo {
   std::uint64_t elem_count = 0;
   std::uint64_t stored_bytes = 0;
   bool temporal = false;
+  bool lattice = false;  // neither: a classic stencil block
 };
 
 /// Bits per element for a blob of `compressed_bytes` covering

@@ -253,7 +253,7 @@ SeriesStepReport SeriesWriter<T>::write_step(mpi::Comm& comm,
     const FieldSpec<T>& field = fields[f];
     sz::Params params = field.params;
     params.threads = config_.compress_threads;
-    params.predictor = keyframe ? sz::Predictor::kSpatial : sz::Predictor::kTemporal;
+    params.predictor = keyframe ? sz::Predictor::kLattice : sz::Predictor::kTemporal;
     if (!keyframe && prev_[f].size() != field.local.size()) {
       throw std::invalid_argument("series: field shape changed mid-series");
     }

@@ -42,8 +42,8 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
 
   // Gather the sampled boxes, in grid order, into one contiguous buffer
   // and quantize each in isolation (zero-padded at its own faces) with
-  // the compressor's kernel: consecutive equal-shape boxes run as one
-  // lockstep lane group.
+  // the compressor's lattice kernel, so the writer and the model share
+  // one quantizer.
   std::vector<sz::BlockRange> blocks;
   std::vector<T> samples;
   samples.reserve((total_blocks + stride - 1) / stride * block_points);
@@ -71,7 +71,7 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   const bool runs = sz::uses_run_tokens(params);
   std::vector<std::uint64_t> counts(
       runs ? sz::run_alphabet(params.radius) : 2ull * params.radius, 0);
-  auto quants = sz::lorenzo_quantize_blocks<T>(
+  auto quants = sz::lattice_quantize_blocks<T>(
       samples, blocks, eb, params.radius, /*threads=*/1, nullptr,
       std::span<std::uint64_t>(counts).first(2ull * params.radius));
   std::uint64_t outliers = 0, length_bits = 0;

@@ -6,9 +6,8 @@
 //      rows run along the fastest axis and whose planes line up with the
 //      encoder's slab blocks,
 //   2. quantize each box in isolation (zero-padded at its own faces)
-//      through the compressor's own Lorenzo kernel,
-//      sz::lorenzo_quantize_blocks, which runs equal-shape samples as
-//      lockstep SIMD lane groups,
+//      through the compressor's own lattice (dual-quantized Lorenzo)
+//      kernel, sz::lattice_quantize_blocks,
 //   3. code runs of zero-residual codes as run tokens with the encoder's
 //      own tokenizer, sz::tokenize_runs,
 //   4. cost a hypothetical Huffman codebook over the sampled, tokenized

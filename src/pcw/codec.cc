@@ -177,6 +177,7 @@ Result<BlobInfo> inspect_blob(std::span<const std::uint8_t> blob) {
     out.run_tokens = info.run_tokens;
     out.version = info.version;
     out.block_count = info.block_count;
+    out.lattice_blocks = info.lattice_blocks;
     out.temporal_blocks = info.temporal_blocks;
     out.checksummed = info.checksummed;
     return out;
@@ -197,6 +198,7 @@ Result<std::vector<BlobBlockInfo>> inspect_blob_blocks(
       b.elem_count = blk.elem_count;
       b.stored_bytes = blk.stored_bytes(esize);
       b.temporal = blk.predictor == sz::Predictor::kTemporal;
+      b.lattice = blk.predictor == sz::Predictor::kLattice;
       out.push_back(b);
     }
     return out;

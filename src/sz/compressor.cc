@@ -191,8 +191,11 @@ RawHeader parse_header(std::span<const std::uint8_t> blob) {
       e.huff_bytes = read_pod<std::uint64_t>(blob, pos);
       e.outlier_count = read_pod<std::uint64_t>(blob, pos);
       if (h.version >= kVersionV3) {
+        // The lattice predictor (byte 2) exists from v5 on.
         const auto p = read_pod<std::uint8_t>(blob, pos);
-        if (p > static_cast<std::uint8_t>(Predictor::kTemporal)) {
+        const auto last = h.version >= kVersionV5 ? Predictor::kLattice
+                                                  : Predictor::kTemporal;
+        if (p > static_cast<std::uint8_t>(last)) {
           throw std::runtime_error("sz: unknown block predictor");
         }
         e.predictor = static_cast<Predictor>(p);
@@ -445,12 +448,15 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   if (data.size() != dims.count() || data.empty()) {
     throw std::invalid_argument("sz: data size must equal dims.count() and be > 0");
   }
+  if (params.predictor == Predictor::kSpatial) {
+    throw std::invalid_argument("sz: the stencil predictor is decode-only; use kLattice");
+  }
   const bool temporal = params.predictor == Predictor::kTemporal;
   if (temporal && prev.size() != data.size()) {
     throw std::invalid_argument("sz: temporal predictor needs a prev step of equal size");
   }
   if (!temporal && !prev.empty()) {
-    throw std::invalid_argument("sz: prev step given but predictor is spatial");
+    throw std::invalid_argument("sz: prev step given but predictor is not temporal");
   }
   const double eb = resolve_error_bound<T>(data, params);
   const std::vector<BlockRange> blocks = split_blocks(dims);
@@ -461,30 +467,35 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   const bool runs = uses_run_tokens(params);
   const std::uint32_t radius = params.radius;
 
-  // Stage 1: quantization + histogram + run tokens. lorenzo_quantize_blocks
-  // runs lockstep SIMD groups where the decomposition allows and writes the
-  // spatial reconstruction straight into recon_out (series writers keep
-  // it as the next temporal reference — blocks write disjoint slices, no
-  // race), so compress never holds a second copy of the field. A
-  // temporal compression then quantizes each block the delta way too and
-  // keeps whichever codes smaller, so a block with a stale or turbulent
-  // reference degrades to exactly the spatial cost.
+  // Stage 1: quantization + histogram + run tokens. lattice_quantize_blocks
+  // writes the spatial reconstruction straight into recon_out (series
+  // writers keep it as the next temporal reference — blocks write
+  // disjoint slices, no race), so compress never holds a second copy of
+  // the field. A temporal compression then quantizes each block the
+  // delta way too and keeps whichever codes smaller, so a block with a
+  // stale or turbulent reference degrades to exactly the spatial cost.
   //
   // A spatial compression takes the summed code histogram `counts`
-  // straight from the quantizer, tokenizes each block in the parallel
-  // fan-out and folds the tokens into `counts`. A temporal one costs each
+  // straight from the quantizer, tokenizes each block on the quantizing
+  // worker right after its kernel, while the codes are still in cache,
+  // and folds the tokens into `counts`. A temporal one costs each
   // block's two predictors from their own tokenized histograms, so it
   // keeps the winner's per block in `hists` and sums them in stage 2.
   std::vector<std::uint64_t> counts(runs ? run_alphabet(radius) : 2ull * radius, 0);
   std::vector<std::vector<std::uint32_t>> hists(temporal ? n_blocks : 0);
   std::vector<RunTokenStats> run_stats(runs && !temporal ? n_blocks : 0);
-  std::vector<Predictor> preds(n_blocks, Predictor::kSpatial);
+  std::vector<Predictor> preds(n_blocks, Predictor::kLattice);
   if (recon_out != nullptr) recon_out->resize(data.size());
-  std::vector<QuantizeResult<T>> quants = lorenzo_quantize_blocks<T>(
+  std::vector<QuantizeResult<T>> quants = lattice_quantize_blocks<T>(
       data, blocks, eb, radius, params.threads,
       recon_out != nullptr ? recon_out->data() : nullptr,
       temporal ? std::span<std::uint64_t>{}
-               : std::span<std::uint64_t>(counts).first(2ull * radius));
+               : std::span<std::uint64_t>(counts).first(2ull * radius),
+      [&](std::size_t b, QuantizeResult<T>& q) {
+        if (run_stats.empty()) return;
+        util::trace::Span span("run_tokens", "sz", "block", b);
+        run_stats[b] = tokenize_runs(q.codes, radius);
+      });
   if (temporal) {
     util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
       const BlockRange& blk = blocks[b];
@@ -505,11 +516,6 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
       }
       hists[b] = std::move(spatial.hist);
       std::vector<T>().swap(quants[b].recon);
-    });
-  } else if (runs) {
-    util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
-      util::trace::Span span("run_tokens", "sz", "block", b);
-      run_stats[b] = tokenize_runs(quants[b].codes, radius);
     });
   }
 
@@ -768,10 +774,10 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
   }
   const HuffmanDecoder decoder = make_decoder(h, payload);
 
-  // The quantize side's lane grouping (lorenzo_quantize_blocks), plus
-  // "spatial" and "same placement": runs of such blocks dequantize in SIMD
-  // lockstep; everything else — singles, temporal blocks, the non-uniform
-  // tail — takes the per-block path and all of its error semantics.
+  // Runs of equal-shape, consecutive stencil blocks with the same
+  // placement dequantize in SIMD lockstep; everything else — lattice and
+  // temporal blocks, singles, the non-uniform tail — takes the per-block
+  // path and all of its error semantics.
   const std::vector<kern::LaneGroup> tasks =
       kern::lane_groups(needed.size(), h.radius, [&](std::size_t lead, std::size_t k) {
         const Needed& first = needed[lead];
@@ -865,7 +871,10 @@ void decode_blocks(const RawHeader& h, std::span<const std::uint8_t> payload,
     if (!lead.in_place && staging.size() < span_elems) staging.resize(span_elems);
     T* const dst =
         lead.in_place ? out.data() + (blk.elem_offset - region_lo) : staging.data();
-    if (task.count == 1) {
+    if (h.blocks[lead.b].predictor == Predictor::kLattice) {
+      lattice_dequantize<T>(codes[0], optr[0], blk.dims, h.abs_eb, h.radius,
+                            std::span<T>(dst, bc));
+    } else if (task.count == 1) {
       lorenzo_dequantize<T>(codes[0], optr[0], blk.dims, h.abs_eb, h.radius,
                             std::span<T>(dst, bc));
     } else {
@@ -1084,6 +1093,7 @@ HeaderInfo inspect(std::span<const std::uint8_t> blob) {
       h.version == kVersionV1 ? 1 : static_cast<std::uint32_t>(h.blocks.size());
   for (const BlockEntry& e : h.blocks) {
     info.temporal_blocks += e.predictor == Predictor::kTemporal ? 1 : 0;
+    info.lattice_blocks += e.predictor == Predictor::kLattice ? 1 : 0;
   }
   info.checksummed = h.version >= kVersionV4;
   return info;

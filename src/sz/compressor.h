@@ -24,7 +24,9 @@
 // Container v5, the only layout compress() writes, is v4's layout without
 // the whole-payload LZ pass: each block codes runs of zero-residual codes
 // as Huffman run tokens inside its own substream, so region reads and
-// kBlock verification touch only the blocks they need. Readers keep
+// kBlock verification touch only the blocks they need. v5 adds predictor
+// byte 2, the lattice predictor, which every spatial block the writer
+// emits uses; stencil blocks (byte 0) stay readable. Readers keep
 // v1–v4, LZ included; the legacy layouts are pinned by checked-in
 // fixtures (tests/fixtures/). See docs/sz_container_v5.md.
 #pragma once
@@ -58,14 +60,18 @@ enum class ErrorBoundMode : std::uint8_t {
   kRelative = 1,   // |recon - orig| <= error_bound * (max - min)
 };
 
-/// Decorrelation stage. kSpatial is the Lorenzo stencil (container v2);
-/// kTemporal predicts each point from the reconstructed previous time
-/// step and quantizes x_t[i] - x̂_{t-1}[i] (container v3). The choice is
-/// re-made *per block*: a temporal compression falls back to the spatial
-/// stencil for any block whose delta histogram would cost more bits, so a
-/// turbulent region never pays for a bad reference. The per-block choice
-/// is recorded in the block index.
-enum class Predictor : std::uint8_t { kSpatial = 0, kTemporal = 1 };
+/// Decorrelation stage, recorded per block in the block index (v3+).
+/// kLattice (v5) is the dual-quantized Lorenzo predictor: values are
+/// rounded onto the lattice q = round(x / 2eb) and q - Lorenzo(q) is coded
+/// exactly; every spatial block the writer emits uses it. kSpatial is the
+/// classic Lorenzo stencil over reconstructed neighbours, decode-only:
+/// blobs from earlier writers keep decoding. kTemporal predicts each
+/// point from the reconstructed previous time step and quantizes
+/// x_t[i] - x̂_{t-1}[i] (v3+). The temporal choice is re-made *per
+/// block*: a temporal compression falls back to kLattice for any block
+/// whose delta histogram would cost more bits, so a turbulent region
+/// never pays for a bad reference.
+enum class Predictor : std::uint8_t { kSpatial = 0, kTemporal = 1, kLattice = 2 };
 
 /// Read-side checksum verification depth (container v4+; a no-op on v1–v3
 /// blobs, which carry no checksums).
@@ -95,8 +101,10 @@ struct Params {
   /// 0 = all hardware threads, N = exactly N. The blob is byte-identical
   /// for every value — blocks are a pure function of the extents.
   unsigned threads = 1;
-  /// kTemporal requires the prev-step overload of compress().
-  Predictor predictor = Predictor::kSpatial;
+  /// kLattice compresses each field on its own; kTemporal requires the
+  /// prev-step overload of compress(). kSpatial is decode-only, and
+  /// compress() rejects it.
+  Predictor predictor = Predictor::kLattice;
   /// Verification depth applied by the decompress entry points when this
   /// Params is used on the read side (h5::SzFilter threads it through).
   VerifyMode verify = VerifyMode::kBlock;
@@ -120,12 +128,15 @@ struct HeaderInfo {
   /// Blocks whose predictor is kTemporal; > 0 means decoding needs the
   /// reconstructed reference step (the prev overloads below).
   std::uint32_t temporal_blocks = 0;
+  /// Blocks whose predictor is kLattice; the rest of block_count are
+  /// classic stencil (kSpatial) blocks.
+  std::uint32_t lattice_blocks = 0;
   /// True for container v4 and v5: the blob carries CRC32C checksums.
   bool checksummed = false;
 };
 
 /// Compresses `data`; throws std::invalid_argument on bad params/sizes.
-/// Params::predictor must be kSpatial (use the prev overload for
+/// Params::predictor must be kLattice (use the prev overload for
 /// temporal compression).
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
@@ -134,9 +145,9 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
 /// Temporal-capable compress: with Params::predictor == kTemporal, `prev`
 /// must hold the *reconstructed* previous step (dims.count() elements,
 /// i.e. what decompress returned / recon_out delivered for step t-1);
-/// each block then stores whichever of the temporal delta or the spatial
-/// stencil entropy-codes smaller. With kSpatial, `prev` must be empty and
-/// the output matches the two-argument overload byte-for-byte. If
+/// each block then stores whichever of the temporal delta or the lattice
+/// predictor entropy-codes smaller. With kLattice, `prev` must be empty
+/// and the output matches the two-argument overload byte-for-byte. If
 /// `recon_out` is non-null it receives the reconstruction the
 /// decompressor will reproduce (bit-identical) — the cheap way for a
 /// series writer to keep the next reference without a decode pass.
@@ -260,7 +271,7 @@ struct BlockInfo {
   std::uint64_t elem_count = 0;
   std::uint64_t huff_bytes = 0;
   std::uint64_t outlier_count = 0;
-  /// v3 per-block choice; always kSpatial for v1/v2 containers.
+  /// v3+ per-block choice; always kSpatial for v1/v2 containers.
   Predictor predictor = Predictor::kSpatial;
 
   std::uint64_t stored_bytes(std::size_t elem_size) const {

@@ -1,6 +1,7 @@
 // Runtime dispatch for the sz SIMD kernels, plus the scalar reference
-// paths. The per-ISA entry points live in kernels_avx2.cc /
-// kernels_avx512.cc (same signatures, per-ISA namespaces); this TU is
+// paths and the code histogram. The per-ISA entry points live in
+// kernels_avx2.cc / kernels_avx512.cc, and the baseline lattice kernels
+// in kernels_base.cc (same signatures, per-level namespaces); this TU is
 // compiled with the portable baseline flags and decides, per call, which
 // one runs. PCW_HAVE_AVX2 / PCW_HAVE_AVX512 mirror which ISA TUs the
 // build compiled (set from src/CMakeLists.txt), and util::simd_active()
@@ -8,6 +9,7 @@
 // was not built.
 #include "sz/kernels.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/cpu.h"
@@ -21,10 +23,22 @@
 
 namespace pcw::sz::kern {
 
+// Declares one level's lattice entry points.
+#define PCW_DECLARE_LATTICE                                                      \
+  template <typename T>                                                        \
+  void lattice_quantize(const T*, const LatticeBlock&, std::uint32_t*,         \
+                        std::vector<T>&, T*, CodeHistogram*);                   \
+  template <typename T>                                                        \
+  void lattice_dequantize(const std::uint32_t*, std::span<const T>,            \
+                          const LatticeBlock&, T*);
+
+namespace base {
+PCW_DECLARE_LATTICE
+}  // namespace base
+
 #if PCW_HAVE_AVX2
 namespace avx2 {
-template <typename T>
-void quantize_lanes(const QuantizeBatch<T>&);
+PCW_DECLARE_LATTICE
 template <typename T>
 void dequantize_lanes(const DequantizeBatch<T>&);
 template <typename T>
@@ -38,8 +52,7 @@ bool temporal_dequant_range(const std::uint32_t*, const T*, T*, std::size_t,
 
 #if PCW_HAVE_AVX512
 namespace avx512 {
-template <typename T>
-void quantize_lanes(const QuantizeBatch<T>&);
+PCW_DECLARE_LATTICE
 template <typename T>
 void dequantize_lanes(const DequantizeBatch<T>&);
 template <typename T>
@@ -50,6 +63,7 @@ bool temporal_dequant_range(const std::uint32_t*, const T*, T*, std::size_t,
                             std::span<const T>, std::size_t&, double, std::uint32_t);
 }  // namespace avx512
 #endif
+#undef PCW_DECLARE_LATTICE
 
 int lane_width() {
   switch (util::simd_active()) {
@@ -82,24 +96,6 @@ int lane_granularity() {
 }
 
 template <typename T>
-void quantize_lanes(const QuantizeBatch<T>& batch) {
-  switch (util::simd_active()) {
-#if PCW_HAVE_AVX512
-    case util::Simd::kAvx512:
-      avx512::quantize_lanes<T>(batch);
-      return;
-#endif
-#if PCW_HAVE_AVX2
-    case util::Simd::kAvx2:
-      avx2::quantize_lanes<T>(batch);
-      return;
-#endif
-    default:
-      throw std::logic_error("kern::quantize_lanes: no lane kernel at active level");
-  }
-}
-
-template <typename T>
 void dequantize_lanes(const DequantizeBatch<T>& batch) {
   switch (util::simd_active()) {
 #if PCW_HAVE_AVX512
@@ -114,6 +110,97 @@ void dequantize_lanes(const DequantizeBatch<T>& batch) {
 #endif
     default:
       throw std::logic_error("kern::dequantize_lanes: no lane kernel at active level");
+  }
+}
+
+CodeHistogram::CodeHistogram(std::uint64_t* counts, std::uint32_t radius)
+    : counts_(counts),
+      zero_(radius),
+      lo_(radius > kBand / 2 ? radius - kBand / 2 : 0),
+      width_(static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(kBand, 2ull * radius - lo_))) {}
+
+void CodeHistogram::add(const std::uint32_t* codes, std::size_t n) {
+  // The zero-residual code (radius) is most of a smooth field's codes:
+  // count it with a branch-free compare, and compact the rest into a
+  // small buffer, so only they take the increment chains.
+  std::uint32_t rest[256];
+  for (std::size_t g = 0; g < n; g += std::size(rest)) {
+    const std::size_t len = std::min(n - g, std::size(rest));
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint32_t c = codes[g + i];
+      rest[m] = c;
+      m += c != zero_ ? 1 : 0;
+    }
+    zeros_ += len - m;
+    auto count = [this](std::size_t way, std::uint32_t c) {
+      const std::uint32_t d = c - lo_;
+      if (d < width_) {
+        ++ways_[way][d];
+      } else {
+        ++counts_[c];
+      }
+    };
+    std::size_t i = 0;
+    for (; i + kWays <= m; i += kWays) {
+      for (std::size_t w = 0; w < kWays; ++w) count(w, rest[i + w]);
+    }
+    for (; i < m; ++i) count(0, rest[i]);
+  }
+  // A sub-histogram entry counts at most the codes added since the last
+  // flush; flushing before that reaches 2^32 keeps the u32 entries exact.
+  pending_ += n;
+  if (pending_ >= (std::uint64_t{1} << 31)) flush();
+}
+
+void CodeHistogram::flush() {
+  counts_[zero_] += zeros_;
+  zeros_ = 0;
+  for (std::size_t w = 0; w < kWays; ++w) {
+    for (std::uint32_t d = 0; d < width_; ++d) {
+      counts_[lo_ + d] += ways_[w][d];
+      ways_[w][d] = 0;
+    }
+  }
+  pending_ = 0;
+}
+
+template <typename T>
+void lattice_quantize(const T* data, const LatticeBlock& blk, std::uint32_t* codes,
+                      std::vector<T>& outliers, T* recon, CodeHistogram* hist) {
+  switch (util::simd_active()) {
+#if PCW_HAVE_AVX512
+    case util::Simd::kAvx512:
+      avx512::lattice_quantize<T>(data, blk, codes, outliers, recon, hist);
+      return;
+#endif
+#if PCW_HAVE_AVX2
+    case util::Simd::kAvx2:
+      avx2::lattice_quantize<T>(data, blk, codes, outliers, recon, hist);
+      return;
+#endif
+    default:
+      base::lattice_quantize<T>(data, blk, codes, outliers, recon, hist);
+  }
+}
+
+template <typename T>
+void lattice_dequantize(const std::uint32_t* codes, std::span<const T> outliers,
+                        const LatticeBlock& blk, T* out) {
+  switch (util::simd_active()) {
+#if PCW_HAVE_AVX512
+    case util::Simd::kAvx512:
+      avx512::lattice_dequantize<T>(codes, outliers, blk, out);
+      return;
+#endif
+#if PCW_HAVE_AVX2
+    case util::Simd::kAvx2:
+      avx2::lattice_dequantize<T>(codes, outliers, blk, out);
+      return;
+#endif
+    default:
+      base::lattice_dequantize<T>(codes, outliers, blk, out);
   }
 }
 
@@ -163,8 +250,14 @@ bool temporal_dequant_range(const std::uint32_t* codes, const T* prev, T* out,
   return temporal_dequant_points<T>(codes, prev, out, n, outliers, k, eb, radius);
 }
 
-template void quantize_lanes<float>(const QuantizeBatch<float>&);
-template void quantize_lanes<double>(const QuantizeBatch<double>&);
+template void lattice_quantize<float>(const float*, const LatticeBlock&, std::uint32_t*,
+                                      std::vector<float>&, float*, CodeHistogram*);
+template void lattice_quantize<double>(const double*, const LatticeBlock&, std::uint32_t*,
+                                       std::vector<double>&, double*, CodeHistogram*);
+template void lattice_dequantize<float>(const std::uint32_t*, std::span<const float>,
+                                        const LatticeBlock&, float*);
+template void lattice_dequantize<double>(const std::uint32_t*, std::span<const double>,
+                                         const LatticeBlock&, double*);
 template void dequantize_lanes<float>(const DequantizeBatch<float>&);
 template void dequantize_lanes<double>(const DequantizeBatch<double>&);
 template void temporal_quantize<float>(const float*, const float*, std::size_t, double,

@@ -1,21 +1,26 @@
 // SIMD-dispatched inner kernels of the sz pipeline.
 //
-// Two kinds of kernel live behind this interface (docs/kernels.md):
+// Three kinds of kernel live behind this interface (docs/kernels.md):
 //
-//  * Lane kernels (quantize_lanes / dequantize_lanes): the Lorenzo sweep
-//    carries a serial dependency — every prediction reads reconstructed
-//    neighbours written moments earlier — so it cannot vectorize within
-//    one block. It vectorizes *across* blocks instead: split_blocks
-//    yields independent equal-shape slabs, and a lane batch runs W of
-//    them in lockstep, each vector lane executing exactly the scalar
-//    operation sequence on its own block.
+//  * Lattice kernels (lattice_quantize / lattice_dequantize): the
+//    dual-quantized Lorenzo predictor (Predictor::kLattice), the one every
+//    spatial block is written with. Every value is first rounded onto the
+//    lattice q = round(x / 2eb); the residual q - L(q) is then exact
+//    integer arithmetic with no serial chain, so the encoder vectorizes
+//    along rows, and the decoder is an integer prefix sum.
+//  * Lane kernels (dequantize_lanes), decode-only: the classic Lorenzo
+//    stencil (Predictor::kSpatial, written by earlier writers) predicts
+//    from reconstructed neighbours, so its sweep carries a serial
+//    dependency and cannot vectorize within one block. It vectorizes
+//    *across* blocks instead: a lane batch runs W equal-shape blocks in
+//    lockstep, each vector lane executing exactly the scalar operation
+//    sequence of lorenzo_dequantize on its own block.
 //  * Point kernels (temporal_*): the temporal delta predictor is
 //    point-wise, so it vectorizes directly along the element axis.
 //
-// The contract for every kernel here: results are byte-identical to the
-// scalar reference (lorenzo.cc; the temporal point loops below), for all
-// inputs. SIMD changes speed, never bytes — the per-block outlier and
-// quantization semantics are the container format.
+// The contract for every kernel here: results are byte-identical at every
+// dispatch level, for all inputs. SIMD changes speed, never bytes — the
+// per-block outlier and quantization semantics are the container format.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +45,7 @@ inline constexpr int kMaxLanes = 64;
 inline constexpr std::uint32_t kLaneMaxRadius = 1u << 30;
 
 /// Widest lane count of the active SIMD level (1 = no lane kernels; use
-/// the scalar per-block path). The Lorenzo sweep is latency-bound on its
+/// the scalar per-block path). The stencil sweep is latency-bound on its
 /// per-block serial chain, so throughput scales with lane count — group
 /// as many blocks as available, up to this.
 int lane_width();
@@ -58,7 +63,7 @@ struct LaneGroup {
 };
 
 /// Splits `n` consecutive blocks into lockstep lane groups and singles;
-/// the one grouping rule of the block quantizer and decoder. From
+/// the grouping rule of the stencil block decoder. From
 /// each leading block `lead` the run takes blocks lead, lead + 1, ...
 /// while `joins(lead, k)` accepts block lead + k as lane k (k = 0 asks
 /// whether `lead` can lead a group at all), up to lane_width() lanes and
@@ -88,25 +93,6 @@ std::vector<LaneGroup> lane_groups(std::size_t n, std::uint32_t radius, Joins&& 
   return groups;
 }
 
-/// One lockstep quantize batch: `lanes` equal-shape blocks stored
-/// consecutively (block l spans data[l*bc, (l+1)*bc)).
-template <typename T>
-struct QuantizeBatch {
-  const T* data = nullptr;                // lanes * bc elements
-  std::size_t bc = 0;                     // elements per block
-  Dims dims;                              // per-block extents
-  double eb = 0.0;
-  std::uint32_t radius = 0;               // must be <= kLaneMaxRadius
-  std::uint32_t* const* codes = nullptr;  // per-lane outputs, bc each
-  std::vector<T>* const* outliers = nullptr;  // per-lane outlier vectors
-  T* recon = nullptr;  // optional lanes*bc reconstruction, or nullptr
-  /// Optional code histogram (2 * radius entries), shared by all lanes
-  /// and added to while the codes are still tile-resident, sparing the
-  /// caller a separate full pass over them.
-  std::uint64_t* hist = nullptr;
-  int lanes = 0;       // multiple of lane_granularity(), <= lane_width()
-};
-
 /// One lockstep dequantize batch; `out` receives lanes*bc reconstructed
 /// elements in block order. Throws the scalar kernel's exact
 /// underrun/overrun errors when an outlier run does not match its codes.
@@ -122,17 +108,105 @@ struct DequantizeBatch {
   int lanes = 0;             // multiple of lane_granularity(), <= lane_width()
 };
 
-/// Lockstep Lorenzo quantize of `batch.lanes` blocks. Call only when
+/// Lockstep Lorenzo dequantize of `batch.lanes` blocks. Call only when
 /// lane_width() > 1 and radius <= kLaneMaxRadius.
-template <typename T>
-void quantize_lanes(const QuantizeBatch<T>& batch);
-
-/// Lockstep Lorenzo dequantize of `batch.lanes` blocks. Same gates.
 template <typename T>
 void dequantize_lanes(const DequantizeBatch<T>& batch);
 
+// ---- the lattice (dual-quantized Lorenzo) kernels ---------------------------
+
+/// Values whose lattice coordinate |x / 2eb| exceeds this get q = 0 and
+/// become outliers. The cap keeps q, and every stencil sum of seven q
+/// terms, exact in int64 and in double.
+inline constexpr double kLatticeCap = 1125899906842624.0;  // 2^50
+
+/// The lattice coordinate of `x`: round-half-even(x * inv), where inv is
+/// 1 / (2 * eb). Built only from the multiply and exact operations (a
+/// truncating convert, the exact subtraction of the truncated value,
+/// compares), so it reads no rounding mode. Non-finite values and values
+/// past kLatticeCap map to 0. The encoder's vector kernels compute the
+/// same function lane by lane; the decoder recovers an outlier's q from
+/// its stored raw value with this one.
+static inline std::int64_t lattice_point(double x, double inv) {
+  const double v = x * inv;
+  if (!(std::abs(v) <= kLatticeCap)) return 0;
+  const auto t = static_cast<std::int64_t>(v);
+  const double f = v - static_cast<double>(t);
+  const bool odd = (t & 1) != 0;
+  return t + ((f > 0.5 || (f == 0.5 && odd)) ? 1 : 0) -
+         ((f < -0.5 || (f == -0.5 && odd)) ? 1 : 0);
+}
+
+/// The code histogram a quantize kernel fills while its codes are still
+/// in L1. The zero-residual code (radius), most of a smooth field's, is
+/// counted with a branch-free compare; the other codes near it are
+/// counted in kWays interleaved sub-histograms, so repeats of one code
+/// become kWays independent increment chains instead of one serial
+/// read-modify-write chain; the rest go straight to the total. Integer
+/// sums, so the counts do not depend on how codes were fed in.
+class CodeHistogram {
+ public:
+  /// Adds into `counts` (2 * radius entries, not cleared).
+  CodeHistogram(std::uint64_t* counts, std::uint32_t radius);
+  CodeHistogram(const CodeHistogram&) = delete;
+  CodeHistogram& operator=(const CodeHistogram&) = delete;
+
+  /// Counts n codes, each < 2 * radius.
+  void add(const std::uint32_t* codes, std::size_t n);
+  /// Counts n zero-residual codes.
+  void add_zeros(std::uint64_t n) { zeros_ += n; }
+  /// Adds the sub-histograms into `counts` and clears them; call once
+  /// all codes are in.
+  void flush();
+
+ private:
+  static constexpr std::size_t kWays = 4;
+  static constexpr std::uint32_t kBand = 1024;
+  std::uint64_t* counts_;
+  std::uint32_t zero_;   // the zero-residual code, radius
+  std::uint32_t lo_;     // first code of the band
+  std::uint32_t width_;  // band codes: [lo_, lo_ + width_)
+  std::uint64_t pending_ = 0;  // codes added since the last flush
+  std::uint64_t zeros_ = 0;    // zero-residual codes not yet in counts_
+  // Each way is padded past 4 KiB so the ways' entries for one code do
+  // not alias in the store buffer.
+  std::uint32_t ways_[kWays][kBand + 16] = {};
+};
+
+/// One block of the lattice predictor: its extents, bound and radius,
+/// and the caller's rolling predictor state (reused across blocks). The
+/// stencil needs q of the previous plane and the x-differences of the
+/// previous row, never q of the whole block.
+struct LatticeBlock {
+  Dims dims;
+  double eb = 0.0;
+  std::uint32_t radius = 0;
+  std::int64_t* plane = nullptr;  // dims.d1 * dims.d2 entries when dims.d0 > 1
+  std::int64_t* row = nullptr;    // dims.d2 entries when dims.d1 > 1
+};
+
+/// Quantizes one block (dims.count() values at `data`) with the lattice
+/// predictor: q = lattice_point(x), residual r = q - L(q) with the 1-, 2-
+/// or 3-D Lorenzo stencil L zero-padded at the block's faces. A point is
+/// an outlier (code 0, raw value appended to `outliers`) when |r| >=
+/// radius, q is capped, or its reconstruction T(q * 2eb) misses x by more
+/// than eb; its neighbours still predict from its q. Otherwise its code
+/// is r + radius. `recon` (optional, dims.count() values) receives what
+/// the decoder reproduces; `hist` (optional) counts the codes. Any radius
+/// >= 2, identical bytes at every dispatch level.
+template <typename T>
+void lattice_quantize(const T* data, const LatticeBlock& blk, std::uint32_t* codes,
+                      std::vector<T>& outliers, T* recon, CodeHistogram* hist);
+
+/// Inverse of lattice_quantize: an integer prefix sum along each row
+/// that writes dims.count() values to `out`. Throws std::runtime_error
+/// when `outliers` does not match the code-0 count.
+template <typename T>
+void lattice_dequantize(const std::uint32_t* codes, std::span<const T> outliers,
+                        const LatticeBlock& blk, T* out);
+
 /// Temporal (point-wise) quantize of the whole range: x - prev quantized
-/// to an integer multiple of 2 * eb, with the lorenzo_quantize code and
+/// to an integer multiple of 2 * eb, with the lattice kernels' code and
 /// outlier conventions; `recon` receives what the decoder reproduces.
 /// Always available (internally SIMD or scalar — identical bytes either
 /// way).

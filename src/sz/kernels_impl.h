@@ -1,6 +1,7 @@
-// Lane-lockstep kernel bodies, compiled once per ISA level.
+// Lane-lockstep (stencil decode) and temporal point kernel bodies,
+// compiled once per ISA level; the lattice kernels are in lattice_impl.h.
 //
-// This header is the single source of the vector kernels. Each ISA TU
+// This header is the single source of these vector kernels. Each ISA TU
 // (kernels_avx2.cc, kernels_avx512.cc) defines PCW_KERNEL_NS and
 // PCW_KERNEL_WIDTH before including it; every helper lands in a per-ISA
 // namespace (with TU-internal linkage for the bodies), so no function
@@ -23,7 +24,8 @@
 // Every vector operation is the element-wise single-rounded IEEE
 // operation (converts, + - * /, compares, selects), i.e. exactly the
 // scalar instruction each lane would have executed, so byte-identity with
-// the scalar kernels (lorenzo.cc, kernels.h) holds by construction.
+// the scalar kernels (lorenzo_dequantize in lorenzo.cc, the temporal
+// point loops in kernels.h) holds by construction.
 // The two places the op sequence differs from the scalar source are
 // exact-by-proof rewrites, both gated by radius <= kLaneMaxRadius = 2^30:
 //   * std::llround(x) (libm; no vector form) becomes floor plus a
@@ -241,8 +243,9 @@ inline void sweep(const Dims& dims, const At& at, const Cell& cell, Zero zero) {
   }
 }
 
-/// One quantizer step for NV lanes. Mirrors Quantizer<T>::cell in
-/// lorenzo.cc statement for statement; lanes failing the range test are
+/// One temporal quantizer step for NV lanes. Mirrors
+/// temporal_quantize_points (kernels.h) statement for statement, with the
+/// reference value as the prediction; lanes failing the range test are
 /// clamped to zero inputs so the branch-free math stays in range for them
 /// (their results are fully masked out, and NaN/inf lanes fail the
 /// compare and land on the outlier path exactly like the scalar kernel).
@@ -265,99 +268,6 @@ inline nvu quant_half(nvd orig, nvd pred, double twice_eb, double eb,
   const nvi qi = __builtin_convertvector(qd, nvi) + radius_i;
   *rec_out = p2 ? drec : orig;
   return reinterpret_cast<nvu>(p2n ? qi : nvi{});
-}
-
-template <typename T, int H>
-void quantize_lanes_impl(const QuantizeBatch<T>& b) {
-  constexpr int W = H * NV;
-  const std::size_t bc = b.bc;
-  const double eb = b.eb;
-  const double twice_eb = 2.0 * eb;
-  const double max_qd = static_cast<double>(static_cast<long long>(b.radius) - 1);
-  const auto radius_i = static_cast<std::int32_t>(b.radius);
-
-  tls_scratch.reserve(bc * W * sizeof(T) + kTile * W * (sizeof(T) + sizeof(std::uint32_t)));
-  T* const tlm = tls_scratch.carve<T>(bc * W);
-  T* const tin = tls_scratch.carve<T>(kTile * W);
-  std::uint32_t* const tco = tls_scratch.carve<std::uint32_t>(kTile * W);
-
-  // Only the lattice is staged lane-major for the whole block (the
-  // stencil re-reads it seven times per cell, so its window must stay
-  // cache-resident). Input and code traffic goes through small L2-sized
-  // tiles instead: the sweep visits cells strictly in order, so every
-  // kTile cells the inputs of the next tile are burst-copied in from the
-  // W per-block streams and the finished codes burst-copied out. The
-  // bursts touch each stream (and its TLB pages) once per tile, and the
-  // per-cell loads/stores inside the sweep stay contiguous — no full-size
-  // staging arrays, no extra DRAM pass.
-  std::size_t tbase = 0;  // first cell of the staged tile
-  auto stage_in = [&](std::size_t i0) {
-    const std::size_t n = std::min(kTile, bc - i0);
-    for (int l = 0; l < W; ++l) {
-      const T* src = b.data + static_cast<std::size_t>(l) * bc + i0;
-      for (std::size_t j = 0; j < n; ++j) tin[j * W + l] = src[j];
-    }
-  };
-  auto flush_codes = [&](std::size_t i0) {
-    const std::size_t n = std::min(kTile, bc - i0);
-    for (int l = 0; l < W; ++l) {
-      std::uint32_t* dst = b.codes[l] + i0;
-      if (b.hist != nullptr) {
-        for (std::size_t j = 0; j < n; ++j) {
-          const std::uint32_t c = tco[j * W + l];
-          dst[j] = c;
-          ++b.hist[c];
-        }
-      } else {
-        for (std::size_t j = 0; j < n; ++j) dst[j] = tco[j * W + l];
-      }
-    }
-  };
-  stage_in(0);
-
-  auto at = [tlm](std::size_t idx) { return pack_load<H, T>(tlm + idx * W); };
-  auto cell = [&](std::size_t i, VPack<H> pred) {
-    std::size_t j = i - tbase;
-    if (j == kTile) {
-      flush_codes(tbase);
-      tbase = i;
-      stage_in(i);
-      j = 0;
-    }
-    nvu cs[H];
-    nvi zero = {};
-    for (int p = 0; p < H; ++p) {
-      const nvd orig = to_double<T>(vload<nvT<T>>(tin + j * W + p * NV));
-      nvd rec;
-      cs[p] = quant_half<T>(orig, pred.h[p], twice_eb, eb, max_qd, radius_i, &rec);
-      // rec holds double(T(rec)) on predictable lanes and orig (an exact
-      // T) otherwise — both round-trip T exactly.
-      vstore(tlm + i * W + p * NV, to_T<T>(rec));
-      vstore(tco + j * W + p * NV, cs[p]);
-      zero |= (cs[p] == 0u);
-    }
-    // Quantized codes are >= 1 (q >= 1 - radius), so code 0 marks exactly
-    // the outlier lanes; each lane's outliers accumulate in sweep order.
-    if (hor_or(zero)) {
-      for (int l = 0; l < W; ++l) {
-        if (tco[j * W + l] == 0) b.outliers[l]->push_back(tin[j * W + l]);
-      }
-    }
-  };
-  {
-    util::trace::Span span("lane_sweep", "sz", "lanes", W);
-    sweep(b.dims, at, cell, VPack<H>{});
-    flush_codes(tbase);
-  }
-
-  if (b.recon != nullptr) {
-    util::trace::Span span("lane_recon_out", "sz", "lanes", W);
-    for (std::size_t i = 0; i < bc; ++i) {
-      for (int l = 0; l < W; ++l) {
-        b.recon[static_cast<std::size_t>(l) * bc + i] = tlm[i * W + l];
-      }
-    }
-  }
 }
 
 /// One dequantizer step for NV lanes: pred + (code - radius) * 2eb,
@@ -387,9 +297,11 @@ void dequantize_lanes_impl(const DequantizeBatch<T>& b) {
   T* const tout = tls_scratch.carve<T>(kTile * W);
   std::uint32_t* const tci = tls_scratch.carve<std::uint32_t>(kTile * W);
 
-  // Mirror of the quantizer's tiling: codes burst-copied in from the W
-  // per-block streams a tile at a time, reconstructed values written to
-  // the lane-major lattice (stencil window) and to the output tile, which
+  // Only the reconstructed neighbours are staged lane-major for the whole
+  // block (the stencil re-reads them seven times per cell, so its window
+  // must stay cache-resident). Codes are burst-copied in from the W
+  // per-block streams a tile at a time, and reconstructed values written
+  // to the lane-major window and to the output tile, which
   // is burst-flushed to each block's slice of `out`. Outliers are
   // bounds-checked at the consumption point and totals re-checked after
   // the sweep, so a mismatched run raises the scalar kernel's exact
@@ -527,37 +439,6 @@ bool temporal_dequant_range_impl(const std::uint32_t* codes, const T* prev, T* o
 }  // namespace
 
 template <typename T>
-void quantize_lanes(const QuantizeBatch<T>& b) {
-  switch (b.lanes == 0 || b.lanes % NV != 0 ? 0 : b.lanes / NV) {
-    case 1:
-      quantize_lanes_impl<T, 1>(b);
-      return;
-    case 2:
-      quantize_lanes_impl<T, 2>(b);
-      return;
-    case 3:
-      quantize_lanes_impl<T, 3>(b);
-      return;
-    case 4:
-      quantize_lanes_impl<T, 4>(b);
-      return;
-    case 5:
-      quantize_lanes_impl<T, 5>(b);
-      return;
-    case 6:
-      quantize_lanes_impl<T, 6>(b);
-      return;
-    case 7:
-      quantize_lanes_impl<T, 7>(b);
-      return;
-    case 8:
-      quantize_lanes_impl<T, 8>(b);
-      return;
-    default:
-      throw std::logic_error("kern::quantize_lanes: unsupported lane count");
-  }
-}
-template <typename T>
 void dequantize_lanes(const DequantizeBatch<T>& b) {
   switch (b.lanes == 0 || b.lanes % NV != 0 ? 0 : b.lanes / NV) {
     case 1:
@@ -601,8 +482,6 @@ bool temporal_dequant_range(const std::uint32_t* codes, const T* prev, T* out,
   return temporal_dequant_range_impl<T>(codes, prev, out, n, outliers, k, eb, radius);
 }
 
-template void quantize_lanes<float>(const QuantizeBatch<float>&);
-template void quantize_lanes<double>(const QuantizeBatch<double>&);
 template void dequantize_lanes<float>(const DequantizeBatch<float>&);
 template void dequantize_lanes<double>(const DequantizeBatch<double>&);
 template void temporal_quantize<float>(const float*, const float*, std::size_t, double,

@@ -1,8 +1,8 @@
 #include "sz/lorenzo.h"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "sz/kernels.h"
@@ -12,116 +12,94 @@
 namespace pcw::sz {
 namespace {
 
-// The hot loops below peel the boundary faces (x==0 plane, y==0 rows,
-// z==0 cells) out of the sweep so the interior stencil carries no
-// has_x/has_y/has_z tests per point — each loop body computes exactly the
-// terms its region needs. The arithmetic per cell is identical to the
-// generic zero-padded Lorenzo stencil, so codes match the pre-peeled
-// implementation bit-for-bit.
-
-template <typename T>
-struct Quantizer {
-  QuantizeResult<T>& result;
-  std::span<const T> data;
-  T* recon;
-  double eb;
-  double twice_eb;
-  long long radius;
-  long long max_q;
-
-  // Quantizes point i given its prediction; returns nothing, writes
-  // codes/recon/outliers.
-  inline void cell(std::size_t i, double pred) {
-    const double orig = static_cast<double>(data[i]);
-    const double scaled = (orig - pred) / twice_eb;
-    bool predictable = std::abs(scaled) <= static_cast<double>(max_q);
-    long long q = 0;
-    double rec = 0.0;
-    if (predictable) {
-      q = std::llround(scaled);
-      rec = pred + static_cast<double>(q) * twice_eb;
-      // Verify against the original in the *storage* precision: the
-      // value the decompressor reproduces is T(rec), so the bound must
-      // hold after the narrowing conversion too.
-      predictable = std::abs(static_cast<double>(static_cast<T>(rec)) - orig) <= eb;
-    }
-    if (predictable) {
-      result.codes[i] = static_cast<std::uint32_t>(q + radius);
-      recon[i] = static_cast<T>(rec);
-    } else {
-      result.codes[i] = 0;
-      result.outliers.push_back(data[i]);
-      recon[i] = data[i];
-    }
-  }
-};
+/// Sizes the rolling predictor state for a block of `dims`.
+kern::LatticeBlock lattice_block(const Dims& dims, double eb, std::uint32_t radius,
+                                 std::vector<std::int64_t>& plane,
+                                 std::vector<std::int64_t>& row) {
+  plane.resize(dims.d0 > 1 ? dims.d1 * dims.d2 : 0);
+  row.resize(dims.d1 > 1 ? dims.d2 : 0);
+  return {dims, eb, radius, plane.empty() ? nullptr : plane.data(),
+          row.empty() ? nullptr : row.data()};
+}
 
 }  // namespace
 
 template <typename T>
-QuantizeResult<T> lorenzo_quantize(std::span<const T> data, const Dims& dims,
-                                   double eb, std::uint32_t radius) {
-  if (data.size() != dims.count()) {
-    throw std::invalid_argument("lorenzo_quantize: data size != dims.count()");
+std::vector<QuantizeResult<T>> lattice_quantize_blocks(
+    std::span<const T> data, std::span<const BlockRange> blocks, double eb,
+    std::uint32_t radius, unsigned threads, T* recon_out,
+    std::span<std::uint64_t> counts,
+    const std::function<void(std::size_t, QuantizeResult<T>&)>& on_block) {
+  if (!(eb > 0.0)) throw std::invalid_argument("lattice_quantize: eb must be > 0");
+  if (radius < 2) throw std::invalid_argument("lattice_quantize: radius must be >= 2");
+  if (!counts.empty() && counts.size() != 2ull * radius) {
+    throw std::invalid_argument("lattice_quantize: counts size != 2 * radius");
   }
-  if (eb <= 0.0) throw std::invalid_argument("lorenzo_quantize: eb must be > 0");
-  if (radius < 2) throw std::invalid_argument("lorenzo_quantize: radius must be >= 2");
-
-  QuantizeResult<T> result;
-  result.codes.resize(data.size());
-  result.recon.resize(data.size());
-  std::vector<T>& recon = result.recon;
-
-  const std::size_t sx = dims.d1 * dims.d2;
-  const std::size_t sy = dims.d2;
-  Quantizer<T> qz{result,
-                  data,
-                  recon.data(),
-                  eb,
-                  2.0 * eb,
-                  static_cast<long long>(radius),
-                  static_cast<long long>(radius) - 1};
-  const T* r = recon.data();
-  auto at = [r](std::size_t idx) { return static_cast<double>(r[idx]); };
-
-  // x == 0 plane: 2-D stencil in (y, z).
-  {
-    qz.cell(0, 0.0);                                        // origin
-    for (std::size_t z = 1; z < dims.d2; ++z) {             // first row
-      qz.cell(z, at(z - 1));
+  for (const BlockRange& blk : blocks) {
+    if (blk.elem_offset + blk.dims.count() > data.size()) {
+      throw std::invalid_argument("lattice_quantize: block outside the data");
     }
-    for (std::size_t y = 1; y < dims.d1; ++y) {
-      const std::size_t row = y * sy;
-      qz.cell(row, at(row - sy));                           // z == 0 cell
-      for (std::size_t z = 1; z < dims.d2; ++z) {           // interior row
-        const std::size_t i = row + z;
-        qz.cell(i, at(i - 1) + at(i - sy) - at(i - sy - 1));
+  }
+
+  // One task per worker over a contiguous run of blocks, so each worker
+  // reuses one set of rolling buffers and one histogram for the whole
+  // call. A single task counts into `counts` directly; several count into
+  // their own and add them in when done. The sums are exact integers, so
+  // the counts do not depend on `threads`.
+  std::fill(counts.begin(), counts.end(), 0);
+  const std::size_t tasks =
+      std::min<std::size_t>(util::resolve_threads(threads), blocks.size());
+  std::mutex counts_mu;
+  std::vector<QuantizeResult<T>> quants(blocks.size());
+  util::parallel_for(tasks, threads, [&](std::size_t t) {
+    std::vector<std::uint64_t> own(tasks > 1 ? counts.size() : 0, 0);
+    std::optional<kern::CodeHistogram> hist;
+    if (!counts.empty()) hist.emplace(own.empty() ? counts.data() : own.data(), radius);
+    std::vector<std::int64_t> plane, row;
+    for (std::size_t b = blocks.size() * t / tasks; b < blocks.size() * (t + 1) / tasks;
+         ++b) {
+      const BlockRange& blk = blocks[b];
+      QuantizeResult<T>& q = quants[b];
+      {
+        util::trace::Span span("quantize", "sz", "block", b);
+        q.codes.resize(blk.dims.count());
+        kern::lattice_quantize<T>(data.data() + blk.elem_offset,
+                                  lattice_block(blk.dims, eb, radius, plane, row),
+                                  q.codes.data(), q.outliers,
+                                  recon_out != nullptr ? recon_out + blk.elem_offset : nullptr,
+                                  hist ? &*hist : nullptr);
       }
+      if (on_block) on_block(b, q);
     }
-  }
-  // x >= 1 planes: full 3-D stencil in the interior.
-  for (std::size_t x = 1; x < dims.d0; ++x) {
-    const std::size_t plane = x * sx;
-    qz.cell(plane, at(plane - sx));                         // y == 0, z == 0
-    for (std::size_t z = 1; z < dims.d2; ++z) {             // y == 0 row
-      const std::size_t i = plane + z;
-      qz.cell(i, at(i - 1) + at(i - sx) - at(i - sx - 1));
+    if (hist) hist->flush();
+    if (!own.empty()) {
+      const std::lock_guard lock(counts_mu);
+      for (std::size_t s = 0; s < own.size(); ++s) counts[s] += own[s];
     }
-    for (std::size_t y = 1; y < dims.d1; ++y) {
-      const std::size_t row = plane + y * sy;
-      qz.cell(row, at(row - sy) + at(row - sx) - at(row - sx - sy));  // z == 0
-      for (std::size_t z = 1; z < dims.d2; ++z) {           // branchless interior
-        const std::size_t i = row + z;
-        const double pred = at(i - 1) + at(i - sy) + at(i - sx) -
-                            at(i - sy - 1) - at(i - sx - 1) - at(i - sx - sy) +
-                            at(i - sx - sy - 1);
-        qz.cell(i, pred);
-      }
-    }
-  }
-  return result;
+  });
+  return quants;
 }
 
+template <typename T>
+void lattice_dequantize(std::span<const std::uint32_t> codes,
+                        std::span<const T> outliers, const Dims& dims, double eb,
+                        std::uint32_t radius, std::span<T> out) {
+  if (codes.size() != dims.count() || out.size() != dims.count()) {
+    throw std::invalid_argument("lattice_dequantize: size mismatch");
+  }
+  // Reused across calls: the kernel writes each buffer entry before it
+  // reads it.
+  static thread_local std::vector<std::int64_t> plane, row;
+  kern::lattice_dequantize<T>(codes.data(), outliers,
+                              lattice_block(dims, eb, radius, plane, row), out.data());
+}
+
+// The stencil decoder walks each block in the order the stencil writer
+// swept it: the x == 0 plane with its 2-D stencil, then the full 3-D
+// planes, each with the boundary faces (origin, first row, z == 0 cells)
+// peeled so the interior carries no boundary tests. Every prediction
+// reads reconstructed neighbours in the writer's left-to-right
+// floating-point order, which is what reproduces its output bit for bit.
 template <typename T>
 void lorenzo_dequantize(std::span<const std::uint32_t> codes,
                         std::span<const T> outliers, const Dims& dims, double eb,
@@ -187,109 +165,25 @@ void lorenzo_dequantize(std::span<const std::uint32_t> codes,
   }
 }
 
-template <typename T>
-std::vector<QuantizeResult<T>> lorenzo_quantize_blocks(
-    std::span<const T> data, std::span<const BlockRange> blocks, double eb,
-    std::uint32_t radius, unsigned threads, T* recon_out,
-    std::span<std::uint64_t> counts) {
-  if (eb <= 0.0) throw std::invalid_argument("lorenzo_quantize: eb must be > 0");
-  if (radius < 2) throw std::invalid_argument("lorenzo_quantize: radius must be >= 2");
-  if (!counts.empty() && counts.size() != 2ull * radius) {
-    throw std::invalid_argument("lorenzo_quantize: counts size != 2 * radius");
-  }
-
-  // Lockstep groups: runs of consecutive blocks with identical extents
-  // and contiguous data. The grouping depends on the dispatch level, but
-  // both kernels produce identical bytes, so blobs do not.
-  const std::vector<kern::LaneGroup> tasks =
-      kern::lane_groups(blocks.size(), radius, [&](std::size_t lead, std::size_t k) {
-        const BlockRange& first = blocks[lead];
-        const BlockRange& cur = blocks[lead + k];
-        const std::size_t bc = first.dims.count();
-        return bc > 0 && cur.dims == first.dims &&
-               cur.elem_offset == first.elem_offset + k * bc &&
-               cur.elem_offset + bc <= data.size();
-      });
-
-  // Each task counts codes into its own histogram, added into `counts`
-  // when the task ends, so at most one histogram per worker is live. A
-  // single-worker run has no concurrent tasks and counts into `counts`
-  // directly.
-  std::fill(counts.begin(), counts.end(), 0);
-  const bool shared_counts = util::resolve_threads(threads) <= 1 || tasks.size() <= 1;
-  std::mutex counts_mu;
-
-  std::vector<QuantizeResult<T>> quants(blocks.size());
-  util::parallel_for(tasks.size(), threads, [&](std::size_t t) {
-    const kern::LaneGroup& task = tasks[t];
-    util::trace::Span span("quantize", "sz", "block", task.first);
-    std::vector<std::uint64_t> own;
-    std::uint64_t* hist = nullptr;
-    if (!counts.empty()) {
-      if (!shared_counts) own.assign(counts.size(), 0);
-      hist = shared_counts ? counts.data() : own.data();
-    }
-    if (task.count == 1) {
-      const BlockRange& blk = blocks[task.first];
-      QuantizeResult<T>& q = quants[task.first];
-      q = lorenzo_quantize<T>(data.subspan(blk.elem_offset, blk.dims.count()),
-                              blk.dims, eb, radius);
-      if (recon_out != nullptr) {
-        std::copy(q.recon.begin(), q.recon.end(), recon_out + blk.elem_offset);
-      }
-      std::vector<T>().swap(q.recon);
-      if (hist != nullptr) {
-        for (const std::uint32_t c : q.codes) ++hist[c];
-      }
-    } else {
-      const std::size_t bc = blocks[task.first].dims.count();
-      std::uint32_t* codes[kern::kMaxLanes] = {};
-      std::vector<T>* outs[kern::kMaxLanes] = {};
-      for (int l = 0; l < task.count; ++l) {
-        QuantizeResult<T>& q = quants[task.first + static_cast<std::size_t>(l)];
-        q.codes.resize(bc);
-        codes[l] = q.codes.data();
-        outs[l] = &q.outliers;
-      }
-      kern::QuantizeBatch<T> batch;
-      batch.data = data.data() + blocks[task.first].elem_offset;
-      batch.bc = bc;
-      batch.dims = blocks[task.first].dims;
-      batch.eb = eb;
-      batch.radius = radius;
-      batch.codes = codes;
-      batch.outliers = outs;
-      batch.recon =
-          recon_out != nullptr ? recon_out + blocks[task.first].elem_offset : nullptr;
-      batch.hist = hist;
-      batch.lanes = task.count;
-      kern::quantize_lanes<T>(batch);
-    }
-    if (!own.empty()) {
-      const std::lock_guard lock(counts_mu);
-      for (std::size_t s = 0; s < own.size(); ++s) counts[s] += own[s];
-    }
-  });
-  return quants;
-}
-
-template QuantizeResult<float> lorenzo_quantize<float>(std::span<const float>,
-                                                       const Dims&, double,
-                                                       std::uint32_t);
-template QuantizeResult<double> lorenzo_quantize<double>(std::span<const double>,
-                                                         const Dims&, double,
-                                                         std::uint32_t);
+template std::vector<QuantizeResult<float>> lattice_quantize_blocks<float>(
+    std::span<const float>, std::span<const BlockRange>, double, std::uint32_t,
+    unsigned, float*, std::span<std::uint64_t>,
+    const std::function<void(std::size_t, QuantizeResult<float>&)>&);
+template std::vector<QuantizeResult<double>> lattice_quantize_blocks<double>(
+    std::span<const double>, std::span<const BlockRange>, double, std::uint32_t,
+    unsigned, double*, std::span<std::uint64_t>,
+    const std::function<void(std::size_t, QuantizeResult<double>&)>&);
+template void lattice_dequantize<float>(std::span<const std::uint32_t>,
+                                        std::span<const float>, const Dims&, double,
+                                        std::uint32_t, std::span<float>);
+template void lattice_dequantize<double>(std::span<const std::uint32_t>,
+                                         std::span<const double>, const Dims&, double,
+                                         std::uint32_t, std::span<double>);
 template void lorenzo_dequantize<float>(std::span<const std::uint32_t>,
                                         std::span<const float>, const Dims&, double,
                                         std::uint32_t, std::span<float>);
 template void lorenzo_dequantize<double>(std::span<const std::uint32_t>,
                                          std::span<const double>, const Dims&, double,
                                          std::uint32_t, std::span<double>);
-template std::vector<QuantizeResult<float>> lorenzo_quantize_blocks<float>(
-    std::span<const float>, std::span<const BlockRange>, double, std::uint32_t,
-    unsigned, float*, std::span<std::uint64_t>);
-template std::vector<QuantizeResult<double>> lorenzo_quantize_blocks<double>(
-    std::span<const double>, std::span<const BlockRange>, double, std::uint32_t,
-    unsigned, double*, std::span<std::uint64_t>);
 
 }  // namespace pcw::sz

@@ -53,6 +53,14 @@ check "inspect no sub-1-bit stage" 0 "sub-1-bit stage: none" \
   "${pcwz}" inspect "${tmpdir}/plain.pcwz"
 check "inspect legacy lz" 0 "sub-1-bit stage: lz" \
   "${pcwz}" inspect "$(dirname "$0")/fixtures/legacy_lz/v4_lz.pcwz"
+# inspect counts blocks per predictor: the writer's lattice blocks, the
+# stencil and temporal blocks of a checked-in v5 blob from the writer
+# before it.
+check "inspect lattice blocks" 0 "predictors: 1 lattice, 0 stencil, 0 temporal" \
+  "${pcwz}" inspect "${blob}"
+check "inspect stencil and temporal blocks" 0 \
+  "predictors: 0 lattice, 9 stencil, 8 temporal" \
+  "${pcwz}" inspect "$(dirname "$0")/fixtures/legacy_v5_lorenzo/temporal.pcwz"
 check "decompress" 0 "" "${pcwz}" decompress "${blob}" "${tmpdir}/back.f32"
 
 # --stats: every subcommand prints the telemetry snapshot (counter rows
@@ -156,6 +164,8 @@ if [[ -n "${quickstart}" ]]; then
     check "read --stats" 0 "telemetry:" \
       "${pcwz}" read "${ckpt}" baryon_density "${tmpdir}/whole.raw" --stats
     check "pcw5ls --blocks sub-1-bit column" 0 "sub-1-bit" \
+      "${pcw5ls}" "${ckpt}" --blocks
+    check "pcw5ls --blocks predictor column" 0 "lattice " \
       "${pcw5ls}" "${ckpt}" --blocks
     check "pcw5ls --stats" 0 "telemetry:" "${pcw5ls}" "${ckpt}" --stats
     check "pcw5ls --stats io counters" 0 "io_reads" "${pcw5ls}" "${ckpt}" --stats

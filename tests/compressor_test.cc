@@ -279,6 +279,68 @@ TEST(Compressor, LegacyBlobsDecodeBitExactlyAtEveryLevel) {
   }
 }
 
+/// Decodes a v5 stencil fixture whole and by regions at every SIMD
+/// level and two thread counts, and verifies it deeply.
+template <typename T>
+void expect_v5_stencil_fixture(const testsupport::LegacyFixture& f,
+                               const std::vector<T>& prev, std::span<const Region> regions) {
+  const auto blob = testsupport::load_fixture(f);
+  const HeaderInfo info = inspect(blob);
+  ASSERT_EQ(info.version, 5u) << f.file;
+  EXPECT_TRUE(info.run_tokens) << f.file;
+  EXPECT_EQ(info.lattice_blocks, 0u) << f.file;
+  EXPECT_GT(info.block_count, info.temporal_blocks) << f.file;
+  const BlobVerifyReport deep = verify_blob(blob, /*deep=*/true);
+  EXPECT_TRUE(deep.ok) << f.file << ": " << deep.detail;
+  auto slice = [&](const std::vector<T>& v, const Region& r) {
+    std::vector<T> out(r.count());
+    for_each_region_row(r, f.dims, [&](std::size_t g, std::size_t len, std::size_t o) {
+      std::memcpy(out.data() + o, v.data() + g, len * sizeof(T));
+    });
+    return out;
+  };
+  testsupport::ActiveGuard guard;
+  for (const util::Simd level : testsupport::available_levels()) {
+    util::simd_set_active(level);
+    for (const unsigned threads : {1u, 3u}) {
+      Dims dims;
+      const auto full = decompress<T>(blob, std::span<const T>(prev), &dims, threads);
+      EXPECT_EQ(dims, f.dims);
+      EXPECT_EQ(testsupport::fnv1a(full), f.decoded_fnv1a)
+          << f.file << " at " << util::simd_name(level) << ", threads=" << threads;
+      for (const Region& r : regions) {
+        const auto prev_region = prev.empty() ? std::vector<T>{} : slice(prev, r);
+        const auto got =
+            decompress_region<T>(blob, r, std::span<const T>(prev_region), threads);
+        EXPECT_EQ(got, slice(full, r))
+            << f.file << " region at " << util::simd_name(level) << ", threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(Compressor, V5StencilFixturesDecodeBitExactlyAtEveryLevel) {
+  // The writer codes every spatial block with the lattice predictor; v5
+  // blobs from the writer before it hold classic stencil blocks
+  // (predictor byte 0), pinned by checked-in fixtures.
+  const Region boxes[] = {{{1, 5, 3}, {7, 60, 61}},        // inside one slab
+                          {{3, 0, 10}, {133, 64, 20}},     // across all 17
+                          {{4, 0, 0}, {132, 64, 64}},      // whole inner slabs
+                          {{67, 0, 0}, {68, 64, 64}}};     // one plane
+  expect_v5_stencil_fixture<float>(testsupport::kV5StencilF32, {}, boxes);
+  const auto key = decompress<float>(testsupport::load_fixture(testsupport::kV5StencilF32));
+  const auto mixed = inspect_blocks(testsupport::load_fixture(testsupport::kV5StencilTemporal));
+  ASSERT_EQ(mixed.size(), 17u);
+  for (std::size_t b = 0; b < mixed.size(); ++b) {
+    EXPECT_EQ(mixed[b].predictor, b < 8 ? Predictor::kTemporal : Predictor::kSpatial);
+  }
+  expect_v5_stencil_fixture<float>(testsupport::kV5StencilTemporal, key, boxes);
+  const Region f64_boxes[] = {{{2, 3, 4}, {14, 60, 50}}, {{9, 0, 0}, {10, 64, 64}}};
+  expect_v5_stencil_fixture<double>(testsupport::kV5StencilF64, {}, f64_boxes);
+  const Region line[] = {{{0, 0, 1000}, {1, 1, 60000}}, {{0, 0, 99990}, {1, 1, 100000}}};
+  expect_v5_stencil_fixture<float>(testsupport::kV5Stencil1d, {}, line);
+}
+
 TEST(Compressor, OneDimensionalData) {
   util::Rng rng(8);
   std::vector<float> data(100000);
@@ -553,7 +615,7 @@ TEST(CompressorV2, V1BlobsStillDecodeBitIdentically) {
   EXPECT_EQ(info.block_count, 1u);
 
   // The exact bytes a v1 (single-stream) reconstruction produces.
-  const auto quant = lorenzo_quantize<float>(data, kMultiBlockDims, eb, radius);
+  const auto quant = testsupport::lorenzo_quantize<float>(data, kMultiBlockDims, eb, radius);
   std::vector<float> expect(data.size());
   lorenzo_dequantize<float>(quant.codes, quant.outliers, kMultiBlockDims, eb, radius,
                             expect);

@@ -3,11 +3,14 @@
 #include <cmath>
 #include <vector>
 
+#include "support/lorenzo_oracle.h"
 #include "sz/lorenzo.h"
 #include "util/rng.h"
 
 namespace pcw::sz {
 namespace {
+
+using testsupport::lorenzo_quantize;
 
 template <typename T>
 std::vector<T> round_trip(const std::vector<T>& data, const Dims& dims, double eb,

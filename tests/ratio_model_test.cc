@@ -11,6 +11,7 @@
 #include "model/ratio_model.h"
 #include "pcw/telemetry.h"
 #include "sz/compressor.h"
+#include "support/lorenzo_oracle.h"
 #include "support/simd_levels.h"
 #include "sz/blocks.h"
 #include "sz/huffman.h"
@@ -189,11 +190,11 @@ INSTANTIATE_TEST_SUITE_P(NyxFields, RatioModelFieldSweep,
 
 // ------------------------------------------------------ reference oracle ----
 
-/// Textbook zero-padded Lorenzo over one sampled box: each point sums
-/// whichever of its seven causal neighbours lie inside the box, in the
-/// compressor's fixed order. Accumulates the code histogram, outliers and
-/// the run tokens the estimator counts, found here by a plain scan for
-/// maximal zero-residual runs, split into kRunMax-long pieces.
+/// The lattice predictor over one sampled box, zero-padded at the box's
+/// faces, from the textbook oracle (support/lorenzo_oracle.h).
+/// Accumulates the code histogram, outliers and the run tokens the
+/// estimator counts, found here by a plain scan for maximal zero-residual
+/// runs, split into kRunMax-long pieces.
 template <typename T>
 void reference_block(std::span<const T> data, const sz::Dims& dims, std::size_t bx,
                      std::size_t by, std::size_t bz, std::size_t ex, std::size_t ey,
@@ -201,44 +202,19 @@ void reference_block(std::span<const T> data, const sz::Dims& dims, std::size_t 
                      std::vector<std::uint64_t>& counts, std::uint64_t& outliers,
                      std::uint64_t& points, std::uint64_t& length_bits) {
   const std::size_t n = ex * ey * ez;
-  std::vector<std::uint32_t> codes(n);
-  std::vector<T> recon(n);
-  const double twice_eb = 2.0 * eb;
-  const auto max_q = static_cast<long long>(radius) - 1;
-  std::size_t i = 0;
+  std::vector<T> box;
+  box.reserve(n);
   for (std::size_t x = 0; x < ex; ++x) {
     for (std::size_t y = 0; y < ey; ++y) {
-      for (std::size_t z = 0; z < ez; ++z, ++i) {
-        const T v = data[(bx + x) * dims.d1 * dims.d2 + (by + y) * dims.d2 + (bz + z)];
-        const double orig = static_cast<double>(v);
-        const bool hx = x > 0, hy = y > 0, hz = z > 0;
-        const std::size_t sx = ey * ez, sy = ez;
-        auto r = [&](std::size_t k) { return static_cast<double>(recon[k]); };
-        double pred = 0.0;
-        if (hz) pred += r(i - 1);
-        if (hy) pred += r(i - sy);
-        if (hx) pred += r(i - sx);
-        if (hy && hz) pred -= r(i - sy - 1);
-        if (hx && hz) pred -= r(i - sx - 1);
-        if (hx && hy) pred -= r(i - sx - sy);
-        if (hx && hy && hz) pred += r(i - sx - sy - 1);
-
-        const double scaled = (orig - pred) / twice_eb;
-        bool predictable = std::abs(scaled) <= static_cast<double>(max_q);
-        long long q = 0;
-        double rec = 0.0;
-        if (predictable) {
-          q = std::llround(scaled);
-          rec = pred + static_cast<double>(q) * twice_eb;
-          predictable = std::abs(static_cast<double>(static_cast<T>(rec)) - orig) <= eb;
-        }
-        codes[i] = predictable ? static_cast<std::uint32_t>(q + radius) : 0;
-        recon[i] = predictable ? static_cast<T>(rec) : v;
-        ++counts[codes[i]];
-        if (!predictable) ++outliers;
-      }
+      const T* row = data.data() + (bx + x) * dims.d1 * dims.d2 + (by + y) * dims.d2 + bz;
+      box.insert(box.end(), row, row + ez);
     }
   }
+  const sz::QuantizeResult<T> quant =
+      testsupport::lattice_quantize<T>(box, sz::Dims{ex, ey, ez}, eb, radius);
+  const std::vector<std::uint32_t>& codes = quant.codes;
+  for (const std::uint32_t c : codes) ++counts[c];
+  outliers += quant.outliers.size();
   points += n;
   if (!runs) return;
   std::size_t run_start = 0;

@@ -1,10 +1,11 @@
 // SIMD dispatch coverage: every vector level must produce blobs
 // byte-identical to the scalar kernels and bit-exact decodes — the
 // contract in docs/kernels.md that makes PCW_SIMD a pure speed knob.
-// Exercises the lane quantize/dequantize groups (uniform and tail-block
-// decompositions, float and double), temporal chains, decompress_region
-// row scatter, tie-prone and non-finite values, and the multi-symbol
-// Huffman decoder against truncated and corrupt streams.
+// Exercises the lattice kernels on uniform and tail-block decompositions
+// (float and double), temporal chains, decompress_region row scatter,
+// tie-prone and non-finite values, and the multi-symbol Huffman decoder
+// against truncated and corrupt streams. The stencil decoder's lane
+// groups are pinned by the v5 stencil fixtures (compressor_test).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,8 +86,7 @@ void expect_level_invariant(const std::vector<T>& data, const Dims& dims,
   }
 }
 
-// 64x128x64 -> 16 uniform blocks of 4x128x64: a full 16-lane AVX-512
-// group (or two 8-lane AVX2 groups), the best case for the lockstep path.
+// 64x128x64 -> 16 uniform blocks of 4x128x64.
 TEST(SimdDispatch, UniformBlocksFloat) {
   const Dims dims = Dims::make_3d(64, 128, 64);
   Params p;
@@ -102,7 +102,7 @@ TEST(SimdDispatch, UniformBlocksDouble) {
 }
 
 // 128x96x64 -> 22 slabs: 21 of 6x96x64 plus a 2x96x64 tail, so the
-// partition mixes lockstep groups, scalar singles, and the ragged end.
+// partition has a ragged end.
 TEST(SimdDispatch, TailBlocksFloat) {
   const Dims dims = Dims::make_3d(128, 96, 64);
   Params p;
@@ -111,9 +111,8 @@ TEST(SimdDispatch, TailBlocksFloat) {
 }
 
 // 97x64x128 -> 20 slabs: 19 uniform 5x64x128 blocks plus a 2x64x128
-// tail. One 16-lane group leaves 3 equal-shape blocks below the lane
-// granularity, so they run scalar next to the tail: the code histogram
-// sums a lane group's and several scalar tasks' counts.
+// tail, split unevenly across the thread counts' tasks: the code
+// histogram sums several tasks' counts.
 TEST(SimdDispatch, LaneGroupPlusScalarLeftovers) {
   const Dims dims = Dims::make_3d(97, 64, 128);
   Params p;
@@ -136,7 +135,7 @@ TEST(SimdDispatch, SmallAndLowDims) {
 
 // Container v5 run tokens: a loose bound on a smooth field turns most
 // codes into long zero-residual runs. The tokenized blob must not depend
-// on the level or thread count either, in 3-D lane groups and in 1-D.
+// on the level or thread count either, in 3-D and in 1-D.
 TEST(SimdDispatch, RunTokenBlobs) {
   Params p;
   p.error_bound = 0.05;
@@ -150,10 +149,10 @@ TEST(SimdDispatch, RunTokenBlobs) {
   expect_level_invariant<float>(f1, d1, p);
 }
 
-// Residuals that land exactly on half-multiples of 2*eb force the
-// round-half-away-from-zero branch of llround, where an emulation off by
-// one ulp would change codes; non-finite and huge values must take the
-// outlier path identically (NaN compares, overflow clamps).
+// Values that land exactly on lattice midpoints (x / 2eb = k + 1/2)
+// force the round-half-even tie rule, where a rounding off by one would
+// change codes; non-finite and huge values must take the outlier path
+// identically (NaN compares, the lattice cap).
 TEST(SimdDispatch, TiesAndNonFiniteValues) {
   const Dims dims = Dims::make_3d(64, 128, 64);
   std::vector<float> data(dims.count());
@@ -274,8 +273,8 @@ TEST(SimdDispatch, RegionDecode) {
 
   // The block decoder's placements on a spatial blob of 18 4-plane
   // blocks: (a) the whole field, every block in place; (b) a slab that
-  // starts and ends mid-block, two staged partial blocks around a full
-  // 16-lane in-place group; (c) a full-axis slab with a partial inner box,
+  // starts and ends mid-block, two staged partial blocks around 16
+  // in-place blocks; (c) a full-axis slab with a partial inner box,
   // whose rows are not contiguous in the output, so every whole block is
   // staged. Each must be the slice of a full decompress at every level and
   // thread count, through both the vector and the out-span forms.

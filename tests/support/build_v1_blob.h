@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "sz/huffman.h"
-#include "sz/lorenzo.h"
+#include "lorenzo_oracle.h"
 #include "util/bitstream.h"
 #include "util/pod_io.h"
 
@@ -17,7 +17,7 @@ namespace pcw::testsupport {
 inline std::vector<std::uint8_t> build_v1_blob(const std::vector<float>& data,
                                                const sz::Dims& dims, double eb,
                                                std::uint32_t radius) {
-  const auto quant = sz::lorenzo_quantize<float>(data, dims, eb, radius);
+  const auto quant = lorenzo_quantize<float>(data, dims, eb, radius);
   std::vector<std::uint64_t> counts(2ull * radius, 0);
   for (const auto c : quant.codes) ++counts[c];
   std::vector<sz::SymbolCount> freqs;

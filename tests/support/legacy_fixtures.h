@@ -1,10 +1,12 @@
 // The checked-in legacy blobs, written by writers that are gone: the LZ
 // ones (tests/fixtures/legacy_lz/) by the last writer that ran the
 // whole-payload LZ stage, the plain v2/v3 ones (tests/fixtures/
-// legacy_plain/) by the last writer that emitted those layouts. Readers
-// keep decoding them; each one's decoded output is pinned by the FNV-1a
-// 64 hash its generator (make_legacy_lz.cc, make_legacy_plain.cc)
-// printed.
+// legacy_plain/) by the last writer that emitted those layouts, and the
+// v5 ones with classic stencil blocks (tests/fixtures/legacy_v5_lorenzo/)
+// by the last writer that emitted predictor byte 0. Readers keep
+// decoding them; each one's decoded output is pinned by the FNV-1a 64
+// hash its generator (make_legacy_lz.cc, make_legacy_plain.cc,
+// make_legacy_v5_lorenzo.cc) printed.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,23 @@ inline constexpr LegacyFixture kV2Plain{"legacy_plain/v2_plain.pcwz", {32, 64, 6
 /// spatial, to be decoded against kV2Plain's decoded output.
 inline constexpr LegacyFixture kV3Plain{"legacy_plain/v3_plain.pcwz", {32, 64, 64}, 3,
                                         0x15f031ebf2152119ull};
+
+/// v5 stencil: seventeen 8x64x64 f32 slabs (a 16-lane decoder group plus
+/// a single) at eb 0.05 and radius 256, run tokens and 4084 outliers.
+/// Also the keyframe kV5StencilTemporal decodes against.
+inline constexpr LegacyFixture kV5StencilF32{"legacy_v5_lorenzo/f32_3d.pcwz",
+                                             {136, 64, 64}, 5, 0x3964558ca2bc19dbull};
+/// v5 stencil: two 8x64x64 f64 slabs at eb 1e-3, with outliers.
+inline constexpr LegacyFixture kV5StencilF64{"legacy_v5_lorenzo/f64_3d.pcwz",
+                                             {16, 64, 64}, 5, 0x38b26271cbd25ffdull};
+/// v5 stencil: 100000 f32 values in three 1-D blocks at eb 0.01 and
+/// radius 1024, with outliers.
+inline constexpr LegacyFixture kV5Stencil1d{"legacy_v5_lorenzo/f32_1d.pcwz",
+                                            {1, 1, 100000}, 5, 0x8352ce75f154519full};
+/// v5: the next step of kV5StencilF32, slabs 0-7 temporal and 8-16
+/// stencil, to be decoded against kV5StencilF32's decoded output.
+inline constexpr LegacyFixture kV5StencilTemporal{"legacy_v5_lorenzo/temporal.pcwz",
+                                                  {136, 64, 64}, 5, 0x24eb3fc1543a364eull};
 
 inline std::vector<std::uint8_t> load_fixture(const LegacyFixture& f) {
   const std::string path = std::string(PCW_FIXTURE_DIR) + "/" + f.file;

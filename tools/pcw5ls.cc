@@ -55,18 +55,30 @@ std::string stage_summary(const std::map<std::string, std::size_t>& stages,
   return out.empty() ? "none" : out;
 }
 
-/// Per-dataset codec container summary: version(s), codec, and the
-/// compressed block-size distribution across every partition's block
-/// index — what a partial (region) read of this dataset will cost per
-/// decoded block.
+/// "lattice 24, temporal 8": blocks per predictor, zero counts left out.
+std::string predictor_summary(std::size_t lattice, std::size_t stencil,
+                              std::size_t temporal) {
+  std::string out;
+  for (const auto& [name, n] : {std::pair{"lattice", lattice}, std::pair{"stencil", stencil},
+                                std::pair{"temporal", temporal}}) {
+    if (n > 0) out += (out.empty() ? "" : ", ") + std::string(name) + " " + std::to_string(n);
+  }
+  return out;
+}
+
+/// Per-dataset codec container summary: version(s), codec, the blocks per
+/// predictor, and the compressed block-size distribution across every
+/// partition's block index — what a partial (region) read of this
+/// dataset will cost per decoded block.
 void print_block_summaries(const Reader& reader) {
-  util::Table table({"dataset", "container", "codec", "blocks", "min blk",
+  util::Table table({"dataset", "container", "codec", "blocks", "predictors", "min blk",
                      "median blk", "max blk", "sub-1-bit"});
   bool any = false;
   for (const DatasetInfo& info : reader.datasets()) {
     if (info.layout != Layout::kPartitioned || info.filter_id != kCodecSz) continue;
     any = true;
     std::vector<std::uint64_t> block_bytes;
+    std::size_t lattice = 0, temporal = 0;
     std::uint32_t vmin = 0, vmax = 0;
     // Partitions per sub-1-bit stage ("run tokens", "lz"; "none" untallied).
     std::map<std::string, std::size_t> stages;
@@ -83,7 +95,11 @@ void print_block_summaries(const Reader& reader) {
       if (blob->run_tokens || blob->lz_applied) ++stages[sub_bit_stage(*blob)];
       const auto blocks = inspect_blob_blocks(*head);
       if (!blocks.ok()) throw std::runtime_error(blocks.status().message());
-      for (const BlobBlockInfo& blk : *blocks) block_bytes.push_back(blk.stored_bytes);
+      for (const BlobBlockInfo& blk : *blocks) {
+        block_bytes.push_back(blk.stored_bytes);
+        lattice += blk.lattice ? 1 : 0;
+        temporal += blk.temporal ? 1 : 0;
+      }
     }
     std::sort(block_bytes.begin(), block_bytes.end());
     const std::uint64_t median = block_bytes[block_bytes.size() / 2];
@@ -92,6 +108,7 @@ void print_block_summaries(const Reader& reader) {
                      : "v" + std::to_string(vmin) + "/v" + std::to_string(vmax);
     table.add_row(
         {info.name, container, "sz", std::to_string(block_bytes.size()),
+         predictor_summary(lattice, block_bytes.size() - lattice - temporal, temporal),
          util::Table::fmt_bytes(static_cast<double>(block_bytes.front())),
          util::Table::fmt_bytes(static_cast<double>(median)),
          util::Table::fmt_bytes(static_cast<double>(block_bytes.back())),

@@ -148,11 +148,10 @@ int cmd_inspect(int argc, char** argv) {
   std::printf("codec: pcw::sz (error bounded)\n");
   std::printf("container: v%u, %u block%s\n", info.version, info.block_count,
               info.block_count == 1 ? "" : "s");
-  if (info.version >= 3) {
-    std::printf("predictor: %u/%u blocks temporal%s\n", info.temporal_blocks,
-                info.block_count,
-                info.temporal_blocks > 0 ? " (decoding needs the reference step)" : "");
-  }
+  std::printf("predictors: %u lattice, %u stencil, %u temporal%s\n", info.lattice_blocks,
+              info.block_count - info.lattice_blocks - info.temporal_blocks,
+              info.temporal_blocks,
+              info.temporal_blocks > 0 ? " (decoding needs the reference step)" : "");
   std::printf("dtype: %s\n", to_string(info.dtype));
   std::printf("dims: %zu x %zu x %zu (%zu values)\n", info.dims.d0, info.dims.d1,
               info.dims.d2, info.dims.count());
