@@ -1,12 +1,13 @@
 // Engineering microbenchmarks: per-stage throughput of the pcw::sz
 // pipeline at 1..N threads. The stage rows time the calls compress()
 // and decompress() themselves make. `quantize` is lattice_quantize_blocks
-// (the lattice kernel plus its code histogram) and `encode` the per-block
-// run tokenization + Huffman encode + block CRC, so they add up to the
-// end-to-end `compress` row (the codebook build and container assembly
-// are the small remainder). `huffman_decode` is the per-block entropy
-// decode and `dequantize` the per-block lattice decode, which add up to
-// the `decompress` row less its block CRC checks. Not a paper figure;
+// as compress runs it (the lattice kernel plus each block's symbol pass:
+// run tokens and the symbol histogram) and `encode` the per-block Huffman
+// encode + block CRC, so they add up to the end-to-end `compress` row
+// (the codebook build and container assembly are the small remainder).
+// `huffman_decode` is the per-block entropy decode and `dequantize` the
+// per-block lattice decode, which add up to the `decompress` row less
+// its block CRC checks. Not a paper figure;
 // this is the measured perf baseline every perf PR must beat, emitted as
 // machine-readable JSON with `--json` (schema pcw.bench_kernels.v1 ->
 // BENCH_kernels.json).
@@ -123,23 +124,16 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// Best-of-reps wall time for one timed closure; `setup` runs untimed
-/// before each rep.
-template <typename Setup, typename Fn>
-double best_seconds(int reps, Setup&& setup, Fn&& fn) {
+/// Best-of-reps wall time for one timed closure.
+template <typename Fn>
+double best_seconds(int reps, Fn&& fn) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    setup();
     util::Timer timer;
     fn();
     best = std::min(best, timer.seconds());
   }
   return best;
-}
-
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  return best_seconds(reps, [] {}, fn);
 }
 
 void emit_json(const Options& opt, const std::vector<Result>& results,
@@ -214,24 +208,19 @@ int main(int argc, char** argv) {
   sz::Params params;
   params.error_bound = opt.eb;
 
-  // Shared fixtures for the stage-level measurements: the quantized codes
-  // and the shared codebook (plain codes plus run tokens) that compress
-  // builds from them, which the encode stage re-times, and each block's
-  // Huffman substream, which the huffman_decode stage re-times.
+  // Shared fixtures for the stage-level measurements: the symbol-form
+  // codes and the shared codebook (plain codes plus run tokens) that
+  // compress builds from them, which the encode stage re-times, each
+  // block's Huffman substream, which the huffman_decode stage re-times,
+  // and the codes it decodes to, which the dequantize stage re-times.
   const std::vector<sz::BlockRange> blocks = sz::split_blocks(opt.dims);
   const std::uint32_t radius = params.radius;
-  std::vector<std::uint64_t> counts(sz::run_alphabet(radius), 0);
-  const std::vector<sz::QuantizeResult<float>> quants = sz::lattice_quantize_blocks<float>(
-      field, blocks, opt.eb, radius, 1, nullptr,
-      std::span<std::uint64_t>(counts).first(2ull * radius));
-  std::vector<std::vector<std::uint32_t>> codes(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    codes[b] = quants[b].codes;
-    sz::tokenize_runs(codes[b], radius).fold_into(std::span<std::uint64_t>(counts), radius);
-  }
+  sz::SymbolCounts symbols(radius, /*runs=*/true);
+  const std::vector<sz::QuantizeResult<float>> quants =
+      sz::lattice_quantize_blocks<float>(field, blocks, opt.eb, radius, 1, nullptr, &symbols);
   std::vector<sz::SymbolCount> freqs;
-  for (std::uint32_t s = 0; s < counts.size(); ++s) {
-    if (counts[s] > 0) freqs.push_back({s, counts[s]});
+  for (std::uint32_t s = 0; s < symbols.hist.size(); ++s) {
+    if (symbols.hist[s] > 0) freqs.push_back({s, symbols.hist[s]});
   }
   const sz::HuffmanEncoder encoder(freqs);
   const std::vector<std::uint8_t> codebook = encoder.serialize_codebook();
@@ -239,8 +228,14 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::uint8_t>> substreams(blocks.size());
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     util::BitWriter writer;
-    encoder.encode_all(codes[b], writer, 2ull * radius);
+    encoder.encode_all(quants[b].codes, writer, 2ull * radius);
     substreams[b] = writer.finish();
+  }
+  std::vector<std::vector<std::uint32_t>> codes(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    codes[b].resize(blocks[b].dims.count());
+    util::BitReader reader(substreams[b]);
+    decoder.decode_run(reader, codes[b].data(), codes[b].size());
   }
   const std::vector<std::uint8_t> blob = sz::compress<float>(field, opt.dims, params);
   std::vector<float> decoded(field.size());
@@ -260,36 +255,29 @@ int main(int argc, char** argv) {
   for (const unsigned threads : opt.threads) {
     std::printf("threads=%u (%u blocks)\n", threads,
                 static_cast<unsigned>(blocks.size()));
-    // Stage: lattice quantization of the block decomposition, with the
-    // code histogram, as compress runs it.
+    // Stage: lattice quantization of the block decomposition, each block
+    // followed by its symbol pass, as compress runs it.
     record("quantize", threads, best_seconds(opt.reps, [&] {
-             std::vector<std::uint64_t> hist(2ull * radius, 0);
+             sz::SymbolCounts counts(radius, /*runs=*/true);
              const auto out = sz::lattice_quantize_blocks<float>(
-                 field, blocks, opt.eb, radius, threads, nullptr, hist);
+                 field, blocks, opt.eb, radius, threads, nullptr, &counts);
              if (out.size() != blocks.size()) std::exit(1);
            }));
-    // Stage: per-block run tokenization (in place, so each rep starts
-    // from a fresh copy of the codes), Huffman encode and block CRC.
-    record("encode", threads,
-           best_seconds(
-               opt.reps,
-               [&] {
-                 for (std::size_t b = 0; b < blocks.size(); ++b) codes[b] = quants[b].codes;
-               },
-               [&] {
-                 std::vector<std::vector<std::uint8_t>> out(blocks.size());
-                 std::vector<std::uint32_t> crcs(blocks.size());
-                 util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
-                   sz::tokenize_runs(codes[b], radius);
-                   util::BitWriter writer;
-                   writer.reserve_bytes(codes[b].size() / 2);
-                   encoder.encode_all(codes[b], writer, 2ull * radius);
-                   out[b] = writer.finish();
-                   const std::uint32_t crc = util::crc32c(0, out[b].data(), out[b].size());
-                   crcs[b] = util::crc32c(crc, quants[b].outliers.data(),
-                                          quants[b].outliers.size() * sizeof(float));
-                 });
-               }));
+    // Stage: per-block Huffman encode of the symbol stream and block CRC.
+    record("encode", threads, best_seconds(opt.reps, [&] {
+             std::vector<std::vector<std::uint8_t>> out(blocks.size());
+             std::vector<std::uint32_t> crcs(blocks.size());
+             util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
+               const std::vector<std::uint32_t>& codes = quants[b].codes;
+               util::BitWriter writer;
+               writer.reserve_bytes(codes.size() / 2);
+               encoder.encode_all(codes, writer, 2ull * radius);
+               out[b] = writer.finish();
+               const std::uint32_t crc = util::crc32c(0, out[b].data(), out[b].size());
+               crcs[b] = util::crc32c(crc, quants[b].outliers.data(),
+                                      quants[b].outliers.size() * sizeof(float));
+             });
+           }));
     // End-to-end compress and decompress through the public API.
     sz::Params p = params;
     p.threads = threads;
@@ -321,7 +309,7 @@ int main(int argc, char** argv) {
              util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
                const sz::BlockRange& blk = blocks[b];
                sz::lattice_dequantize<float>(
-                   quants[b].codes, quants[b].outliers, blk.dims, opt.eb, radius,
+                   codes[b], quants[b].outliers, blk.dims, opt.eb, radius,
                    std::span<float>(decoded).subspan(blk.elem_offset, blk.dims.count()));
              });
            }));

@@ -65,24 +65,14 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   }
   const std::size_t points = samples.size();
   span.set_arg("points", points);
-  // Run tokens, as the encoder codes them: the absorbed zero-residual
-  // codes leave the histogram, the tokens join it, and each token adds
-  // its raw length bits.
-  const bool runs = sz::uses_run_tokens(params);
-  std::vector<std::uint64_t> counts(
-      runs ? sz::run_alphabet(params.radius) : 2ull * params.radius, 0);
-  auto quants = sz::lattice_quantize_blocks<T>(
-      samples, blocks, eb, params.radius, /*threads=*/1, nullptr,
-      std::span<std::uint64_t>(counts).first(2ull * params.radius));
-  std::uint64_t outliers = 0, length_bits = 0;
-  for (auto& q : quants) {
-    outliers += q.outliers.size();
-    if (runs) {
-      const sz::RunTokenStats stats = sz::tokenize_runs(q.codes, params.radius);
-      stats.fold_into(std::span<std::uint64_t>(counts), params.radius);
-      length_bits += stats.length_bits();
-    }
-  }
+  // Symbols as the encoder codes them: the symbol pass counts plain
+  // codes and run tokens, and each token adds its raw length bits.
+  sz::SymbolCounts symbols(params.radius, sz::uses_run_tokens(params));
+  const auto quants = sz::lattice_quantize_blocks<T>(samples, blocks, eb, params.radius,
+                                                     /*threads=*/1, nullptr, &symbols);
+  const std::vector<std::uint64_t>& counts = symbols.hist;
+  std::uint64_t outliers = 0;
+  for (const auto& q : quants) outliers += q.outliers.size();
 
   RatioEstimate est;
   est.sampled_points = points;
@@ -95,7 +85,7 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
     if (counts[s] > 0) freqs.push_back({s, counts[s]});
   }
   const auto lengths = sz::huffman_code_lengths(freqs);
-  std::uint64_t huff_bits = length_bits;
+  std::uint64_t huff_bits = symbols.length_bits;
   for (std::size_t k = 0; k < freqs.size(); ++k) {
     huff_bits += freqs[k].count * lengths[k];
   }

@@ -8,8 +8,8 @@
 //   2. quantize each box in isolation (zero-padded at its own faces)
 //      through the compressor's own lattice (dual-quantized Lorenzo)
 //      kernel, sz::lattice_quantize_blocks,
-//   3. code runs of zero-residual codes as run tokens with the encoder's
-//      own tokenizer, sz::tokenize_runs,
+//   3. code runs of zero-residual codes as run tokens and count the
+//      symbols with the encoder's own symbol pass (kern::symbol_pass),
 //   4. cost a hypothetical Huffman codebook over the sampled, tokenized
 //      histogram plus the tokens' raw length bits,
 // which yields a predicted bit-rate at a few percent of compression cost.

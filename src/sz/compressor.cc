@@ -387,10 +387,10 @@ double resolve_error_bound(std::span<const T> data, const Params& params) {
 
 namespace {
 
-/// One block's symbols as the encoder will code them: the code histogram
-/// (with run tokens folded in when `runs`, the codes then tokenized in
-/// place) plus the tokens' raw length bits. Feeds both the shared
-/// codebook and the per-block predictor decision.
+/// One block's symbols as the encoder will code them: the symbol
+/// histogram (with run tokens when `runs`, the codes then tokenized in
+/// place by the symbol pass) plus the tokens' raw length bits. Feeds
+/// both the shared codebook and the per-block predictor decision.
 struct BlockSymbols {
   std::vector<std::uint32_t> hist;
   std::uint64_t length_bits = 0;
@@ -400,12 +400,7 @@ BlockSymbols block_symbols(std::vector<std::uint32_t>& codes, std::uint32_t radi
                            bool runs) {
   BlockSymbols out;
   out.hist.assign(runs ? run_alphabet(radius) : 2ull * radius, 0);
-  for (const std::uint32_t c : codes) ++out.hist[c];
-  if (runs) {
-    const RunTokenStats stats = tokenize_runs(codes, radius);
-    stats.fold_into(std::span<std::uint32_t>(out.hist), radius);
-    out.length_bits = stats.length_bits();
-  }
+  out.length_bits = kern::symbol_pass<std::uint32_t>(codes, radius, runs, out.hist.data());
   return out;
 }
 
@@ -467,35 +462,27 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   const bool runs = uses_run_tokens(params);
   const std::uint32_t radius = params.radius;
 
-  // Stage 1: quantization + histogram + run tokens. lattice_quantize_blocks
-  // writes the spatial reconstruction straight into recon_out (series
-  // writers keep it as the next temporal reference — blocks write
-  // disjoint slices, no race), so compress never holds a second copy of
-  // the field. A temporal compression then quantizes each block the
-  // delta way too and keeps whichever codes smaller, so a block with a
-  // stale or turbulent reference degrades to exactly the spatial cost.
+  // Stage 1: quantization + symbol pass. lattice_quantize_blocks writes
+  // the spatial reconstruction straight into recon_out (series writers
+  // keep it as the next temporal reference — blocks write disjoint
+  // slices, no race), so compress never holds a second copy of the
+  // field. A temporal compression then quantizes each block the delta
+  // way too and keeps whichever codes smaller, so a block with a stale
+  // or turbulent reference degrades to exactly the spatial cost.
   //
-  // A spatial compression takes the summed code histogram `counts`
-  // straight from the quantizer, tokenizes each block on the quantizing
-  // worker right after its kernel, while the codes are still in cache,
-  // and folds the tokens into `counts`. A temporal one costs each
-  // block's two predictors from their own tokenized histograms, so it
-  // keeps the winner's per block in `hists` and sums them in stage 2.
-  std::vector<std::uint64_t> counts(runs ? run_alphabet(radius) : 2ull * radius, 0);
+  // A spatial compression runs each block's symbol pass on the
+  // quantizing worker right after its kernel, while the codes are still
+  // in cache, and takes the summed symbol histogram from it. A temporal
+  // one costs each block's two predictors from their own symbol passes,
+  // so it keeps the winner's histogram per block in `hists` and sums
+  // them in stage 2.
+  SymbolCounts symbols(radius, runs);
   std::vector<std::vector<std::uint32_t>> hists(temporal ? n_blocks : 0);
-  std::vector<RunTokenStats> run_stats(runs && !temporal ? n_blocks : 0);
   std::vector<Predictor> preds(n_blocks, Predictor::kLattice);
   if (recon_out != nullptr) recon_out->resize(data.size());
   std::vector<QuantizeResult<T>> quants = lattice_quantize_blocks<T>(
       data, blocks, eb, radius, params.threads,
-      recon_out != nullptr ? recon_out->data() : nullptr,
-      temporal ? std::span<std::uint64_t>{}
-               : std::span<std::uint64_t>(counts).first(2ull * radius),
-      [&](std::size_t b, QuantizeResult<T>& q) {
-        if (run_stats.empty()) return;
-        util::trace::Span span("run_tokens", "sz", "block", b);
-        run_stats[b] = tokenize_runs(q.codes, radius);
-      });
+      recon_out != nullptr ? recon_out->data() : nullptr, temporal ? nullptr : &symbols);
   if (temporal) {
     util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
       const BlockRange& blk = blocks[b];
@@ -522,9 +509,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   // Stage 2: merge histograms into one shared canonical codebook. The
   // merge is a plain sum, so the codebook — and hence the whole blob — is
   // independent of how the blocks were scheduled.
-  for (const RunTokenStats& stats : run_stats) {
-    stats.fold_into(std::span<std::uint64_t>(counts), radius);
-  }
+  std::vector<std::uint64_t>& counts = symbols.hist;
   for (const auto& hist : hists) {
     for (std::size_t s = 0; s < hist.size(); ++s) counts[s] += hist[s];
   }

@@ -110,53 +110,6 @@ std::vector<std::uint8_t> build_depths(std::span<const SymbolCount> freqs) {
 
 }  // namespace
 
-std::uint64_t RunTokenStats::length_bits() const {
-  std::uint64_t bits = 0;
-  for (std::size_t k = 0; k < tokens.size(); ++k) bits += tokens[k] * k;
-  return bits;
-}
-
-RunTokenStats tokenize_runs(std::vector<std::uint32_t>& codes, std::uint32_t radius) {
-  RunTokenStats stats;
-  const std::uint32_t base = 2 * radius;
-  std::uint32_t* c = codes.data();
-  const std::size_t n = codes.size();
-  // Any run of kRunMin or more codes covers a multiple of kRunMin, so only
-  // those positions are probed; a hit is widened to its maximal run. The
-  // codes between runs move down in one memmove each (none before the
-  // first token), and the write cursor never passes the read cursor: a
-  // token pair replaces at least kRunMin codes.
-  std::size_t r = 0, w = 0;  // read (emitted up to) and write cursors
-  for (std::size_t p = 0; p < n;) {
-    if (c[p] != radius) {
-      p += kRunMin;
-      continue;
-    }
-    std::size_t begin = p, end = p + 1;
-    while (begin > r && c[begin - 1] == radius) --begin;
-    while (end < n && c[end] == radius) ++end;
-    p = (end + kRunMin - 1) / kRunMin * kRunMin;
-    std::size_t len = end - begin;
-    if (len < kRunMin) continue;
-    if (w != r) std::memmove(c + w, c + r, (begin - r) * sizeof(std::uint32_t));
-    w += begin - r;
-    while (len >= kRunMin) {
-      const auto piece = static_cast<std::uint32_t>(std::min<std::size_t>(len, kRunMax));
-      const int k = std::bit_width(piece) - 1;
-      c[w++] = base + static_cast<std::uint32_t>(k);
-      c[w++] = piece;
-      ++stats.tokens[static_cast<std::size_t>(k)];
-      stats.absorbed += piece;
-      len -= piece;
-    }
-    for (; len > 0; --len) c[w++] = radius;
-    r = end;
-  }
-  if (w != r) std::memmove(c + w, c + r, (n - r) * sizeof(std::uint32_t));
-  codes.resize(w + (n - r));
-  return stats;
-}
-
 std::vector<std::uint8_t> huffman_code_lengths(std::span<const SymbolCount> freqs) {
   // The BitWriter register holds at most 57 bits per put(); depths beyond
   // that are only reachable with pathological (near-Fibonacci) frequency

@@ -14,7 +14,6 @@
 // length L. See docs/sz_container_v5.md.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -50,32 +49,6 @@ inline std::size_t run_alphabet(std::uint32_t radius) {
   return 2ull * radius + kRunMaxLog + 1;
 }
 
-/// What tokenize_runs did to one block's codes.
-struct RunTokenStats {
-  std::uint64_t absorbed = 0;                          // codes the tokens replaced
-  std::array<std::uint32_t, kRunMaxLog + 1> tokens{};  // tokens per k
-
-  /// Raw length bits the tokens add after their codewords.
-  std::uint64_t length_bits() const;
-  /// Moves the absorbed codes out of hist[radius] and counts the tokens
-  /// at hist[2 * radius + k]; `hist` spans run_alphabet(radius) entries.
-  template <typename Count>
-  void fold_into(std::span<Count> hist, std::uint32_t radius) const {
-    hist[radius] -= static_cast<Count>(absorbed);
-    for (int k = kRunMinLog; k <= kRunMaxLog; ++k) {
-      hist[2ull * radius + static_cast<std::size_t>(k)] += tokens[static_cast<std::size_t>(k)];
-    }
-  }
-};
-
-/// Rewrites `codes` in place into the token stream the encoder codes:
-/// each run of at least kRunMin codes equal to `radius` becomes the pair
-/// {2 * radius + k, L} per kRunMax-long piece, and a leftover shorter
-/// than kRunMin stays as plain codes. The result is never longer than the
-/// input. A pure function of the codes, so blobs stay independent of
-/// thread count.
-RunTokenStats tokenize_runs(std::vector<std::uint32_t>& codes, std::uint32_t radius);
-
 class HuffmanEncoder {
  public:
   /// Builds a canonical codebook from symbol frequencies. Zero-count
@@ -88,7 +61,7 @@ class HuffmanEncoder {
   /// Appends the codewords for a whole symbol run. Identical output to
   /// calling encode() per symbol; keeps the per-symbol table lookup and
   /// the BitWriter register dance inside one translation unit. With a
-  /// `token_base` (2 * radius), `symbols` is tokenize_runs() output: each
+  /// `token_base` (2 * radius), `symbols` is kern::symbol_pass output: each
   /// symbol >= token_base is followed by its run length, whose k low bits
   /// are written straight after the codeword.
   void encode_all(std::span<const std::uint32_t> symbols, util::BitWriter& out,

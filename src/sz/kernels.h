@@ -1,6 +1,6 @@
 // SIMD-dispatched inner kernels of the sz pipeline.
 //
-// Three kinds of kernel live behind this interface (docs/kernels.md):
+// Four kinds of kernel live behind this interface (docs/kernels.md):
 //
 //  * Lattice kernels (lattice_quantize / lattice_dequantize): the
 //    dual-quantized Lorenzo predictor (Predictor::kLattice), the one every
@@ -17,6 +17,9 @@
 //    sequence of lorenzo_dequantize on its own block.
 //  * Point kernels (temporal_*): the temporal delta predictor is
 //    point-wise, so it vectorizes directly along the element axis.
+//  * The symbol pass (symbol_pass): turns one block's codes into the
+//    run-token symbol stream and counts it, finding runs with bit
+//    arithmetic on 64-code equality masks.
 //
 // The contract for every kernel here: results are byte-identical at every
 // dispatch level, for all inputs. SIMD changes speed, never bytes — the
@@ -137,42 +140,6 @@ static inline std::int64_t lattice_point(double x, double inv) {
          ((f < -0.5 || (f == -0.5 && odd)) ? 1 : 0);
 }
 
-/// The code histogram a quantize kernel fills while its codes are still
-/// in L1. The zero-residual code (radius), most of a smooth field's, is
-/// counted with a branch-free compare; the other codes near it are
-/// counted in kWays interleaved sub-histograms, so repeats of one code
-/// become kWays independent increment chains instead of one serial
-/// read-modify-write chain; the rest go straight to the total. Integer
-/// sums, so the counts do not depend on how codes were fed in.
-class CodeHistogram {
- public:
-  /// Adds into `counts` (2 * radius entries, not cleared).
-  CodeHistogram(std::uint64_t* counts, std::uint32_t radius);
-  CodeHistogram(const CodeHistogram&) = delete;
-  CodeHistogram& operator=(const CodeHistogram&) = delete;
-
-  /// Counts n codes, each < 2 * radius.
-  void add(const std::uint32_t* codes, std::size_t n);
-  /// Counts n zero-residual codes.
-  void add_zeros(std::uint64_t n) { zeros_ += n; }
-  /// Adds the sub-histograms into `counts` and clears them; call once
-  /// all codes are in.
-  void flush();
-
- private:
-  static constexpr std::size_t kWays = 4;
-  static constexpr std::uint32_t kBand = 1024;
-  std::uint64_t* counts_;
-  std::uint32_t zero_;   // the zero-residual code, radius
-  std::uint32_t lo_;     // first code of the band
-  std::uint32_t width_;  // band codes: [lo_, lo_ + width_)
-  std::uint64_t pending_ = 0;  // codes added since the last flush
-  std::uint64_t zeros_ = 0;    // zero-residual codes not yet in counts_
-  // Each way is padded past 4 KiB so the ways' entries for one code do
-  // not alias in the store buffer.
-  std::uint32_t ways_[kWays][kBand + 16] = {};
-};
-
 /// One block of the lattice predictor: its extents, bound and radius,
 /// and the caller's rolling predictor state (reused across blocks). The
 /// stencil needs q of the previous plane and the x-differences of the
@@ -192,11 +159,11 @@ struct LatticeBlock {
 /// radius, q is capped, or its reconstruction T(q * 2eb) misses x by more
 /// than eb; its neighbours still predict from its q. Otherwise its code
 /// is r + radius. `recon` (optional, dims.count() values) receives what
-/// the decoder reproduces; `hist` (optional) counts the codes. Any radius
-/// >= 2, identical bytes at every dispatch level.
+/// the decoder reproduces. Any radius >= 2, identical bytes at every
+/// dispatch level.
 template <typename T>
 void lattice_quantize(const T* data, const LatticeBlock& blk, std::uint32_t* codes,
-                      std::vector<T>& outliers, T* recon, CodeHistogram* hist);
+                      std::vector<T>& outliers, T* recon);
 
 /// Inverse of lattice_quantize: an integer prefix sum along each row
 /// that writes dims.count() values to `out`. Throws std::runtime_error
@@ -204,6 +171,23 @@ void lattice_quantize(const T* data, const LatticeBlock& blk, std::uint32_t* cod
 template <typename T>
 void lattice_dequantize(const std::uint32_t* codes, std::span<const T> outliers,
                         const LatticeBlock& blk, T* out);
+
+/// The symbol pass over one block's codes: rewrites `codes` in place into
+/// the symbol stream the encoder codes and counts every emitted symbol
+/// into `hist`. With `runs` (container v5 run tokens; radius <=
+/// kMaxRunRadius), each maximal run of at least kRunMin zero-residual
+/// codes (code == radius) becomes the pair {2 * radius + k, L} per
+/// kRunMax-long piece, k = floor(log2 L), written where the run ends; a
+/// leftover shorter than kRunMin stays as plain codes. Without, the codes
+/// stay as they are and are only counted. Counts go to hist[symbol] for
+/// plain codes and tokens, never for the length words (`hist` spans
+/// run_alphabet(radius) entries with runs, 2 * radius without, and is
+/// not cleared). Returns the tokens' raw length bits. Run detection is
+/// bit arithmetic on 64-code equality masks (src/sz/symbols_impl.h), so
+/// no code is branched on; integer-only, identical at every level.
+template <typename Count>
+std::uint64_t symbol_pass(std::vector<std::uint32_t>& codes, std::uint32_t radius,
+                          bool runs, Count* hist);
 
 /// Temporal (point-wise) quantize of the whole range: x - prev quantized
 /// to an integer multiple of 2 * eb, with the lattice kernels' code and

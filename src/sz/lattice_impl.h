@@ -57,9 +57,8 @@ typedef std::uint64_t vu __attribute__((vector_size(V * sizeof(std::uint64_t))))
 typedef float vf __attribute__((vector_size(V * sizeof(float))));
 typedef std::uint32_t vc __attribute__((vector_size(V * sizeof(std::uint32_t))));
 
-/// Codes are scanned for outliers and counted a group at a time, while
-/// the group is still in L1. A group whose codes are all the zero
-/// residual — most of a smooth field — is counted with one add.
+/// Codes are scanned for outliers a group at a time, while the group is
+/// still in L1.
 constexpr std::size_t kGroup = 64;
 
 template <typename Vec>
@@ -241,28 +240,17 @@ inline void collect_outliers(const T* x, const std::uint32_t* codes, std::size_t
 
 template <typename T>
 void quantize_row(const T* x, std::size_t n, const Rolling& s, std::uint32_t* codes,
-                  T* recon, std::vector<T>& outliers, CodeHistogram* hist,
-                  const Consts& k) {
+                  T* recon, std::vector<T>& outliers, const Consts& k) {
   vl bprev = {};
   std::size_t z = 0;
   const std::size_t body = n - n % V;
-  std::uint64_t zeros = 0;  // zero-residual codes of all-zero groups
   while (z < body) {
     const std::size_t end = std::min(body, z + kGroup);
-    vl bad = {}, other = {};
+    vl bad = {};
     for (std::size_t i = z; i < end; i += V) {
-      const vl code = quantize_chunk<T>(x, s, i, bprev, codes, recon, k);
-      bad |= code == 0;
-      other |= code != k.radius;
+      bad |= quantize_chunk<T>(x, s, i, bprev, codes, recon, k) == 0;
     }
     if (any_lane(bad)) collect_outliers(x + z, codes + z, end - z, outliers);
-    if (hist != nullptr) {
-      if (any_lane(other)) {
-        hist->add(codes + z, end - z);
-      } else {
-        zeros += end - z;
-      }
-    }
     z = end;
   }
   if (z < n) {
@@ -281,9 +269,7 @@ void quantize_row(const T* x, std::size_t n, const Rolling& s, std::uint32_t* co
     if (s.sx) std::memcpy(s.plane + z, pt, m * sizeof(std::int64_t));
     if (s.sy) std::memcpy(s.row + z, rt, m * sizeof(std::int64_t));
     collect_outliers(xt, ct, m, outliers);
-    if (hist != nullptr) hist->add(ct, m);
   }
-  if (hist != nullptr) hist->add_zeros(zeros);
 }
 
 /// Calls fn(offset, rolling state) for each row of the block in order.
@@ -363,11 +349,11 @@ void dequantize_row(const std::uint32_t* codes, std::size_t n, const Rolling& s,
 
 template <typename T>
 void quantize_block(const T* data, const LatticeBlock& blk, std::uint32_t* codes,
-                    std::vector<T>& outliers, T* recon, CodeHistogram* hist) {
+                    std::vector<T>& outliers, T* recon) {
   const Consts k = consts_of(blk);
   for_each_row(blk, [&](std::size_t off, const Rolling& s) {
     quantize_row<T>(data + off, blk.dims.d2, s, codes + off,
-                    recon != nullptr ? recon + off : nullptr, outliers, hist, k);
+                    recon != nullptr ? recon + off : nullptr, outliers, k);
   });
 }
 
@@ -387,8 +373,8 @@ void dequantize_block(const std::uint32_t* codes, std::span<const T> outliers,
 
 template <typename T>
 void lattice_quantize(const T* data, const LatticeBlock& blk, std::uint32_t* codes,
-                      std::vector<T>& outliers, T* recon, CodeHistogram* hist) {
-  lattice::quantize_block<T>(data, blk, codes, outliers, recon, hist);
+                      std::vector<T>& outliers, T* recon) {
+  lattice::quantize_block<T>(data, blk, codes, outliers, recon);
 }
 
 template <typename T>
@@ -398,9 +384,9 @@ void lattice_dequantize(const std::uint32_t* codes, std::span<const T> outliers,
 }
 
 template void lattice_quantize<float>(const float*, const LatticeBlock&, std::uint32_t*,
-                                      std::vector<float>&, float*, CodeHistogram*);
+                                      std::vector<float>&, float*);
 template void lattice_quantize<double>(const double*, const LatticeBlock&, std::uint32_t*,
-                                       std::vector<double>&, double*, CodeHistogram*);
+                                       std::vector<double>&, double*);
 template void lattice_dequantize<float>(const std::uint32_t*, std::span<const float>,
                                         const LatticeBlock&, float*);
 template void lattice_dequantize<double>(const std::uint32_t*, std::span<const double>,

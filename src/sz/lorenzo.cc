@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 
 #include "sz/kernels.h"
@@ -27,13 +26,12 @@ kern::LatticeBlock lattice_block(const Dims& dims, double eb, std::uint32_t radi
 template <typename T>
 std::vector<QuantizeResult<T>> lattice_quantize_blocks(
     std::span<const T> data, std::span<const BlockRange> blocks, double eb,
-    std::uint32_t radius, unsigned threads, T* recon_out,
-    std::span<std::uint64_t> counts,
-    const std::function<void(std::size_t, QuantizeResult<T>&)>& on_block) {
+    std::uint32_t radius, unsigned threads, T* recon_out, SymbolCounts* symbols) {
   if (!(eb > 0.0)) throw std::invalid_argument("lattice_quantize: eb must be > 0");
   if (radius < 2) throw std::invalid_argument("lattice_quantize: radius must be >= 2");
-  if (!counts.empty() && counts.size() != 2ull * radius) {
-    throw std::invalid_argument("lattice_quantize: counts size != 2 * radius");
+  if (symbols != nullptr &&
+      symbols->hist.size() != (symbols->runs ? run_alphabet(radius) : 2ull * radius)) {
+    throw std::invalid_argument("lattice_quantize: symbol histogram size != alphabet");
   }
   for (const BlockRange& blk : blocks) {
     if (blk.elem_offset + blk.dims.count() > data.size()) {
@@ -43,18 +41,23 @@ std::vector<QuantizeResult<T>> lattice_quantize_blocks(
 
   // One task per worker over a contiguous run of blocks, so each worker
   // reuses one set of rolling buffers and one histogram for the whole
-  // call. A single task counts into `counts` directly; several count into
-  // their own and add them in when done. The sums are exact integers, so
-  // the counts do not depend on `threads`.
-  std::fill(counts.begin(), counts.end(), 0);
+  // call. A single task counts into `symbols` directly; several count
+  // into their own and add them in when done. The sums are exact
+  // integers, so the counts do not depend on `threads`.
+  if (symbols != nullptr) {
+    std::fill(symbols->hist.begin(), symbols->hist.end(), 0);
+    symbols->length_bits = 0;
+  }
   const std::size_t tasks =
       std::min<std::size_t>(util::resolve_threads(threads), blocks.size());
-  std::mutex counts_mu;
+  std::mutex symbols_mu;
   std::vector<QuantizeResult<T>> quants(blocks.size());
   util::parallel_for(tasks, threads, [&](std::size_t t) {
-    std::vector<std::uint64_t> own(tasks > 1 ? counts.size() : 0, 0);
-    std::optional<kern::CodeHistogram> hist;
-    if (!counts.empty()) hist.emplace(own.empty() ? counts.data() : own.data(), radius);
+    const bool own = symbols != nullptr && tasks > 1;
+    std::vector<std::uint64_t> own_hist(own ? symbols->hist.size() : 0, 0);
+    std::uint64_t* hist = own ? own_hist.data()
+                              : symbols != nullptr ? symbols->hist.data() : nullptr;
+    std::uint64_t length_bits = 0;
     std::vector<std::int64_t> plane, row;
     for (std::size_t b = blocks.size() * t / tasks; b < blocks.size() * (t + 1) / tasks;
          ++b) {
@@ -66,16 +69,17 @@ std::vector<QuantizeResult<T>> lattice_quantize_blocks(
         kern::lattice_quantize<T>(data.data() + blk.elem_offset,
                                   lattice_block(blk.dims, eb, radius, plane, row),
                                   q.codes.data(), q.outliers,
-                                  recon_out != nullptr ? recon_out + blk.elem_offset : nullptr,
-                                  hist ? &*hist : nullptr);
+                                  recon_out != nullptr ? recon_out + blk.elem_offset : nullptr);
       }
-      if (on_block) on_block(b, q);
+      if (hist != nullptr) {
+        util::trace::Span span("run_tokens", "sz", "block", b);
+        length_bits += kern::symbol_pass<std::uint64_t>(q.codes, radius, symbols->runs, hist);
+      }
     }
-    if (hist) hist->flush();
-    if (!own.empty()) {
-      const std::lock_guard lock(counts_mu);
-      for (std::size_t s = 0; s < own.size(); ++s) counts[s] += own[s];
-    }
+    if (symbols == nullptr) return;
+    const std::lock_guard lock(symbols_mu);
+    for (std::size_t s = 0; s < own_hist.size(); ++s) symbols->hist[s] += own_hist[s];
+    symbols->length_bits += length_bits;
   });
   return quants;
 }
@@ -167,12 +171,10 @@ void lorenzo_dequantize(std::span<const std::uint32_t> codes,
 
 template std::vector<QuantizeResult<float>> lattice_quantize_blocks<float>(
     std::span<const float>, std::span<const BlockRange>, double, std::uint32_t,
-    unsigned, float*, std::span<std::uint64_t>,
-    const std::function<void(std::size_t, QuantizeResult<float>&)>&);
+    unsigned, float*, SymbolCounts*);
 template std::vector<QuantizeResult<double>> lattice_quantize_blocks<double>(
     std::span<const double>, std::span<const BlockRange>, double, std::uint32_t,
-    unsigned, double*, std::span<std::uint64_t>,
-    const std::function<void(std::size_t, QuantizeResult<double>&)>&);
+    unsigned, double*, SymbolCounts*);
 template void lattice_dequantize<float>(std::span<const std::uint32_t>,
                                         std::span<const float>, const Dims&, double,
                                         std::uint32_t, std::span<float>);

@@ -23,12 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "sz/blocks.h"
 #include "sz/dims.h"
+#include "sz/huffman.h"
 
 namespace pcw::sz {
 
@@ -44,6 +44,17 @@ struct QuantizeResult {
   std::vector<T> recon;
 };
 
+/// The symbol histogram of a set of blocks, summed over the blocks'
+/// symbol passes (kern::symbol_pass): plain codes and, with `runs`, run
+/// tokens, plus the tokens' raw length bits.
+struct SymbolCounts {
+  SymbolCounts(std::uint32_t radius, bool runs)
+      : runs(runs), hist(runs ? run_alphabet(radius) : 2ull * radius, 0) {}
+  bool runs;                        // runs of zero residuals become tokens
+  std::vector<std::uint64_t> hist;  // indexed by symbol
+  std::uint64_t length_bits = 0;
+};
+
 /// Quantizes every block of a split_blocks() decomposition of `data` (or
 /// any set of disjoint blocks of it) with the lattice predictor, fanning
 /// the blocks across `threads`. radius must be >= 2; SZ's default 32768
@@ -53,18 +64,16 @@ struct QuantizeResult {
 /// The returned results have empty `recon` vectors: the reconstruction
 /// lands in `recon_out` (full-field length, block slices disjoint) when
 /// it is non-null, so compress never holds a second field copy. When
-/// `counts` is non-empty (2 * radius entries) it receives the code
-/// histogram summed over every block, counted inside the kernel while
-/// the codes are cache-resident. `on_block` (optional) runs on the
-/// worker thread right after block b is quantized and counted, so a next
-/// stage (run tokenization) reads the codes while they are still in
-/// cache.
+/// `symbols` is non-null, each block's symbol pass runs on the worker
+/// right after its kernel, while the codes are still in cache: the
+/// returned codes are then the symbol stream the encoder codes (run
+/// tokens in place when symbols->runs), and symbols->hist and
+/// length_bits (reset first) receive the sums over every block.
 template <typename T>
 std::vector<QuantizeResult<T>> lattice_quantize_blocks(
     std::span<const T> data, std::span<const BlockRange> blocks, double eb,
     std::uint32_t radius, unsigned threads, T* recon_out = nullptr,
-    std::span<std::uint64_t> counts = {},
-    const std::function<void(std::size_t, QuantizeResult<T>&)>& on_block = {});
+    SymbolCounts* symbols = nullptr);
 
 /// Inverse of the lattice predictor for one block. `out` must have
 /// dims.count() elements.

@@ -19,10 +19,18 @@ constexpr std::size_t kDefaultCapacity = 32768;
 
 /// One thread's span storage. Only the owning thread writes slots and
 /// `head`; it publishes progress with a release store so the (stopped,
-/// mutex-holding) exporter reads a consistent prefix.
+/// mutex-holding) exporter reads a consistent prefix. The slots are
+/// reserved up front but filled as events arrive, so a slot never moves
+/// and a thread touches only the pages its events need: the default ring
+/// is 1.5 MB, and zeroing it whole would land in the thread's first
+/// traced call. Readers index through data(), never size(), which the
+/// owner may be changing.
 struct Ring {
-  explicit Ring(std::size_t cap, std::uint32_t id) : slots(cap), tid(id) {}
+  explicit Ring(std::size_t capacity, std::uint32_t id) : cap(capacity), tid(id) {
+    slots.reserve(cap);
+  }
   std::vector<Event> slots;
+  const std::size_t cap;
   std::uint64_t head = 0;  // total events ever recorded by this thread
   std::atomic<std::uint64_t> published{0};
   std::uint32_t tid;
@@ -83,10 +91,10 @@ const EnvArm g_env_arm;
 /// Copies a ring's live window, oldest-first (pre-wrap order preserved).
 void collect_ring(const Ring& ring, std::vector<Event>& out) {
   const std::uint64_t head = ring.published.load(std::memory_order_acquire);
-  const std::size_t cap = ring.slots.size();
+  const std::size_t cap = ring.cap;
   const std::uint64_t first = head > cap ? head - cap : 0;
   for (std::uint64_t i = first; i < head; ++i) {
-    out.push_back(ring.slots[i % cap]);
+    out.push_back(ring.slots.data()[i % cap]);
   }
 }
 
@@ -158,7 +166,7 @@ std::uint64_t dropped() {
   std::uint64_t total = 0;
   for (const auto& ring : g.rings) {
     const std::uint64_t head = ring->published.load(std::memory_order_acquire);
-    if (head > ring->slots.size()) total += head - ring->slots.size();
+    if (head > ring->cap) total += head - ring->cap;
   }
   return total;
 }
@@ -194,14 +202,15 @@ void record(const char* name, const char* cat, std::uint64_t start_ns,
             std::uint64_t end_ns, const char* arg_name, std::uint64_t arg) {
   Ring* ring = t_ring;
   if (ring == nullptr) ring = register_ring();
-  Event& e = ring->slots[ring->head % ring->slots.size()];
-  e.name = name;
-  e.cat = cat;
-  e.arg_name = arg_name;
-  e.arg = arg;
-  e.start_ns = start_ns;
-  e.end_ns = end_ns;
-  e.tid = ring->tid;
+  const Event e{name, cat, arg_name, arg, start_ns, end_ns, ring->tid};
+  // Slot head % cap exists once the ring has wrapped, or after clear();
+  // otherwise it is the next one to fill.
+  const std::size_t i = ring->head % ring->cap;
+  if (i < ring->slots.size()) {
+    ring->slots[i] = e;
+  } else {
+    ring->slots.push_back(e);
+  }
   ring->published.store(++ring->head, std::memory_order_release);
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/run_tokens_oracle.h"
 #include "sz/huffman.h"
 #include "util/bitstream.h"
 #include "util/rng.h"
@@ -248,7 +249,8 @@ std::vector<std::uint32_t> runs_stream(std::uint32_t radius,
 /// zero-residual code, split greedily into kRunMax pieces while at least
 /// kRunMin codes remain.
 std::vector<std::uint32_t> reference_tokens(const std::vector<std::uint32_t>& codes,
-                                            std::uint32_t radius, RunTokenStats& stats) {
+                                            std::uint32_t radius,
+                                            testsupport::RunTokenStats& stats) {
   std::vector<std::uint32_t> out;
   for (std::size_t i = 0; i < codes.size();) {
     std::size_t j = i;
@@ -282,7 +284,7 @@ TokenStream encode_tokens(std::vector<std::uint32_t> codes, std::uint32_t radius
                           int lead_bits = 0) {
   std::vector<std::uint64_t> hist(run_alphabet(radius), 0);
   for (const auto c : codes) ++hist[c];
-  const RunTokenStats stats = tokenize_runs(codes, radius);
+  const testsupport::RunTokenStats stats = testsupport::tokenize_runs(codes, radius);
   stats.fold_into(std::span<std::uint64_t>(hist), radius);
   std::vector<SymbolCount> freqs;
   for (std::uint32_t s = 0; s < hist.size(); ++s) {
@@ -307,9 +309,9 @@ TEST(RunTokens, TokenizeMatchesReferenceScan) {
   for (std::size_t c = 0; c < cases.size(); ++c) {
     auto codes = runs_stream(radius, cases[c], c);
     codes.insert(codes.end(), 9, radius);  // a run at the very end, too
-    RunTokenStats want;
+    testsupport::RunTokenStats want;
     const auto expect = reference_tokens(codes, radius, want);
-    const RunTokenStats got = tokenize_runs(codes, radius);
+    const testsupport::RunTokenStats got = testsupport::tokenize_runs(codes, radius);
     EXPECT_EQ(codes, expect) << "case " << c;
     EXPECT_EQ(got.absorbed, want.absorbed) << "case " << c;
     EXPECT_EQ(got.tokens, want.tokens) << "case " << c;
@@ -322,9 +324,9 @@ TEST(RunTokens, TokenizeMatchesReferenceScan) {
       len = trial % 2 == 0 ? rng.uniform_index(12) : rng.uniform_index(9000);
     }
     auto codes = runs_stream(radius, runs, 100 + static_cast<std::uint64_t>(trial));
-    RunTokenStats want;
+    testsupport::RunTokenStats want;
     const auto expect = reference_tokens(codes, radius, want);
-    const RunTokenStats got = tokenize_runs(codes, radius);
+    const testsupport::RunTokenStats got = testsupport::tokenize_runs(codes, radius);
     EXPECT_EQ(codes, expect) << "trial " << trial;
     EXPECT_EQ(got.absorbed, want.absorbed) << "trial " << trial;
   }

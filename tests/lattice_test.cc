@@ -15,6 +15,7 @@
 
 #include "support/legacy_fixtures.h"
 #include "support/lorenzo_oracle.h"
+#include "support/run_tokens_oracle.h"
 #include "support/simd_levels.h"
 #include "sz/blocks.h"
 #include "sz/compressor.h"
@@ -55,26 +56,39 @@ std::vector<T> field(const Dims& dims, std::uint64_t seed, double noise = 0.02) 
 }
 
 /// The kernel's codes, outliers and reconstruction for every block of
-/// `dims` equal the oracle's at every level and thread count.
+/// `dims` equal the oracle's at every level and thread count, and so do
+/// the symbol pass's streams and summed counts, with and without run
+/// tokens.
 template <typename T>
 void expect_matches_oracle(const std::vector<T>& data, const Dims& dims, double eb,
                            std::uint32_t radius, const std::string& what) {
   const std::vector<BlockRange> blocks = split_blocks(dims);
   std::vector<std::uint64_t> want_counts(2ull * radius, 0);
+  std::vector<std::uint64_t> want_symbols(run_alphabet(radius), 0);
+  std::uint64_t want_bits = 0;
   std::vector<QuantizeResult<T>> want;
+  std::vector<std::vector<std::uint32_t>> want_tokens;
   for (const BlockRange& b : blocks) {
     want.push_back(testsupport::lattice_quantize<T>(
         std::span<const T>(data).subspan(b.elem_offset, b.dims.count()), b.dims, eb, radius));
-    for (const std::uint32_t c : want.back().codes) ++want_counts[c];
+    for (const std::uint32_t c : want.back().codes) {
+      ++want_counts[c];
+      ++want_symbols[c];
+    }
+    want_tokens.push_back(want.back().codes);
+    const testsupport::RunTokenStats stats =
+        testsupport::tokenize_runs(want_tokens.back(), radius);
+    stats.fold_into(std::span<std::uint64_t>(want_symbols), radius);
+    want_bits += stats.length_bits();
   }
   ActiveGuard guard;
   for (const util::Simd level : available_levels()) {
     util::simd_set_active(level);
     for (const unsigned threads : kThreads) {
       std::vector<T> recon(data.size());
-      std::vector<std::uint64_t> counts(2ull * radius, 0);
+      SymbolCounts counts(radius, /*runs=*/false);
       const auto got = lattice_quantize_blocks<T>(data, blocks, eb, radius, threads,
-                                                  recon.data(), counts);
+                                                  recon.data(), &counts);
       const std::string where = what + " at " + util::simd_name(level) + ", threads=" +
                                 std::to_string(threads);
       ASSERT_EQ(got.size(), blocks.size()) << where;
@@ -90,7 +104,17 @@ void expect_matches_oracle(const std::vector<T>& data, const Dims& dims, double 
         lattice_dequantize<T>(got[b].codes, got[b].outliers, blocks[b].dims, eb, radius, back);
         EXPECT_TRUE(same_bytes(back, want[b].recon)) << where << " block " << b;
       }
-      EXPECT_EQ(counts, want_counts) << where;
+      EXPECT_EQ(counts.hist, want_counts) << where;
+      EXPECT_EQ(counts.length_bits, 0u) << where;
+
+      SymbolCounts symbols(radius, /*runs=*/true);
+      const auto tokens = lattice_quantize_blocks<T>(data, blocks, eb, radius, threads,
+                                                     nullptr, &symbols);
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        EXPECT_EQ(tokens[b].codes, want_tokens[b]) << where << " block " << b << " tokens";
+      }
+      EXPECT_EQ(symbols.hist, want_symbols) << where;
+      EXPECT_EQ(symbols.length_bits, want_bits) << where;
     }
   }
 }

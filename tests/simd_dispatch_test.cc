@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sz/compressor.h"
+#include "support/run_tokens_oracle.h"
 #include "support/simd_levels.h"
 #include "sz/huffman.h"
 #include "util/bitstream.h"
@@ -423,7 +424,7 @@ TEST(SimdDispatch, HuffmanDecodeRunTokensMatchScalar) {
     std::vector<std::uint64_t> hist(run_alphabet(radius), 0);
     for (const auto c : codes) ++hist[c];
     std::vector<std::uint32_t> tokens = codes;
-    tokenize_runs(tokens, radius).fold_into(std::span<std::uint64_t>(hist), radius);
+    testsupport::tokenize_runs(tokens, radius).fold_into(std::span<std::uint64_t>(hist), radius);
     std::vector<SymbolCount> freqs;
     for (std::uint32_t s = 0; s < hist.size(); ++s) {
       if (hist[s] > 0) freqs.push_back({s, hist[s]});

@@ -160,6 +160,39 @@ TEST(Trace, RingWrapKeepsNewestAndCountsDropped) {
   trace::stop();
 }
 
+// A ring fills as events arrive; after clear() it is rewritten from its
+// first slot, then grows and wraps as before.
+TEST(Trace, ClearedRingRefillsInOrder) {
+  trace::stop();
+  trace::clear();
+  trace::start(8);
+  std::vector<trace::Event> refilled;
+  std::thread writer([&refilled] {
+    for (int i = 0; i < 5; ++i) {
+      trace::Span span("refill", "test", "i", static_cast<std::uint64_t>(i));
+    }
+    trace::clear();
+    for (int i = 0; i < 11; ++i) {
+      trace::Span span("refill", "test", "i", static_cast<std::uint64_t>(100 + i));
+      if (i == 2) refilled = trace::events();
+    }
+  });
+  writer.join();
+  trace::stop();
+  ASSERT_EQ(refilled.size(), 2u);  // taken inside the third span
+  EXPECT_EQ(refilled[0].arg, 100u);
+  EXPECT_EQ(refilled[1].arg, 101u);
+  EXPECT_EQ(trace::recorded(), 11u);
+  EXPECT_EQ(trace::dropped(), 3u);
+  const std::vector<trace::Event> events = trace::events();
+  ASSERT_EQ(events.size(), 8u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].arg, 103u + i);
+  }
+  trace::start(32768);  // restore default capacity for later rings
+  trace::stop();
+}
+
 TEST(Trace, SpanStatsAggregateByNameAndCat) {
   trace::stop();
   trace::clear();

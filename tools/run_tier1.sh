@@ -58,6 +58,6 @@ build_dir="${build_dir:-${default_build_dir}}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE="${build_type}" "${cmake_args[@]+"${cmake_args[@]}"}"
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" -L tier1 --output-on-failure -j "$(nproc)" \
   "${ctest_args[@]+"${ctest_args[@]}"}"
