@@ -51,6 +51,9 @@ struct Result {
   unsigned threads = 0;
   double seconds = 0.0;
   double mb_per_s = 0.0;
+  /// Huffman symbols (plain codes and run tokens) the row codes; set on
+  /// `encode` rows only, whose rate check_bench.py compares per symbol.
+  std::uint64_t symbols = 0;
 };
 
 [[noreturn]] void usage(int code) {
@@ -168,11 +171,16 @@ void emit_json(const Options& opt, const std::vector<Result>& results,
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
-    char line[256];
+    char symbols[64] = "";
+    if (r.symbols > 0) {
+      std::snprintf(symbols, sizeof symbols, ", \"symbols\": %llu",
+                    static_cast<unsigned long long>(r.symbols));
+    }
+    char line[320];
     std::snprintf(line, sizeof line,
                   "    {\"stage\": \"%s\", \"threads\": %u, \"seconds\": %.6f, "
-                  "\"mb_per_s\": %.1f}%s\n",
-                  r.stage.c_str(), r.threads, r.seconds, r.mb_per_s,
+                  "\"mb_per_s\": %.1f%s}%s\n",
+                  r.stage.c_str(), r.threads, r.seconds, r.mb_per_s, symbols,
                   i + 1 < results.size() ? "," : "");
     out << line;
   }
@@ -222,10 +230,12 @@ int main(int argc, char** argv) {
   for (std::uint32_t s = 0; s < symbols.hist.size(); ++s) {
     if (symbols.hist[s] > 0) freqs.push_back({s, symbols.hist[s]});
   }
+  std::uint64_t coded_symbols = 0;
+  for (const std::uint64_t count : symbols.hist) coded_symbols += count;
   const sz::HuffmanEncoder encoder(freqs);
   const std::vector<std::uint8_t> codebook = encoder.serialize_codebook();
   const sz::HuffmanDecoder decoder(codebook, nullptr, radius);
-  std::vector<std::vector<std::uint8_t>> substreams(blocks.size());
+  std::vector<util::UninitVector<std::uint8_t>> substreams(blocks.size());
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     util::BitWriter writer;
     encoder.encode_all(quants[b].codes, writer, 2ull * radius);
@@ -241,12 +251,14 @@ int main(int argc, char** argv) {
   std::vector<float> decoded(field.size());
 
   std::vector<Result> results;
-  auto record = [&](const char* stage, unsigned threads, double seconds) {
+  auto record = [&](const char* stage, unsigned threads, double seconds,
+                    std::uint64_t coded = 0) {
     Result r;
     r.stage = stage;
     r.threads = threads;
     r.seconds = seconds;
     r.mb_per_s = static_cast<double>(raw_bytes) / seconds / 1e6;
+    r.symbols = coded;
     results.push_back(r);
     std::printf("  %-10s %2u thread%s  %8.4f s  %9.1f MB/s\n", stage, threads,
                 threads == 1 ? " " : "s", seconds, r.mb_per_s);
@@ -265,19 +277,17 @@ int main(int argc, char** argv) {
            }));
     // Stage: per-block Huffman encode of the symbol stream and block CRC.
     record("encode", threads, best_seconds(opt.reps, [&] {
-             std::vector<std::vector<std::uint8_t>> out(blocks.size());
+             std::vector<util::UninitVector<std::uint8_t>> out(blocks.size());
              std::vector<std::uint32_t> crcs(blocks.size());
              util::parallel_for(blocks.size(), threads, [&](std::size_t b) {
-               const std::vector<std::uint32_t>& codes = quants[b].codes;
                util::BitWriter writer;
-               writer.reserve_bytes(codes.size() / 2);
-               encoder.encode_all(codes, writer, 2ull * radius);
+               encoder.encode_all(quants[b].codes, writer, 2ull * radius);
                out[b] = writer.finish();
                const std::uint32_t crc = util::crc32c(0, out[b].data(), out[b].size());
                crcs[b] = util::crc32c(crc, quants[b].outliers.data(),
                                       quants[b].outliers.size() * sizeof(float));
              });
-           }));
+           }), coded_symbols);
     // End-to-end compress and decompress through the public API.
     sz::Params p = params;
     p.threads = threads;

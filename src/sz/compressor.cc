@@ -396,7 +396,7 @@ struct BlockSymbols {
   std::uint64_t length_bits = 0;
 };
 
-BlockSymbols block_symbols(std::vector<std::uint32_t>& codes, std::uint32_t radius,
+BlockSymbols block_symbols(util::UninitVector<std::uint32_t>& codes, std::uint32_t radius,
                            bool runs) {
   BlockSymbols out;
   out.hist.assign(runs ? run_alphabet(radius) : 2ull * radius, 0);
@@ -529,12 +529,11 @@ std::vector<std::uint8_t> compress(std::span<const T> data, const Dims& dims,
   // token's length bits straight after its codeword. The block CRCs are
   // taken here too, inside the parallel fan-out while the substream is
   // cache-hot — off the serial assembly path.
-  std::vector<std::vector<std::uint8_t>> huffs(n_blocks);
+  std::vector<util::UninitVector<std::uint8_t>> huffs(n_blocks);
   std::vector<std::uint32_t> block_crcs(n_blocks, 0);
   util::parallel_for(n_blocks, params.threads, [&](std::size_t b) {
     util::trace::Span span("huffman_encode", "sz", "block", b);
     util::BitWriter writer;
-    writer.reserve_bytes(quants[b].codes.size() / 2);
     encoder.encode_all(quants[b].codes, writer, runs ? 2ull * radius : kNoRunTokens);
     huffs[b] = writer.finish();
     block_crcs[b] = util::crc32c(util::crc32c(0, huffs[b].data(), huffs[b].size()),

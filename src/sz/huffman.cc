@@ -4,10 +4,10 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <queue>
 #include <stdexcept>
 
+#include "sz/kernels.h"
 #include "util/cpu.h"
 
 namespace pcw::sz {
@@ -34,13 +34,16 @@ std::uint32_t get_varint(std::span<const std::uint8_t> in, std::size_t& pos) {
   }
 }
 
-std::uint32_t reverse_bits(std::uint32_t code, int len) {
-  std::uint32_t rev = 0;
+std::uint64_t reverse_bits(std::uint64_t code, int len) {
+  std::uint64_t rev = 0;
   for (int i = 0; i < len; ++i) {
     rev = (rev << 1) | ((code >> i) & 1u);
   }
   return rev;
 }
+
+/// Low 56 bits of a packed codebook entry: the codeword.
+constexpr std::uint64_t kCodeMask = (std::uint64_t{1} << 56) - 1;
 
 // Tree construction via the classic sort + two-queue merge: after the
 // leaves are sorted by count, internal nodes are produced in
@@ -156,86 +159,56 @@ HuffmanEncoder::HuffmanEncoder(std::span<const SymbolCount> freqs) {
   }
   if (entries.empty()) return;
   min_sym_ = min_sym;
-  code_of_.assign(max_sym - min_sym + 1, 0);
-  len_of_.assign(max_sym - min_sym + 1, 0);
-  packed_.assign(max_sym - min_sym + 1, 0);
+  packed_.assign(kLengthWords + (max_sym - min_sym) + 1, 0);
+  for (std::uint32_t len = kRunMin; len <= kRunMax; ++len) {
+    const int k = std::bit_width(len) - 1;
+    packed_[len] = (len ^ (1u << k)) | (static_cast<std::uint64_t>(k) << 56);
+  }
   // Canonical code assignment in (length, symbol) order.
-  std::uint32_t code = 0;
+  std::uint64_t code = 0;
   std::uint8_t prev_len = entries.front().len;
   for (const auto& e : entries) {
     code <<= (e.len - prev_len);
     prev_len = e.len;
-    code_of_[e.symbol - min_sym_] = reverse_bits(code, e.len);
-    len_of_[e.symbol - min_sym_] = e.len;
-    packed_[e.symbol - min_sym_] =
-        code_of_[e.symbol - min_sym_] | (static_cast<std::uint64_t>(e.len) << 56);
+    packed_[kLengthWords + (e.symbol - min_sym_)] =
+        reverse_bits(code, e.len) | (static_cast<std::uint64_t>(e.len) << 56);
     ++code;
   }
 }
 
 void HuffmanEncoder::encode(std::uint32_t symbol, util::BitWriter& out) const {
-  assert(symbol >= min_sym_ && symbol - min_sym_ < len_of_.size());
-  const std::uint32_t slot = symbol - min_sym_;
-  assert(len_of_[slot] > 0 && "symbol not in codebook");
-  out.put(code_of_[slot], len_of_[slot]);
+  assert(symbol >= min_sym_ && kLengthWords + (symbol - min_sym_) < packed_.size());
+  const std::uint64_t e = packed_[kLengthWords + (symbol - min_sym_)];
+  assert(e != 0 && "symbol not in codebook");
+  out.put(e & kCodeMask, static_cast<int>(e >> 56));
 }
 
 void HuffmanEncoder::encode_all(std::span<const std::uint32_t> symbols,
                                 util::BitWriter& out, std::uint64_t token_base) const {
-  // Bulk path: pack codewords into a local buffer with one unconditional
-  // 8-byte store per symbol, then splice the whole run into the writer.
-  // The stream is just the concatenation of LSB-first codewords (each
-  // token's length bits right after its codeword), so this emits the same
-  // bytes as per-symbol put() while skipping its register spill per
-  // symbol. Needs a byte-aligned writer (block payloads start one) and
-  // codes that fit the u32 table.
   const std::size_t n = symbols.size();
-  if (std::endian::native == std::endian::little && out.byte_aligned() &&
-      max_len_ > 0 && max_len_ <= 32) {
-    static thread_local std::vector<std::uint8_t> buf;
-    // With tokens, one spare byte per entry covers a token's length bits:
-    // its pair of entries budgets >= max_len_ + 16 bits.
-    const std::size_t per_entry =
-        static_cast<std::size_t>((max_len_ + 7) / 8) + (token_base != kNoRunTokens ? 1 : 0);
-    const std::size_t need = n * per_entry + 8;
-    if (buf.size() < need) buf.resize(need);
-    std::uint8_t* p = buf.data();
-    std::uint64_t acc = 0;
-    int nb = 0;
+  if (n == 0) return;
+  if (std::endian::native != std::endian::little || !out.byte_aligned()) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t symbol = symbols[i];
-      assert(symbol >= min_sym_ && symbol - min_sym_ < len_of_.size());
-      const std::uint32_t slot = symbol - min_sym_;
-      assert(len_of_[slot] > 0 && "symbol not in codebook");
-      const std::uint64_t e = packed_[slot];
-      acc |= (e & 0x00ffffffffffffffull) << nb;
-      nb += static_cast<int>(e >> 56);
+      encode(symbol, out);
       if (symbol >= token_base) {
         // The run length's k low bits; its top bit is implied by k.
         const int k = static_cast<int>(symbol - token_base);
-        acc |= static_cast<std::uint64_t>(symbols[++i] ^ (1u << k)) << nb;
-        nb += k;
+        out.put(symbols[++i] ^ (1u << k), k);
       }
-      std::memcpy(p, &acc, 8);  // nb <= 7 + 32 + 12: the register never overflows
-      p += nb >> 3;
-      acc >>= (nb & ~7);
-      nb &= 7;
     }
-    out.append_bytes({buf.data(), static_cast<std::size_t>(p - buf.data())});
-    out.put(acc, nb);
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t symbol = symbols[i];
-    assert(symbol >= min_sym_ && symbol - min_sym_ < len_of_.size());
-    const std::uint32_t slot = symbol - min_sym_;
-    assert(len_of_[slot] > 0 && "symbol not in codebook");
-    out.put(code_of_[slot], len_of_[slot]);
-    if (symbol >= token_base) {
-      const int k = static_cast<int>(symbol - token_base);
-      out.put(symbols[++i] ^ (1u << k), k);
-    }
-  }
+  // Bulk path (kern::pack_symbols), straight into the writer's bytes: it
+  // is extended by a bound on the output plus the loop's 8-byte overhang,
+  // then trimmed to what was written. Length words index packed_ by their
+  // own value, symbols past the length words.
+  const std::size_t widest = static_cast<std::size_t>(std::max(max_len_, kRunMaxLog));
+  const kern::PackTail tail = kern::pack_symbols(
+      symbols.data(), n, packed_, static_cast<std::uint32_t>(kLengthWords) - min_sym_,
+      token_base, out.extend((n * widest + 7) / 8 + 8));
+  out.commit(tail.end);
+  out.put(tail.bits, tail.nbits);
 }
 
 std::vector<std::uint8_t> HuffmanEncoder::serialize_codebook() const {
@@ -252,8 +225,8 @@ std::uint64_t HuffmanEncoder::cost_bits(std::span<const SymbolCount> freqs) cons
   std::uint64_t bits = 0;
   for (const auto& f : freqs) {
     if (f.count == 0) continue;
-    if (f.symbol < min_sym_ || f.symbol - min_sym_ >= len_of_.size()) continue;
-    bits += f.count * len_of_[f.symbol - min_sym_];
+    if (f.symbol < min_sym_ || kLengthWords + (f.symbol - min_sym_) >= packed_.size()) continue;
+    bits += f.count * (packed_[kLengthWords + (f.symbol - min_sym_)] >> 56);
   }
   return bits;
 }

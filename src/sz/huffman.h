@@ -58,12 +58,13 @@ class HuffmanEncoder {
   /// Appends the codeword for `symbol` (must be in the codebook).
   void encode(std::uint32_t symbol, util::BitWriter& out) const;
 
-  /// Appends the codewords for a whole symbol run. Identical output to
-  /// calling encode() per symbol; keeps the per-symbol table lookup and
-  /// the BitWriter register dance inside one translation unit. With a
-  /// `token_base` (2 * radius), `symbols` is kern::symbol_pass output: each
-  /// symbol >= token_base is followed by its run length, whose k low bits
-  /// are written straight after the codeword.
+  /// Appends the codewords for a whole symbol run: the same bits as
+  /// calling encode() per symbol. With a `token_base` (2 * radius),
+  /// `symbols` is kern::symbol_pass output: each symbol >= token_base is
+  /// followed by its run length, whose k low bits are written straight
+  /// after the codeword. A byte-aligned writer takes the bulk loop, which
+  /// encodes straight into the writer's bytes; an unaligned one takes the
+  /// per-symbol path.
   void encode_all(std::span<const std::uint32_t> symbols, util::BitWriter& out,
                   std::uint64_t token_base = kNoRunTokens) const;
 
@@ -82,15 +83,13 @@ class HuffmanEncoder {
   // Sorted by (length, symbol): canonical order.
   std::vector<std::uint32_t> symbols_;
   std::vector<std::uint8_t> lengths_;        // parallel to symbols_
-  // Dense lookup: symbol -> (reversed code, length); index by symbol via map
-  // from symbol to slot. For the quantization alphabet symbols are dense
-  // around the radius, so we use a hash-free two-table scheme: a direct
-  // vector covering [min_sym, max_sym].
+  /// Entries code | len << 56. packed_[L] for L < kLengthWords is the
+  /// length word L after a run token (k = floor(log2 L)): its k low bits.
+  /// packed_[kLengthWords + s - min_sym_] is symbol s's codeword,
+  /// bit-reversed for the LSB-first stream, and 0 when s is not in the
+  /// book.
+  static constexpr std::size_t kLengthWords = kRunMax + 1;
   std::uint32_t min_sym_ = 0;
-  std::vector<std::uint32_t> code_of_;       // reversed bits, LSB-first stream
-  std::vector<std::uint8_t> len_of_;
-  /// code_of_ and len_of_ folded into one entry (code | len << 56) so the
-  /// bulk encode loop does one table load per symbol instead of two.
   std::vector<std::uint64_t> packed_;
   int max_len_ = 0;
 };

@@ -33,7 +33,10 @@ namespace pcw::sz::kern {
                           const LatticeBlock&, T*);                            \
   template <typename Count>                                                    \
   std::uint64_t symbol_pass(std::uint32_t*, std::size_t&, std::uint32_t, bool, \
-                            Count*);
+                            Count*);                                           \
+  PackTail pack_symbols(const std::uint32_t*, std::size_t,                    \
+                        std::span<const std::uint64_t>, std::uint32_t,         \
+                        std::uint64_t, std::uint8_t*);
 
 namespace base {
 PCW_DECLARE_LEVEL
@@ -155,7 +158,7 @@ void lattice_dequantize(const std::uint32_t* codes, std::span<const T> outliers,
 }
 
 template <typename Count>
-std::uint64_t symbol_pass(std::vector<std::uint32_t>& codes, std::uint32_t radius,
+std::uint64_t symbol_pass(util::UninitVector<std::uint32_t>& codes, std::uint32_t radius,
                           bool runs, Count* hist) {
   if (runs && radius > kMaxRunRadius) {
     throw std::invalid_argument("kern::symbol_pass: radius too large for run tokens");
@@ -178,6 +181,23 @@ std::uint64_t symbol_pass(std::vector<std::uint32_t>& codes, std::uint32_t radiu
   }
   codes.resize(n);
   return length_bits;
+}
+
+PackTail pack_symbols(const std::uint32_t* symbols, std::size_t n,
+                      std::span<const std::uint64_t> table, std::uint32_t offset,
+                      std::uint64_t token_base, std::uint8_t* out) {
+  switch (util::simd_active()) {
+#if PCW_HAVE_AVX512
+    case util::Simd::kAvx512:
+      return avx512::pack_symbols(symbols, n, table, offset, token_base, out);
+#endif
+#if PCW_HAVE_AVX2
+    case util::Simd::kAvx2:
+      return avx2::pack_symbols(symbols, n, table, offset, token_base, out);
+#endif
+    default:
+      return base::pack_symbols(symbols, n, table, offset, token_base, out);
+  }
 }
 
 template <typename T>
@@ -234,9 +254,9 @@ template void lattice_dequantize<float>(const std::uint32_t*, std::span<const fl
                                         const LatticeBlock&, float*);
 template void lattice_dequantize<double>(const std::uint32_t*, std::span<const double>,
                                          const LatticeBlock&, double*);
-template std::uint64_t symbol_pass<std::uint32_t>(std::vector<std::uint32_t>&,
+template std::uint64_t symbol_pass<std::uint32_t>(util::UninitVector<std::uint32_t>&,
                                                   std::uint32_t, bool, std::uint32_t*);
-template std::uint64_t symbol_pass<std::uint64_t>(std::vector<std::uint32_t>&,
+template std::uint64_t symbol_pass<std::uint64_t>(util::UninitVector<std::uint32_t>&,
                                                   std::uint32_t, bool, std::uint64_t*);
 template void dequantize_lanes<float>(const DequantizeBatch<float>&);
 template void dequantize_lanes<double>(const DequantizeBatch<double>&);

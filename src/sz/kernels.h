@@ -1,6 +1,6 @@
 // SIMD-dispatched inner kernels of the sz pipeline.
 //
-// Four kinds of kernel live behind this interface (docs/kernels.md):
+// Five kinds of kernel live behind this interface (docs/kernels.md):
 //
 //  * Lattice kernels (lattice_quantize / lattice_dequantize): the
 //    dual-quantized Lorenzo predictor (Predictor::kLattice), the one every
@@ -20,6 +20,8 @@
 //  * The symbol pass (symbol_pass): turns one block's codes into the
 //    run-token symbol stream and counts it, finding runs with bit
 //    arithmetic on 64-code equality masks.
+//  * The Huffman pack loop (pack_symbols): the bulk loop of
+//    HuffmanEncoder::encode_all, which turns that stream into bits.
 //
 // The contract for every kernel here: results are byte-identical at every
 // dispatch level, for all inputs. SIMD changes speed, never bytes — the
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "sz/dims.h"
+#include "util/uninit_vector.h"
 
 namespace pcw::sz::kern {
 
@@ -186,8 +189,28 @@ void lattice_dequantize(const std::uint32_t* codes, std::span<const T> outliers,
 /// bit arithmetic on 64-code equality masks (src/sz/symbols_impl.h), so
 /// no code is branched on; integer-only, identical at every level.
 template <typename Count>
-std::uint64_t symbol_pass(std::vector<std::uint32_t>& codes, std::uint32_t radius,
+std::uint64_t symbol_pass(util::UninitVector<std::uint32_t>& codes, std::uint32_t radius,
                           bool runs, Count* hist);
+
+/// Where pack_symbols stopped: the end of the whole bytes it stored, and
+/// the 0..7 stream bits still pending.
+struct PackTail {
+  std::uint8_t* end = nullptr;
+  std::uint64_t bits = 0;
+  int nbits = 0;
+};
+
+/// The bulk loop of HuffmanEncoder::encode_all (src/sz/pack_impl.h):
+/// writes the codewords of n symbols, symbol_pass output with
+/// `token_base` (or plain codes, token_base = kNoRunTokens), LSB-first
+/// from `out`. Entries are code | len << 56; `table` holds the entry of
+/// the length word L at table[L] and that of symbol s at table[s +
+/// offset] (u32 arithmetic). `out` has room for the stream's whole bytes
+/// plus 8, which the loop stores past its end. Integer-only, identical at
+/// every level.
+PackTail pack_symbols(const std::uint32_t* symbols, std::size_t n,
+                      std::span<const std::uint64_t> table, std::uint32_t offset,
+                      std::uint64_t token_base, std::uint8_t* out);
 
 /// Temporal (point-wise) quantize of the whole range: x - prev quantized
 /// to an integer multiple of 2 * eb, with the lattice kernels' code and

@@ -44,10 +44,6 @@ std::vector<QuantizeResult<T>> lattice_quantize_blocks(
   // call. A single task counts into `symbols` directly; several count
   // into their own and add them in when done. The sums are exact
   // integers, so the counts do not depend on `threads`.
-  if (symbols != nullptr) {
-    std::fill(symbols->hist.begin(), symbols->hist.end(), 0);
-    symbols->length_bits = 0;
-  }
   const std::size_t tasks =
       std::min<std::size_t>(util::resolve_threads(threads), blocks.size());
   std::mutex symbols_mu;

@@ -29,6 +29,7 @@
 #include "sz/blocks.h"
 #include "sz/dims.h"
 #include "sz/huffman.h"
+#include "util/uninit_vector.h"
 
 namespace pcw::sz {
 
@@ -36,8 +37,10 @@ namespace pcw::sz {
 /// outliers, in point order.
 template <typename T>
 struct QuantizeResult {
-  std::vector<std::uint32_t> codes;  // one per input point
-  std::vector<T> outliers;           // raw values of code==0 points, in order
+  /// One per input point. Allocated unwritten: the quantizer writes
+  /// every code.
+  util::UninitVector<std::uint32_t> codes;
+  std::vector<T> outliers;  // raw values of code==0 points, in order
   /// The reconstruction the decompressor will reproduce, bit for bit,
   /// where a quantizer exports it per block (temporal_quantize); the
   /// time-series writer keeps it as the next temporal reference.
@@ -67,8 +70,9 @@ struct SymbolCounts {
 /// `symbols` is non-null, each block's symbol pass runs on the worker
 /// right after its kernel, while the codes are still in cache: the
 /// returned codes are then the symbol stream the encoder codes (run
-/// tokens in place when symbols->runs), and symbols->hist and
-/// length_bits (reset first) receive the sums over every block.
+/// tokens in place when symbols->runs), and the sums over every block
+/// are added to symbols->hist and length_bits (a new SymbolCounts holds
+/// zeros).
 template <typename T>
 std::vector<QuantizeResult<T>> lattice_quantize_blocks(
     std::span<const T> data, std::span<const BlockRange> blocks, double eb,

@@ -45,6 +45,9 @@ namespace {
 namespace symbols {
 
 constexpr std::size_t kWord = 64;
+/// Most zero residuals a run-free word may hold and still be counted by
+/// the plain loop (see pass()).
+constexpr int kPlainZeros = 8;
 using u128 = unsigned __int128;
 
 /// Bit i set iff c[i] == radius, for the 64 codes at c. One compare per
@@ -176,11 +179,18 @@ std::uint64_t pass(std::uint32_t* c, std::size_t& n, std::uint32_t radius, bool 
     // Count before any code of this word moves: the kept zero residuals
     // by popcount, every other code (never inside a run) by its value.
     // This serves runs = false too: a plain ++hist[c] loop is 8x slower
-    // on Nyx codes, its increments of hist[radius] chained through memory
-    // (and 16% faster on VPIC's, mostly non-zero residuals).
-    zeros += static_cast<std::uint64_t>(std::popcount(~inr & eq & valid));
-    for (std::uint64_t o = ~eq & valid; o != 0; o &= o - 1) {
-      ++hist[c[base + static_cast<std::size_t>(std::countr_zero(o))]];
+    // on Nyx codes, its increments of hist[radius] chained through memory.
+    // A full word with no run code and at most kPlainZeros zero residuals
+    // is counted by a fixed-trip loop over all 64 codes instead, which
+    // the bit scan's branch per code loses to (docs/kernels.md, "The
+    // symbol pass").
+    if (base + kWord <= n && inr == 0 && std::popcount(eq) <= kPlainZeros) {
+      for (std::size_t i = 0; i < kWord; ++i) ++hist[c[base + i]];
+    } else {
+      zeros += static_cast<std::uint64_t>(std::popcount(~inr & eq & valid));
+      for (std::uint64_t o = ~eq & valid; o != 0; o &= o - 1) {
+        ++hist[c[base + static_cast<std::size_t>(std::countr_zero(o))]];
+      }
     }
 
     // The word's run edges: each run's first code, and the first code

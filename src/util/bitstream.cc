@@ -28,13 +28,13 @@ void BitWriter::spill() {
   nbits_ &= 7;
 }
 
-std::vector<std::uint8_t> BitWriter::finish() {
+UninitVector<std::uint8_t> BitWriter::finish() {
   if (nbits_ > 0) {
     bytes_.push_back(static_cast<std::uint8_t>(acc_));
   }
   acc_ = 0;
   nbits_ = 0;
-  std::vector<std::uint8_t> out;
+  UninitVector<std::uint8_t> out;
   out.swap(bytes_);
   return out;
 }

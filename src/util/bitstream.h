@@ -11,7 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
+
+#include "util/uninit_vector.h"
 
 namespace pcw::util {
 
@@ -31,7 +32,7 @@ class BitWriter {
 
   /// Flushes the partial register and returns the finished byte stream.
   /// The writer is left empty and reusable.
-  std::vector<std::uint8_t> finish();
+  UninitVector<std::uint8_t> finish();
 
   /// Number of bits written so far (excluding padding).
   std::size_t bit_count() const { return bytes_.size() * 8 + nbits_; }
@@ -39,20 +40,25 @@ class BitWriter {
   /// True when the stream holds whole bytes only (no partial register).
   bool byte_aligned() const { return nbits_ == 0; }
 
-  /// Splices whole bytes into the stream. Caller must be byte_aligned();
-  /// bulk encoders pack bits themselves and append the result here.
-  void append_bytes(std::span<const std::uint8_t> b) {
+  /// Bulk encoders write whole bytes straight into a byte_aligned()
+  /// stream: extend() appends `max_bytes` unwritten bytes and returns
+  /// where they start, and commit(end) keeps the bytes before `end`,
+  /// dropping the rest of the extension.
+  std::uint8_t* extend(std::size_t max_bytes) {
     assert(nbits_ == 0);
-    bytes_.insert(bytes_.end(), b.begin(), b.end());
+    const std::size_t pos = bytes_.size();
+    bytes_.resize(pos + max_bytes);
+    return bytes_.data() + pos;
   }
-
-  void reserve_bytes(std::size_t n) { bytes_.reserve(n); }
+  void commit(const std::uint8_t* end) {
+    bytes_.resize(static_cast<std::size_t>(end - bytes_.data()));
+  }
 
  private:
   /// Moves every whole byte of the register into the stream.
   void spill();
 
-  std::vector<std::uint8_t> bytes_;
+  UninitVector<std::uint8_t> bytes_;
   std::uint64_t acc_ = 0;
   int nbits_ = 0;
 };

@@ -23,12 +23,15 @@ namespace {
 Simd detect() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  if (PCW_HAVE_AVX512 && __builtin_cpu_supports("avx512f") &&
+  // Both vector levels' TUs are built with BMI1/BMI2 too (the Huffman
+  // pack loop's shifts), which every AVX2 CPU the levels target has.
+  const bool bmi = __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
+  if (PCW_HAVE_AVX512 && bmi && __builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl")) {
     return Simd::kAvx512;
   }
-  if (PCW_HAVE_AVX2 && __builtin_cpu_supports("avx2")) {
+  if (PCW_HAVE_AVX2 && bmi && __builtin_cpu_supports("avx2")) {
     return Simd::kAvx2;
   }
 #endif

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sz/blocks.h"
@@ -412,6 +413,45 @@ TEST(Compressor, DeterministicOutput) {
   const auto a = compress<float>(data, Dims::make_3d(16, 16, 16), p);
   const auto b = compress<float>(data, Dims::make_3d(16, 16, 16), p);
   EXPECT_EQ(a, b);
+}
+
+TEST(Compressor, CodeArraysFromAnEarlierCallNeverLeak) {
+  // The quantizers allocate their code arrays unwritten. Compressing a
+  // noisy field A at a tight bound first leaves freed blocks full of its
+  // codes for the next call's allocations to reuse; field B, of another
+  // shape and bound, must still compress to exactly what a thread that
+  // never ran A produces: spatial, without run tokens, and temporal.
+  const auto a = smooth_field(64, 21, 0.5);
+  Params pa;
+  pa.error_bound = 1e-5;
+  const std::size_t n = 200000;
+  std::vector<float> b(n), b_next(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<float>(std::sin(1e-3 * static_cast<double>(i)));
+    b_next[i] = b[i] + static_cast<float>(1e-4 * std::cos(3e-3 * static_cast<double>(i)));
+  }
+  const Dims db = Dims::make_1d(n);
+  Params pb;
+  pb.error_bound = 1e-3;
+  Params plain = pb;
+  plain.lossless = false;
+  Params temporal = pb;
+  temporal.predictor = Predictor::kTemporal;
+  auto compress_b = [&] {
+    std::vector<float> recon;
+    std::vector<std::vector<std::uint8_t>> blobs;
+    blobs.push_back(compress<float>(b, db, pb, {}, &recon));
+    blobs.push_back(compress<float>(b, db, plain));
+    blobs.push_back(compress<float>(b_next, db, temporal, recon));
+    return blobs;
+  };
+  std::vector<std::vector<std::uint8_t>> fresh;
+  std::thread([&] { fresh = compress_b(); }).join();
+  ASSERT_GT(inspect(fresh[2]).temporal_blocks, 0u);
+  for (int round = 0; round < 3; ++round) {
+    (void)compress<float>(a, Dims::make_3d(64, 64, 64), pa);
+    EXPECT_EQ(compress_b(), fresh) << "round " << round;
+  }
 }
 
 TEST(Compressor, BitRateHelpers) {

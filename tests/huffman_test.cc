@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <string>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "support/run_tokens_oracle.h"
+#include "support/simd_levels.h"
 #include "sz/huffman.h"
 #include "util/bitstream.h"
 #include "util/rng.h"
@@ -277,7 +281,7 @@ std::vector<std::uint32_t> reference_tokens(const std::vector<std::uint32_t>& co
 /// encodes — what compress() does per block.
 struct TokenStream {
   std::vector<std::uint8_t> codebook;
-  std::vector<std::uint8_t> bits;
+  util::UninitVector<std::uint8_t> bits;
 };
 
 TokenStream encode_tokens(std::vector<std::uint32_t> codes, std::uint32_t radius,
@@ -391,6 +395,180 @@ TEST(RunTokens, TokenOverrunningTheBlockThrows) {
   util::BitReader r(ts.bits);
   std::vector<std::uint32_t> out(4000);
   EXPECT_THROW(dec.decode_run(r, out.data(), out.size()), std::runtime_error);
+}
+
+// ---- the bulk encode loop ---------------------------------------------------
+//
+// encode_all on a byte-aligned writer folds four entries per flush; it must
+// give exactly the bits of encode() per symbol plus each token's length
+// bits, wherever the tokens fall, at every dispatch level.
+
+/// A token symbol at 2 * radius + k and its run length `len`.
+void push_token(std::vector<std::uint32_t>& s, std::uint32_t radius, std::uint32_t len) {
+  const int k = std::bit_width(len) - 1;
+  s.push_back(2 * radius + static_cast<std::uint32_t>(k));
+  s.push_back(len);
+}
+
+/// A book over the stream's symbols (length words skipped), each counted
+/// once more than it occurs so every one is in the book.
+HuffmanEncoder book_for(const std::vector<std::uint32_t>& stream, std::uint64_t token_base) {
+  std::map<std::uint32_t, std::uint64_t> counts;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ++counts[stream[i]];
+    if (stream[i] >= token_base) ++i;
+  }
+  std::vector<SymbolCount> freqs;
+  for (const auto& [symbol, count] : counts) freqs.push_back({symbol, count + 1});
+  return HuffmanEncoder(freqs);
+}
+
+/// encode_all into a writer holding `lead` zero bits against encode() per
+/// symbol plus put() of each length word's k low bits.
+void expect_bulk_matches_per_symbol(const HuffmanEncoder& enc,
+                                    const std::vector<std::uint32_t>& stream,
+                                    std::uint64_t token_base, int lead,
+                                    const std::string& what) {
+  util::BitWriter want;
+  if (lead > 0) want.put(0, lead);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    enc.encode(stream[i], want);
+    if (stream[i] >= token_base) {
+      const int k = static_cast<int>(stream[i] - token_base);
+      want.put(stream[i + 1] ^ (1u << k), k);
+      ++i;
+    }
+  }
+  const std::size_t want_bits = want.bit_count();
+  const auto want_bytes = want.finish();
+  testsupport::ActiveGuard guard;
+  for (const util::Simd level : testsupport::available_levels()) {
+    util::simd_set_active(level);
+    util::BitWriter got;
+    if (lead > 0) got.put(0, lead);
+    enc.encode_all(stream, got, token_base);
+    EXPECT_EQ(got.bit_count(), want_bits) << what << " at " << util::simd_name(level);
+    EXPECT_EQ(got.finish(), want_bytes) << what << " at " << util::simd_name(level);
+  }
+}
+
+void expect_bulk_matches_per_symbol(const std::vector<std::uint32_t>& stream,
+                                    std::uint32_t radius, const std::string& what) {
+  const std::uint64_t token_base = 2ull * radius;
+  const HuffmanEncoder enc = book_for(stream, token_base);
+  for (const int lead : {0, 8, 3}) {  // bulk, bulk after bytes, per-symbol
+    expect_bulk_matches_per_symbol(enc, stream, token_base, lead,
+                                   what + ", lead " + std::to_string(lead));
+  }
+}
+
+TEST(HuffmanBulk, TokenAtEveryGroupSlot) {
+  for (const std::uint32_t radius : {2u, 2048u, 2049u, 32768u}) {
+    const std::uint32_t plain = radius - 1;
+    for (std::size_t slot = 0; slot < 4; ++slot) {
+      for (const std::uint32_t len : {8u, 15u, 1000u, 4095u, 4096u}) {
+        // The token at `slot` of the first group; at slot 3 its length
+        // word opens the second group.
+        std::vector<std::uint32_t> s(slot, plain);
+        push_token(s, radius, len);
+        s.insert(s.end(), 7, radius);
+        EXPECT_NO_FATAL_FAILURE(expect_bulk_matches_per_symbol(
+            s, radius, "radius " + std::to_string(radius) + " slot " + std::to_string(slot) +
+                           " run " + std::to_string(len)));
+        // Back-to-back tokens: a length word followed by a token.
+        std::vector<std::uint32_t> t(slot, plain);
+        push_token(t, radius, len);
+        push_token(t, radius, 8);
+        push_token(t, radius, len);
+        t.push_back(0);
+        EXPECT_NO_FATAL_FAILURE(expect_bulk_matches_per_symbol(
+            t, radius, "radius " + std::to_string(radius) + " slot " + std::to_string(slot) +
+                           " run " + std::to_string(len) + " back to back"));
+      }
+    }
+  }
+}
+
+TEST(HuffmanBulk, RandomTokenStreamsAtSmallAndLargeRadii) {
+  // Radius 2 and 2048: length words reach token_base (4096 == 2 * 2048);
+  // radius 2049 is the first where none can.
+  util::Rng rng(29);
+  for (const std::uint32_t radius : {2u, 2048u, 2049u, 32768u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<std::uint32_t> s;
+      const std::size_t n = rng.uniform_index(300);
+      while (s.size() < n) {
+        if (rng.uniform() < 0.2) {
+          push_token(s, radius, static_cast<std::uint32_t>(8 + rng.uniform_index(4089)));
+        } else {
+          s.push_back(static_cast<std::uint32_t>(rng.uniform_index(2ull * radius)));
+        }
+      }
+      EXPECT_NO_FATAL_FAILURE(expect_bulk_matches_per_symbol(
+          s, radius, "radius " + std::to_string(radius) + " trial " + std::to_string(trial)));
+    }
+  }
+}
+
+TEST(HuffmanBulk, CodesLongerThanAFoldedGroup) {
+  // Fibonacci counts give codes past 28 bits, so four of them overflow one
+  // 56-bit fold and flush one by one; the tokens keep their length bits.
+  const std::uint32_t radius = 100;
+  std::vector<SymbolCount> freqs;
+  std::uint64_t a = 1, b = 1;
+  for (std::uint32_t s = 0; s < 40; ++s) {
+    freqs.push_back({s, a});
+    const std::uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  for (std::uint32_t k = kRunMinLog; k <= kRunMaxLog; ++k) freqs.push_back({2 * radius + k, a});
+  const HuffmanEncoder enc(freqs);
+  ASSERT_GT(enc.max_code_length(), 28);
+  util::Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::uint32_t> s;
+    for (int i = 0; i < 64; ++i) {
+      if (rng.uniform() < 0.15) {
+        push_token(s, radius, static_cast<std::uint32_t>(8 + rng.uniform_index(4089)));
+      } else {
+        s.push_back(static_cast<std::uint32_t>(rng.uniform_index(40)));
+      }
+    }
+    for (const int lead : {0, 8, 5}) {
+      EXPECT_NO_FATAL_FAILURE(expect_bulk_matches_per_symbol(
+          enc, s, 2ull * radius, lead, "trial " + std::to_string(trial)));
+    }
+  }
+}
+
+TEST(HuffmanBulk, ShortStreams) {
+  // Every length up to two groups plus a tail, with and without a token
+  // pair closing the stream.
+  const std::uint32_t radius = 2048;
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::vector<std::uint32_t> s;
+    for (std::size_t i = 0; i < n; ++i) s.push_back(radius - 2 + static_cast<std::uint32_t>(i % 5));
+    EXPECT_NO_FATAL_FAILURE(expect_bulk_matches_per_symbol(s, radius, "n " + std::to_string(n)));
+    if (n >= 2) {
+      s.resize(n - 2);
+      push_token(s, radius, 4096);
+      EXPECT_NO_FATAL_FAILURE(
+          expect_bulk_matches_per_symbol(s, radius, "n " + std::to_string(n) + " token"));
+    }
+  }
+}
+
+TEST(HuffmanBulk, OneSymbolBook) {
+  const std::vector<SymbolCount> freqs{{7, 10}};
+  const HuffmanEncoder enc(freqs);
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 9u, 100u}) {
+    const std::vector<std::uint32_t> s(n, 7);
+    for (const int lead : {0, 8, 1}) {
+      EXPECT_NO_FATAL_FAILURE(expect_bulk_matches_per_symbol(
+          enc, s, kNoRunTokens, lead, "n " + std::to_string(n)));
+    }
+  }
 }
 
 }  // namespace

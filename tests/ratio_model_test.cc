@@ -212,7 +212,7 @@ void reference_block(std::span<const T> data, const sz::Dims& dims, std::size_t 
   }
   const sz::QuantizeResult<T> quant =
       testsupport::lattice_quantize<T>(box, sz::Dims{ex, ey, ez}, eb, radius);
-  const std::vector<std::uint32_t>& codes = quant.codes;
+  const auto& codes = quant.codes;
   for (const std::uint32_t c : codes) ++counts[c];
   outliers += quant.outliers.size();
   points += n;

@@ -365,7 +365,7 @@ TEST(SimdDispatch, HuffmanDecodeRunMatchesSingle) {
   for (auto& s : symbols) s = freqs[rng.uniform_index(freqs.size())].symbol;
   util::BitWriter writer;
   enc.encode_all(symbols, writer);
-  const std::vector<std::uint8_t> stream = writer.finish();
+  const auto stream = writer.finish();
   const std::vector<std::uint8_t> codebook = enc.serialize_codebook();
 
   ActiveGuard guard;
@@ -389,7 +389,7 @@ TEST(SimdDispatch, HuffmanDecodeRunMatchesSingle) {
         EXPECT_EQ(a.syms, b.syms) << "cut " << cut << " at " << util::simd_name(level);
       }
     }
-    std::vector<std::uint8_t> corrupt(stream);
+    std::vector<std::uint8_t> corrupt(stream.begin(), stream.end());
     corrupt[corrupt.size() / 3] ^= 0x5a;
     const DecodeTrace a = trace_single(dec, corrupt, symbols.size());
     const DecodeTrace b = trace_run(dec, corrupt, symbols.size());
@@ -432,9 +432,9 @@ TEST(SimdDispatch, HuffmanDecodeRunTokensMatchScalar) {
     const HuffmanEncoder enc(freqs);
     util::BitWriter writer;
     enc.encode_all(tokens, writer, 2ull * radius);
-    const std::vector<std::uint8_t> stream = writer.finish();
+    const auto stream = writer.finish();
     const std::vector<std::uint8_t> codebook = enc.serialize_codebook();
-    std::vector<std::uint8_t> corrupt(stream);
+    std::vector<std::uint8_t> corrupt(stream.begin(), stream.end());
     corrupt[corrupt.size() / 3] ^= 0x5a;
     const std::size_t cuts[] = {0, 1, 7, 8, 9, stream.size() / 2, stream.size() - 1,
                                 stream.size()};

@@ -33,6 +33,9 @@ namespace {
 
 using testsupport::ActiveGuard;
 using testsupport::available_levels;
+using Codes = util::UninitVector<std::uint32_t>;
+
+Codes as_codes(const std::vector<std::uint32_t>& v) { return {v.begin(), v.end()}; }
 
 /// A zeroed histogram over run_alphabet(radius) symbols that commits only
 /// the pages written: at kMaxRunRadius the alphabet spans 2^31 symbols.
@@ -95,32 +98,33 @@ void expect_matches_oracle(const std::vector<std::uint32_t>& codes, std::uint32_
     }
   };
 
+  const Codes want_codes = as_codes(want);
   ActiveGuard guard;
   for (const util::Simd level : available_levels()) {
     util::simd_set_active(level);
     const std::string at = what + " at " + util::simd_name(level);
     {
-      std::vector<std::uint32_t> got = codes;
+      Codes got = as_codes(codes);
       SparseHist<std::uint64_t> hist(run_alphabet(radius));
       const std::uint64_t bits = kern::symbol_pass(got, radius, true, hist.data());
-      EXPECT_EQ(got, want) << at << " (u64)";
+      EXPECT_EQ(got, want_codes) << at << " (u64)";
       EXPECT_EQ(bits, stats.length_bits()) << at << " (u64)";
       check(hist, folded, at + " (u64)");
     }
     {
-      std::vector<std::uint32_t> got = codes;
+      Codes got = as_codes(codes);
       SparseHist<std::uint32_t> hist(run_alphabet(radius));
       const std::uint64_t bits = kern::symbol_pass(got, radius, true, hist.data());
-      EXPECT_EQ(got, want) << at << " (u32)";
+      EXPECT_EQ(got, want_codes) << at << " (u32)";
       EXPECT_EQ(bits, stats.length_bits()) << at << " (u32)";
       check(hist, folded, at + " (u32)");
     }
     {
       // Without run tokens the pass only counts.
-      std::vector<std::uint32_t> got = codes;
+      Codes got = as_codes(codes);
       SparseHist<std::uint64_t> hist(run_alphabet(radius));
       EXPECT_EQ(kern::symbol_pass(got, radius, false, hist.data()), 0u) << at;
-      EXPECT_EQ(got, codes) << at << " (count only)";
+      EXPECT_EQ(got, as_codes(codes)) << at << " (count only)";
       check(hist, plain, at + " (count only)");
     }
   }
@@ -224,6 +228,31 @@ TEST(SymbolPass, BlockLengthsAndDensities) {
   }
 }
 
+TEST(SymbolPass, RunFreeWordsCountedWhole) {
+  // A full word with no run code and at most 8 zero residuals is counted
+  // by a plain loop over its 64 codes, one with 9 by the bit scan. Such
+  // words sit here between run words (a run ending on the word edge
+  // before one, or reaching into it, and one starting on the edge after)
+  // and in the tail word, which is always bit-scanned.
+  const std::size_t n = 4 * 64 + 37;
+  for (const std::uint32_t radius : kRadii) {
+    for (const std::size_t zeros : {0u, 8u, 9u}) {
+      for (const std::size_t run_end : {64u, 67u}) {
+        std::vector<std::uint32_t> codes =
+            spans_stream(radius, n, {{40, run_end}, {128, 150}}, zeros + run_end);
+        // Isolated zero residuals, 7 codes apart: never a run.
+        for (const std::size_t word : {1u, 3u, 4u}) {
+          const std::size_t count = word == 4 ? std::min<std::size_t>(zeros, 5) : zeros;
+          for (std::size_t j = 0; j < count; ++j) codes[word * 64 + 7 * j] = radius;
+        }
+        expect_matches_oracle(codes, radius,
+                              "r" + std::to_string(radius) + " zeros " +
+                                  std::to_string(zeros) + " run to " + std::to_string(run_end));
+      }
+    }
+  }
+}
+
 TEST(SymbolPass, RandomRunLengths) {
   util::Rng rng(11);
   for (int trial = 0; trial < 40; ++trial) {
@@ -237,7 +266,7 @@ TEST(SymbolPass, RandomRunLengths) {
 }
 
 TEST(SymbolPass, RejectsRunTokensPastTheirRadius) {
-  std::vector<std::uint32_t> codes(16, 1);
+  Codes codes(16, 1);
   std::vector<std::uint64_t> hist(4);
   EXPECT_THROW(kern::symbol_pass(codes, kMaxRunRadius + 1, true, hist.data()),
                std::invalid_argument);
