@@ -106,6 +106,29 @@ void fsync_parent_dir(const std::string& path) {
 
 }  // namespace
 
+PageRange whole_pages(std::uint64_t off, std::uint64_t len, std::uint64_t page) {
+  const std::uint64_t lo = (off + page - 1) / page * page;
+  const std::uint64_t hi = (off + len) / page * page;
+  return {lo, std::max(lo, hi)};
+}
+
+void start_writeback(int fd, std::uint64_t off, std::uint64_t len) noexcept {
+#if defined(__linux__)
+  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const PageRange r = whole_pages(off, len, page);
+  if (r.hi == r.lo) return;
+  util::trace::Span span("writeback", "h5", "bytes", r.hi - r.lo);
+  // Errors change nothing: the commit's fsync writes whatever this did not
+  // start, and reports any real I/O error itself.
+  (void)::sync_file_range(fd, static_cast<off_t>(r.lo), static_cast<off_t>(r.hi - r.lo),
+                          SYNC_FILE_RANGE_WRITE);
+#else
+  (void)fd;
+  (void)off;
+  (void)len;
+#endif
+}
+
 std::shared_ptr<File> File::create(const std::string& path, FileOptions opts) {
   auto file = std::shared_ptr<File>(new File());
   file->path_ = path;
@@ -225,6 +248,7 @@ std::uint64_t File::alloc_collective(mpi::Comm& comm, std::uint64_t total_bytes)
 void File::pwrite(std::uint64_t offset, std::span<const std::uint8_t> data) {
   if (!writable_) throw std::runtime_error("h5: pwrite on read-only file");
   full_pwrite(fd_, data.data(), data.size(), offset);
+  start_writeback(fd_, offset, data.size());
 }
 
 std::vector<std::uint8_t> File::pread(std::uint64_t offset, std::uint64_t size) const {
@@ -259,6 +283,7 @@ WriteTicket File::async_write(std::uint64_t offset, std::vector<std::uint8_t> da
     for (unsigned attempt = 0;; ++attempt) {
       try {
         full_pwrite(fd_, buf->data(), buf->size(), offset);
+        start_writeback(fd_, offset, buf->size());
         return;
       } catch (const util::IoError& e) {
         if (!e.transient() || attempt >= retries) {

@@ -46,6 +46,25 @@ class WriteTicket {
   std::shared_future<void> fut_;
 };
 
+/// A byte range [lo, hi) of a file; empty when lo == hi.
+struct PageRange {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+/// The pages of size `page` that lie wholly inside [off, off + len):
+/// [round_up(off), round_down(off + len)), empty when there are none.
+/// Payloads sit back to back, so a page at either end may be shared with
+/// a neighbour's payload that is still being written; a writeback kick
+/// leaves those pages to the commit's fsync.
+PageRange whole_pages(std::uint64_t off, std::uint64_t len, std::uint64_t page);
+
+/// Starts device writeback (Linux sync_file_range, SYNC_FILE_RANGE_WRITE)
+/// of the whole pages of [off, off + len) that a data write just put in
+/// the page cache, so the commit's first fsync waits only for the rest.
+/// Promises no durability and ignores every error; a no-op off Linux.
+void start_writeback(int fd, std::uint64_t off, std::uint64_t len) noexcept;
+
 struct FileOptions {
   /// Background I/O threads for a created file's async write queue. The
   /// paper's async VOL uses one background thread; more can be useful on
@@ -85,7 +104,8 @@ class File {
   /// receives the same base offset (rank 0 allocates, then broadcast).
   std::uint64_t alloc_collective(mpi::Comm& comm, std::uint64_t total_bytes);
 
-  /// Synchronous positioned write/read.
+  /// Synchronous positioned write/read. pwrite and the async_write task
+  /// start writeback of what they wrote (start_writeback).
   void pwrite(std::uint64_t offset, std::span<const std::uint8_t> data);
   std::vector<std::uint8_t> pread(std::uint64_t offset, std::uint64_t size) const;
 

@@ -17,6 +17,7 @@
 #include "pcw/pcw.h"
 #include "util/fault.h"
 #include "util/io_error.h"
+#include "util/metrics.h"
 
 namespace pcw {
 namespace {
@@ -172,6 +173,41 @@ TEST(FaultInjection, CrashPointSweepAlwaysReopensConsistent) {
     p.tear_bytes = 3;
     return p;
   });
+}
+
+// The writeback kick after each data write is not an I/O site of its
+// own: per checkpoint the fault layer and the metrics count the same two
+// payload writes, footer, slot and three fsyncs as before the kick.
+TEST(FaultInjection, WritebackKickIsNoFaultSite) {
+  FaultGuard guard;
+  TempFile tmp("writeback");
+  auto& reg = util::metrics::Registry::get();
+  const std::uint64_t writes0 = reg.io_writes.get();
+  const std::uint64_t syncs0 = reg.io_syncs.get();
+  fault::Plan count_only;
+  count_only.nth = UINT64_MAX;
+  fault::arm(count_only);
+  {
+    h5::FileOptions opts;
+    opts.atomic_create = false;
+    auto file = h5::File::create(tmp.path, opts);
+    for (int i = 1; i <= kCommits; ++i) {
+      // Several whole pages each, at offsets off the page grid.
+      std::vector<std::uint8_t> sync_part(5 * 4096 + 123, static_cast<std::uint8_t>(i));
+      std::vector<std::uint8_t> async_part(4 * 4096 + 77, static_cast<std::uint8_t>(~i));
+      file->pwrite(file->alloc(sync_part.size()), sync_part);
+      file->async_write(file->alloc(async_part.size()), std::move(async_part));
+      file->commit();
+    }
+  }
+  const fault::Counts counts = fault::counts();
+  fault::disarm();
+  constexpr std::uint64_t kWritesPerCommit = 4;  // two payloads, footer, slot
+  constexpr std::uint64_t kSyncsPerCommit = 3;
+  EXPECT_EQ(counts.writes, 1 + kCommits * kWritesPerCommit);  // + placeholder superblock
+  EXPECT_EQ(counts.syncs, kCommits * kSyncsPerCommit);
+  EXPECT_EQ(reg.io_writes.get() - writes0, counts.writes);
+  EXPECT_EQ(reg.io_syncs.get() - syncs0, counts.syncs);
 }
 
 TEST(FaultInjection, TransientWriteFailureIsRetried) {

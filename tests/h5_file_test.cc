@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
 #include "h5/file.h"
 #include "h5/filter.h"
 #include "mpi/comm.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
+#include "util/trace.h"
 #include "support/read_oracle.h"
 
 namespace pcw::h5 {
@@ -143,6 +149,122 @@ TEST_F(H5FileTest, ReadOnlyFileRejectsWrites) {
   EXPECT_THROW(file->alloc(10), std::runtime_error);
   EXPECT_THROW(file->pwrite(0, std::vector<std::uint8_t>{1}), std::runtime_error);
   EXPECT_THROW(file->async_write(0, {1}), std::runtime_error);
+}
+
+// ---------------------------------------------------------- writeback ----
+
+TEST(H5Writeback, WholePagesKeepsOnlyPagesInsideTheRange) {
+  const auto pages = [](std::uint64_t off, std::uint64_t len, std::uint64_t page) {
+    const PageRange r = whole_pages(off, len, page);
+    return std::pair{r.lo, r.hi};
+  };
+  using P = std::pair<std::uint64_t, std::uint64_t>;
+  // Aligned at both ends: every page.
+  EXPECT_EQ(pages(8192, 3 * 4096, 4096), (P{8192, 20480}));
+  // Unaligned at both ends: the shared boundary pages are left out.
+  EXPECT_EQ(pages(4000, 3 * 4096, 4096), (P{4096, 12288}));
+  EXPECT_EQ(pages(4097, 8190, 4096), (P{8192, 8192}));
+  // Unaligned at one end only.
+  EXPECT_EQ(pages(4096, 4096 + 10, 4096), (P{4096, 8192}));
+  EXPECT_EQ(pages(4095, 4096 + 1, 4096), (P{4096, 8192}));
+  // Under one page, even when it starts on a boundary: empty.
+  EXPECT_EQ(pages(4096, 4095, 4096), (P{4096, 4096}));
+  EXPECT_EQ(pages(100, 200, 4096), (P{4096, 4096}));
+  // Exactly one page.
+  EXPECT_EQ(pages(0, 4096, 4096), (P{0, 4096}));
+  EXPECT_EQ(pages(12288, 4096, 4096), (P{12288, 16384}));
+  // Zero length, aligned or not: empty.
+  EXPECT_EQ(pages(4096, 0, 4096), (P{4096, 4096}));
+  EXPECT_EQ(pages(5000, 0, 4096), (P{8192, 8192}));
+  // A 64 KiB page (aarch64/ppc64 kernels).
+  constexpr std::uint64_t k64 = 64 * 1024;
+  EXPECT_EQ(pages(1, 3 * k64, k64), (P{k64, 3 * k64}));
+  EXPECT_EQ(pages(k64 + 1, k64, k64), (P{2 * k64, 2 * k64}));
+  EXPECT_EQ(pages(2 * k64, k64, k64), (P{2 * k64, 3 * k64}));
+}
+
+TEST(H5Writeback, FailedKickIsIgnored) {
+  // A bad descriptor (EBADF) and a pipe (ESPIPE) both refuse the kick.
+  EXPECT_NO_THROW(start_writeback(-1, 0, 1 << 20));
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  EXPECT_NO_THROW(start_writeback(fds[1], 4096, 1 << 16));
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST_F(H5FileTest, KickedWritesCommitTheProtocolsExactBytes) {
+  // Payloads straddling page boundaries, through both data paths, with
+  // tracing on so the kick's span is recorded; the committed file must
+  // be exactly superblock + payloads + sealed footer, byte for byte.
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> payloads;
+  std::vector<DatasetDesc> datasets;
+  std::uint64_t footer_off = 0;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  util::trace::clear();
+  util::trace::start();
+  {
+    FileOptions opts;
+    opts.atomic_create = false;
+    auto file = File::create(path(), opts);
+    for (int i = 0; i < 6; ++i) {
+      std::vector<std::uint8_t> data(3 * page + 1000 * static_cast<std::size_t>(i));
+      for (std::size_t j = 0; j < data.size(); ++j) {
+        data[j] = static_cast<std::uint8_t>(j * 31 + static_cast<std::size_t>(i));
+      }
+      const auto off = file->alloc(data.size());
+      if (i % 2 == 0) {
+        file->pwrite(off, data);
+      } else {
+        file->async_write(off, std::vector<std::uint8_t>(data));
+      }
+      DatasetDesc d;
+      d.name = "p" + std::to_string(i);
+      d.dtype = DataType::kBytes;
+      d.global_dims = sz::Dims::make_1d(data.size());
+      d.file_offset = off;
+      d.nbytes = data.size();
+      file->add_dataset(d);
+      payloads.emplace_back(off, std::move(data));
+    }
+    footer_off = file->data_end();
+    file->commit();
+    datasets = file->datasets();
+  }
+  util::trace::stop();
+  std::uint64_t kicks = 0;
+  for (const auto& e : util::trace::events()) {
+    if (std::string(e.name) == "writeback" && std::string(e.cat) == "h5") {
+      ++kicks;
+      EXPECT_GT(e.arg, 0u);
+      EXPECT_EQ(e.arg % page, 0u);
+    }
+  }
+  util::trace::clear();
+#if defined(__linux__)
+  EXPECT_EQ(kicks, payloads.size());  // every payload holds a whole page
+#endif
+
+  const std::vector<std::uint8_t> footer = seal_footer(datasets);
+  std::vector<std::uint8_t> want(footer_off + footer.size(), 0);
+  serialize_slot(SuperblockSlot{}, want.data());
+  SuperblockSlot slot;
+  slot.seq = 1;
+  slot.footer_off = footer_off;
+  slot.footer_size = footer.size();
+  slot.footer_crc = util::crc32c(0, footer.data(), footer.size());
+  serialize_slot(slot, want.data() + kSuperblockSlotSize);
+  for (const auto& [off, data] : payloads) {
+    std::copy(data.begin(), data.end(), want.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+  std::copy(footer.begin(), footer.end(),
+            want.begin() + static_cast<std::ptrdiff_t>(footer_off));
+
+  std::ifstream in(path(), std::ios::binary);
+  const std::vector<std::uint8_t> got{std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()};
+  EXPECT_TRUE(got == want) << "file holds " << got.size() << " bytes, protocol "
+                           << want.size();
 }
 
 // ------------------------------------------------------------ filters ----
